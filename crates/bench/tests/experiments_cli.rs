@@ -151,8 +151,8 @@ fn verify_passes_on_the_committed_tree() {
         "clean tree must verify: {stderr}"
     );
     assert!(
-        stderr.contains("7 scenario(s), 0 failure(s)"),
-        "all seven goldens checked: {stderr}"
+        stderr.contains("8 scenario(s), 0 failure(s)"),
+        "all eight goldens checked: {stderr}"
     );
 }
 

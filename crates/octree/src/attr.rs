@@ -10,9 +10,9 @@
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::color::Color;
 use arvis_pointcloud::point::Point;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::occupancy::{decode_occupancy, DecodeError};
+use crate::occupancy::{decode_stream, DecodeError};
 use crate::tree::Octree;
 
 /// Serializes the mean colors of all depth-`depth` voxels, breadth-first.
@@ -22,18 +22,16 @@ use crate::tree::Octree;
 /// Panics when `depth` exceeds the tree's max depth.
 pub fn encode_attributes(tree: &Octree, depth: u8) -> Bytes {
     assert!(depth <= tree.max_depth(), "depth exceeds max depth");
-    let mut out = BytesMut::with_capacity(1 + 3 * tree.occupied_at_depth(depth));
-    out.put_u8(depth);
-    // nodes_at_depth iterates the arena level, which is breadth-first and
-    // Morton-ordered within each parent — the same order occupancy decode
-    // expands children (octant 0..8).
-    for id in tree.nodes_at_depth(depth) {
-        let c = tree.node(id).mean_color();
-        out.put_u8(c.r);
-        out.put_u8(c.g);
-        out.put_u8(c.b);
+    // The level's arena rows are in Morton order, the order in which
+    // occupancy decode expands children (octant 0..8).
+    let rows = tree.level_rows(depth);
+    let mut out = Vec::with_capacity(1 + 3 * rows.len());
+    out.push(depth);
+    for row in rows {
+        let c = tree.arena.mean_color(row);
+        out.extend_from_slice(&[c.r, c.g, c.b]);
     }
-    out.freeze()
+    Bytes::from(out)
 }
 
 /// Decodes an attribute stream into colors.
@@ -42,23 +40,23 @@ pub fn encode_attributes(tree: &Octree, depth: u8) -> Bytes {
 ///
 /// [`DecodeError::BadHeader`] for an empty stream,
 /// [`DecodeError::Truncated`] when the byte count is not a multiple of 3.
-pub fn decode_attributes(mut stream: Bytes) -> Result<(u8, Vec<Color>), DecodeError> {
-    if stream.remaining() < 1 {
-        return Err(DecodeError::BadHeader);
-    }
-    let depth = stream.get_u8();
-    if !stream.remaining().is_multiple_of(3) {
+pub fn decode_attributes(stream: Bytes) -> Result<(u8, Vec<Color>), DecodeError> {
+    let (depth, rgb) = split_attributes(&stream)?;
+    Ok((depth, rgb.chunks_exact(3).map(rgb_color).collect()))
+}
+
+/// An attribute stream's depth and its RGB bytes, with the checks of
+/// [`decode_attributes`].
+fn split_attributes(stream: &[u8]) -> Result<(u8, &[u8]), DecodeError> {
+    let (&depth, rgb) = stream.split_first().ok_or(DecodeError::BadHeader)?;
+    if !rgb.len().is_multiple_of(3) {
         return Err(DecodeError::Truncated);
     }
-    let mut colors = Vec::with_capacity(stream.remaining() / 3);
-    while stream.remaining() >= 3 {
-        colors.push(Color::new(
-            stream.get_u8(),
-            stream.get_u8(),
-            stream.get_u8(),
-        ));
-    }
-    Ok((depth, colors))
+    Ok((depth, rgb))
+}
+
+fn rgb_color(c: &[u8]) -> Color {
+    Color::new(c[0], c[1], c[2])
 }
 
 /// A complete encoded LoD frame: geometry (occupancy) plus attributes.
@@ -93,24 +91,29 @@ impl EncodedFrame {
     }
 
     /// Reconstructs the LoD cloud (voxel centers + colors) over the tree's
-    /// original cube.
+    /// original cube, in stream order: the order of
+    /// [`Octree::extract_lod`].
     ///
     /// # Errors
     ///
-    /// Propagates occupancy/attribute decode failures;
+    /// Propagates occupancy/attribute decode failures, occupancy first;
     /// [`DecodeError::Truncated`] when the two streams disagree on the voxel
     /// count or depth.
     pub fn decode(&self, cube: &arvis_pointcloud::Aabb) -> Result<PointCloud, DecodeError> {
-        let geometry = decode_occupancy(self.occupancy.clone(), cube)?;
-        let (depth, colors) = decode_attributes(self.attributes.clone())?;
-        if depth != self.depth || colors.len() != geometry.len() {
+        // Attribute errors are reported after the occupancy stream's own.
+        let attributes = split_attributes(&self.attributes);
+        let rgb = attributes.as_ref().map_or(&[][..], |&(_, rgb)| rgb);
+        let mut colors = rgb.chunks_exact(3);
+        let mut cloud = PointCloud::with_capacity(rgb.len() / 3);
+        decode_stream(&self.occupancy, cube, |center| {
+            let color = colors.next().map_or(Color::BLACK, rgb_color);
+            cloud.push(Point::new(center, color));
+        })?;
+        let (depth, rgb) = attributes?;
+        if depth != self.depth || cloud.len() != rgb.len() / 3 {
             return Err(DecodeError::Truncated);
         }
-        Ok(geometry
-            .positions()
-            .zip(colors)
-            .map(|(p, c)| Point::new(p, c))
-            .collect())
+        Ok(cloud)
     }
 }
 
@@ -126,29 +129,48 @@ impl Octree {
     }
 }
 
-/// Sanity helper for tests: the decoded frame must equal the LoD extraction
-/// as a set of (position, color) pairs.
-#[doc(hidden)]
+/// The pipeline's lossless check: `true` when `a` and `b` hold the same
+/// multiset of (position, color) pairs once every coordinate is quantized to
+/// `round(x·1e6)`.
+///
+/// `core::pipeline` runs it on every verified slot, comparing
+/// [`EncodedFrame::decode`] with [`Octree::extract_lod`]. Those two share an
+/// order, so the check first compares the clouds element by element, in
+/// O(n); only when that fails does it sort both quantized clouds and compare
+/// them, in O(n log n). The answer does not depend on which path gives it.
 pub fn frames_equivalent(a: &PointCloud, b: &PointCloud) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let quantize = |c: &PointCloud| -> Vec<(i64, i64, i64, Color)> {
-        let mut v: Vec<(i64, i64, i64, Color)> = c
-            .iter()
-            .map(|p| {
-                (
-                    (p.position.x * 1e6).round() as i64,
-                    (p.position.y * 1e6).round() as i64,
-                    (p.position.z * 1e6).round() as i64,
-                    p.color,
-                )
-            })
-            .collect();
+    a.len() == b.len() && (same_in_order(a, b) || same_when_sorted(a, b))
+}
+
+/// A point's position quantized to 1e-6, with its color.
+type Quantized = (i64, i64, i64, Color);
+
+fn quantize(p: &Point) -> Quantized {
+    (
+        (p.position.x * 1e6).round() as i64,
+        (p.position.y * 1e6).round() as i64,
+        (p.position.z * 1e6).round() as i64,
+        p.color,
+    )
+}
+
+/// The linear path of [`frames_equivalent`]: equal clouds of equal length,
+/// point by point (bitwise-equal points quantize equally).
+pub(crate) fn same_in_order(a: &PointCloud, b: &PointCloud) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b.iter())
+            .all(|(p, q)| p == q || quantize(p) == quantize(q))
+}
+
+/// The sorting path of [`frames_equivalent`].
+pub(crate) fn same_when_sorted(a: &PointCloud, b: &PointCloud) -> bool {
+    let sorted = |c: &PointCloud| -> Vec<Quantized> {
+        let mut v: Vec<Quantized> = c.iter().map(quantize).collect();
         v.sort_unstable();
         v
     };
-    quantize(a) == quantize(b)
+    sorted(a) == sorted(b)
 }
 
 #[cfg(test)]

@@ -42,6 +42,8 @@ pub mod diff;
 pub mod lod;
 pub mod occupancy;
 pub mod query;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod traversal;
 mod tree;

@@ -5,11 +5,13 @@
 //! that cloud, and [`Octree::occupancy_profile`] produces the per-depth
 //! counts `a(d)` the scheduler feeds on.
 
-use arvis_pointcloud::aabb::Aabb;
+use std::convert::Infallible;
+
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
-use crate::tree::{NodeId, Octree};
+use crate::occupancy::walk_levels;
+use crate::tree::Octree;
 
 /// Where the representative point of each voxel is placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,6 +40,13 @@ impl Octree {
     /// Extracts the LoD cloud at `depth` (one point per occupied voxel, with
     /// the voxel's mean color).
     ///
+    /// Points come in arena order: the order of [`Octree::nodes_at_depth`],
+    /// of the attribute stream and of [`crate::attr::EncodedFrame::decode`]
+    /// (breadth-first, Morton order within the level). Voxel centers are
+    /// found by subdividing [`Octree::cube`] level by level with the
+    /// midpoint arithmetic of [`arvis_pointcloud::Aabb::octants`], so a
+    /// decoded frame matches its LoD point for point.
+    ///
     /// # Panics
     ///
     /// Panics when `depth > max_depth`.
@@ -47,23 +56,21 @@ impl Octree {
             "depth {depth} exceeds max depth {}",
             self.max_depth()
         );
-        let mut cloud = PointCloud::with_capacity(self.occupied_at_depth(depth));
-        // Walk the tree down to `depth`, tracking each node's cube.
-        let mut stack: Vec<(NodeId, Aabb, u8)> = vec![(NodeId::ROOT, *self.cube(), 0)];
-        while let Some((id, cube, d)) = stack.pop() {
-            let view = self.node(id);
-            if d == depth {
-                let position = match mode {
-                    LodMode::VoxelCenters => cube.center(),
-                    LodMode::MeanPositions => view.mean_position(),
-                };
-                cloud.push(Point::new(position, view.mean_color()));
-                continue;
+        let rows = self.level_rows(depth);
+        let mut cloud = PointCloud::with_capacity(rows.len());
+        match mode {
+            LodMode::VoxelCenters => {
+                let mut row = rows.start;
+                let occupancy = |i: usize| Ok::<u8, Infallible>(self.arena.occupancy_byte(i));
+                let Ok(_) = walk_levels(*self.cube(), depth, occupancy, |center| {
+                    cloud.push(Point::new(center, self.arena.mean_color(row)));
+                    row += 1;
+                });
             }
-            let octants = cube.octants();
-            for o in 0..8 {
-                if let Some(child) = view.child(o) {
-                    stack.push((child.id(), octants[o], d + 1));
+            LodMode::MeanPositions => {
+                let a = &self.arena;
+                for row in rows {
+                    cloud.push(Point::new(a.mean_position(row), a.mean_color(row)));
                 }
             }
         }

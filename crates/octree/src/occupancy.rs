@@ -7,10 +7,11 @@
 
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
+use arvis_pointcloud::math::Vec3;
 use arvis_pointcloud::point::Point;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::tree::{NodeId, Octree};
+use crate::tree::Octree;
 
 /// Errors from decoding an occupancy stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,28 +51,21 @@ impl std::error::Error for DecodeError {}
 /// the previous level. A tree serialized to `depth` reconstructs the voxel
 /// set of every level `0..=depth`.
 ///
+/// That order is the arena's own (breadth-first, each level in Morton
+/// order), so the stream is the occupancy bytes of arena rows
+/// `0..level_start(depth)`, read in one linear pass.
+///
 /// # Panics
 ///
 /// Panics when `depth` is 0 or exceeds the tree's max depth.
 pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
     assert!(depth >= 1, "occupancy encoding needs depth >= 1");
     assert!(depth <= tree.max_depth(), "depth exceeds max depth");
-    let mut out = BytesMut::with_capacity(1 + tree.node_count());
-    out.put_u8(depth);
-    // Breadth-first over internal nodes of depth < `depth`.
-    let mut frontier: Vec<NodeId> = vec![NodeId::ROOT];
-    for _level in 0..depth {
-        let mut next = Vec::with_capacity(frontier.len() * 2);
-        for id in &frontier {
-            let view = tree.node(*id);
-            out.put_u8(view.occupancy_byte());
-            for child in view.children() {
-                next.push(child.id());
-            }
-        }
-        frontier = next;
-    }
-    out.freeze()
+    let internal = tree.level_rows(depth).start;
+    let mut out = Vec::with_capacity(1 + internal);
+    out.push(depth);
+    out.extend((0..internal).map(|row| tree.arena.occupancy_byte(row)));
+    Bytes::from(out)
 }
 
 /// Decodes an occupancy stream into the voxel-center cloud of its deepest
@@ -79,50 +73,94 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 ///
 /// The colors of the result are black (occupancy streams carry geometry
 /// only).
-pub fn decode_occupancy(mut stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
-    if stream.remaining() < 1 {
-        return Err(DecodeError::BadHeader);
-    }
-    let depth = stream.get_u8();
+///
+/// # Errors
+///
+/// [`DecodeError::BadHeader`] for an empty stream or a zero depth,
+/// [`DecodeError::EmptyNodeByte`] at the first zero node byte, and
+/// [`DecodeError::Truncated`] when the stream ends before the declared
+/// depth or carries bytes after it (as [`ProgressiveDecoder::push`]
+/// rejects them).
+pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
+    let mut cloud = PointCloud::new();
+    decode_stream(&stream, cube, |center| {
+        cloud.push(Point::from_position(center));
+    })?;
+    Ok(cloud)
+}
+
+/// Decodes a whole occupancy stream over `cube`, calling `emit` with every
+/// voxel center of the declared depth in stream order. The errors are those
+/// of [`decode_occupancy`].
+pub(crate) fn decode_stream(
+    stream: &[u8],
+    cube: &Aabb,
+    emit: impl FnMut(Vec3),
+) -> Result<(), DecodeError> {
+    let (&depth, nodes) = stream.split_first().ok_or(DecodeError::BadHeader)?;
     if depth == 0 {
         return Err(DecodeError::BadHeader);
     }
-    let mut offset = 1usize;
-    // Frontier of cubes whose occupancy byte is next in the stream.
-    let mut frontier: Vec<Aabb> = vec![cube.bounding_cube()];
-    for _level in 0..depth {
-        let mut next = Vec::with_capacity(frontier.len() * 2);
-        for cell in &frontier {
-            if stream.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let byte = stream.get_u8();
-            if byte == 0 {
-                return Err(DecodeError::EmptyNodeByte { offset });
-            }
-            offset += 1;
-            let octants = cell.octants();
-            for (o, octant_cube) in octants.iter().enumerate() {
-                if byte & (1 << o) != 0 {
-                    next.push(*octant_cube);
+    let node_byte = |i: usize| match nodes.get(i) {
+        None => Err(DecodeError::Truncated),
+        Some(0) => Err(DecodeError::EmptyNodeByte { offset: 1 + i }),
+        Some(&byte) => Ok(byte),
+    };
+    if walk_levels(cube.bounding_cube(), depth, node_byte, emit)? != nodes.len() {
+        // Bytes after the declared depth.
+        return Err(DecodeError::Truncated);
+    }
+    Ok(())
+}
+
+/// The breadth-first occupancy walk shared by the decoder and
+/// [`Octree::extract_lod`]: subdivides `root` through `levels` levels, where
+/// `node_byte(i)` is the `i`-th occupancy byte in stream order (arena row
+/// `i` of a tree), and calls `emit` with the center of every depth-`levels`
+/// cell, in stream order. Cells are split with the arithmetic of
+/// [`Aabb::octants`], but only the occupied octants are built, and the
+/// deepest level's cells are never stored. Returns the number of bytes read;
+/// stops at the first error `node_byte` returns.
+pub(crate) fn walk_levels<E>(
+    root: Aabb,
+    levels: u8,
+    mut node_byte: impl FnMut(usize) -> Result<u8, E>,
+    mut emit: impl FnMut(Vec3),
+) -> Result<usize, E> {
+    if levels == 0 {
+        emit(root.center());
+        return Ok(0);
+    }
+    let mut read = 0usize;
+    let mut cells = vec![root];
+    let mut next = Vec::new();
+    for level in 1..=levels {
+        let last = level == levels;
+        for cell in &cells {
+            let mut bits = node_byte(read)?;
+            read += 1;
+            while bits != 0 {
+                let child = cell.octant(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                if last {
+                    emit(child.center());
+                } else {
+                    next.push(child);
                 }
             }
         }
-        frontier = next;
+        std::mem::swap(&mut cells, &mut next);
+        next.clear();
     }
-    Ok(frontier
-        .into_iter()
-        .map(|c| Point::from_position(c.center()))
-        .collect())
+    Ok(read)
 }
 
 /// The encoded size in bytes of the tree structure down to `depth`
 /// (header included), without materializing the stream.
 pub fn encoded_size(tree: &Octree, depth: u8) -> usize {
     assert!(depth >= 1 && depth <= tree.max_depth());
-    // One byte per node at depths 0..depth.
-    let internal: usize = (0..depth).map(|d| tree.occupied_at_depth(d)).sum();
-    1 + internal
+    // One byte per node at depths 0..depth: the arena rows above `depth`.
+    1 + tree.level_rows(depth).start
 }
 
 /// Incremental occupancy decoding: consume the stream as bytes arrive and
@@ -354,6 +392,39 @@ mod tests {
         let progressive = dec.preview();
         let batch = decode_occupancy(stream, tree.cube()).unwrap();
         assert_eq!(progressive.len(), batch.len());
+    }
+
+    #[test]
+    fn batch_accepts_exactly_what_progressive_completes() {
+        let tree = body_tree(4);
+        let stream = encode_occupancy(&tree, 4).to_vec();
+        // Every truncation, the stream itself, and every one-byte extension.
+        let mut candidates: Vec<Vec<u8>> =
+            (0..=stream.len()).map(|k| stream[..k].to_vec()).collect();
+        for extra in 0..=u8::MAX {
+            let mut longer = stream.clone();
+            longer.push(extra);
+            candidates.push(longer);
+        }
+        for bytes in candidates {
+            let mut dec = ProgressiveDecoder::new(tree.cube());
+            let completes = dec.push(&bytes).is_ok() && dec.is_complete();
+            match decode_occupancy(Bytes::from(bytes.clone()), tree.cube()) {
+                Ok(cloud) => {
+                    assert!(completes, "batch accepted {} bytes", bytes.len());
+                    assert_eq!(cloud, dec.preview());
+                }
+                Err(e) => {
+                    assert!(!completes, "batch rejected {} bytes", bytes.len());
+                    let want = if bytes.is_empty() {
+                        DecodeError::BadHeader
+                    } else {
+                        DecodeError::Truncated
+                    };
+                    assert_eq!(e, want, "{} bytes", bytes.len());
+                }
+            }
+        }
     }
 
     #[test]

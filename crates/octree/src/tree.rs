@@ -14,8 +14,10 @@
 //! payload (count, position sum, color sums) is one 56-byte row per node —
 //! a single cache line — written exactly once during the bottom-up
 //! aggregation. [`NodeView`] presents the classic node interface over both,
-//! so LoD extraction, occupancy/attribute coding, diffing, queries and
-//! traversal are unaffected by the layout.
+//! so diffing, queries and traversal are unaffected by the layout. LoD
+//! extraction and occupancy/attribute coding read the rows directly: the
+//! arena is breadth-first with every level in Morton order, which is the
+//! order of the streams.
 
 use arvis_par as par;
 use arvis_pointcloud::aabb::Aabb;
@@ -166,12 +168,25 @@ impl NodeArena {
         self.payload[node].count
     }
 
-    pub(crate) fn position_sum(&self, node: usize) -> Vec3 {
-        self.payload[node].pos_sum
-    }
-
     pub(crate) fn color_sum(&self, node: usize) -> [u64; 3] {
         self.payload[node].color_sum
+    }
+
+    pub(crate) fn mean_position(&self, node: usize) -> Vec3 {
+        self.payload[node].pos_sum / self.count(node) as f64
+    }
+
+    /// The mean color, each channel rounded half up: `⌊(2s + n) / 2n⌋` for
+    /// channel sum `s` over `n` points, in integers. This is exactly
+    /// `(s as f64 / n as f64).round()`: the float quotient is within
+    /// 2⁻⁴⁵ of `s/n`, and `s/n` is either a half-integer (which the quotient
+    /// represents exactly) or at least `1/2n` from one, so both round to the
+    /// same side whenever `n < 2⁴⁴` (a tree holds at most 2³² points).
+    pub(crate) fn mean_color(&self, node: usize) -> Color {
+        let n = self.count(node);
+        let c = self.color_sum(node);
+        let mean = |s: u64| ((2 * s + n) / (2 * n)) as u8;
+        Color::new(mean(c[0]), mean(c[1]), mean(c[2]))
     }
 }
 
@@ -284,8 +299,16 @@ impl Octree {
     /// Ids of all nodes at `depth`, in Morton (breadth-first) order.
     pub fn nodes_at_depth(&self, depth: u8) -> impl Iterator<Item = NodeId> + '_ {
         assert!(depth <= self.max_depth, "depth out of range");
-        let d = depth as usize;
-        (self.level_starts[d]..self.level_starts[d + 1]).map(NodeId)
+        self.level_rows(depth).map(|row| NodeId(row as u32))
+    }
+
+    /// Arena rows of the depth-`depth` nodes. The arena is breadth-first
+    /// with every level in Morton order, which is the order of the occupancy
+    /// and attribute streams: row `i` is occupancy byte `i` (after the
+    /// header), and the rows of the LoD depth are its attribute triples.
+    pub(crate) fn level_rows(&self, depth: u8) -> std::ops::Range<usize> {
+        let d = usize::from(depth);
+        self.level_starts[d] as usize..self.level_starts[d + 1] as usize
     }
 
     /// Edge length of a voxel at `depth`.
@@ -774,18 +797,12 @@ impl<'a> NodeView<'a> {
 
     /// Mean position of the contained points.
     pub fn mean_position(&self) -> Vec3 {
-        self.tree.arena.position_sum(self.id.index()) / self.count() as f64
+        self.tree.arena.mean_position(self.id.index())
     }
 
     /// Mean color of the contained points.
     pub fn mean_color(&self) -> Color {
-        let n = self.count() as f64;
-        let c = self.tree.arena.color_sum(self.id.index());
-        Color::new(
-            (c[0] as f64 / n).round() as u8,
-            (c[1] as f64 / n).round() as u8,
-            (c[2] as f64 / n).round() as u8,
-        )
+        self.tree.arena.mean_color(self.id.index())
     }
 
     /// The child in `octant` (0..8, bit layout of
@@ -989,6 +1006,35 @@ mod tests {
             tree.node(NodeId::ROOT).mean_color(),
             Color::new(100, 50, 25)
         );
+    }
+
+    #[test]
+    fn mean_color_rounds_like_the_float_quotient() {
+        let float = |s: u64, n: u64| (s as f64 / n as f64).round() as u8;
+        let mut arena = NodeArena::with_len(1);
+        let mut check = |s: u64, n: u64| {
+            arena.payload[0] = NodePayload {
+                count: n,
+                color_sum: [s, s / 2, s / 3],
+                ..NodePayload::default()
+            };
+            let want = Color::new(float(s, n), float(s / 2, n), float(s / 3, n));
+            assert_eq!(arena.mean_color(0), want, "sum {s} over {n} points");
+        };
+        // Every sum for small counts, and the sums around every
+        // half-integer mean for large ones.
+        for n in 1..=64u64 {
+            for s in 0..=255 * n {
+                check(s, n);
+            }
+        }
+        for n in [1_000u64, 65_535, 1 << 20, u64::from(u32::MAX)] {
+            for k in 0..=255u64 {
+                for s in (k * n + n / 2).saturating_sub(2)..=k * n + n / 2 + 2 {
+                    check(s.min(255 * n), n);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //!    serial build. This is what lets the octree and quality crates promise
 //!    "serial and parallel builds produce bit-identical results".
 //! 2. **No pool, no dependencies.** Workers are `std::thread::scope` threads
-//!    spawned per call. The hot paths this serves run for milliseconds per
-//!    frame, so spawn overhead (~10 µs/thread) is amortized; in exchange the
-//!    crate is ~200 lines of safe code the whole workspace can audit.
+//!    spawned per call, ~10 µs per thread, which only work of a millisecond
+//!    or more amortizes (octree builds, batch runs, quality metrics). A call
+//!    whose data fits in one chunk runs inline and spawns nothing. The
+//!    worker count itself is read once per process. Short per-slot fan-outs
+//!    (a ~200 µs slot of the shared uplink) pay the spawns in full; a
+//!    persistent pool would remove that cost, at the price of more than the
+//!    ~200 lines of safe code the whole workspace can audit today.
 //!
 //! The `parallel` feature (default on) enables threading; without it every
 //! primitive degenerates to the equivalent serial loop. [`serial_scope`]
@@ -29,6 +33,8 @@
 #![deny(unsafe_code)]
 
 use std::cell::Cell;
+#[cfg(feature = "parallel")]
+use std::sync::OnceLock;
 
 thread_local! {
     static FORCE_SERIAL: Cell<bool> = const { Cell::new(false) };
@@ -48,6 +54,10 @@ pub fn serial_scope<R>(f: impl FnOnce() -> R) -> R {
 /// The number of workers fork–join calls may fan out to: the machine's
 /// available parallelism, or 1 when the `parallel` feature is off or a
 /// [`serial_scope`] is active.
+///
+/// The available parallelism is read once per process and then cached:
+/// `std::thread::available_parallelism` reads cgroup files, ~20 µs per
+/// call, which every fan-out would otherwise pay.
 pub fn workers() -> usize {
     #[cfg(not(feature = "parallel"))]
     {
@@ -55,12 +65,15 @@ pub fn workers() -> usize {
     }
     #[cfg(feature = "parallel")]
     {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         if FORCE_SERIAL.with(Cell::get) {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
         }
     }
 }
@@ -307,9 +320,13 @@ mod tests {
 
     #[test]
     fn serial_scope_forces_one_worker() {
+        // The first call caches the process-wide count; the scope still
+        // overrides it, and leaving the scope restores it.
+        let outside = workers();
         serial_scope(|| {
             assert_eq!(workers(), 1);
         });
+        assert_eq!(workers(), outside);
     }
 
     #[test]

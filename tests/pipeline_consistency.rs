@@ -1,6 +1,7 @@
 //! Cross-crate consistency: the same frame measured through different paths
 //! (voxel grid, octree, occupancy codec, PLY round-trip) must agree.
 
+use arvis::octree::attr::{frames_equivalent, EncodedFrame};
 use arvis::octree::occupancy::{decode_occupancy, encode_occupancy};
 use arvis::octree::{LodMode, Octree, OctreeConfig};
 use arvis::pointcloud::ply::{read_ply, write_ply, Encoding};
@@ -45,6 +46,34 @@ fn occupancy_codec_reconstructs_lod_geometry() {
     for p in decoded.positions() {
         let (_, d2) = kd.nearest(p).unwrap();
         assert!(d2 < 1e-18, "decoded voxel center off by {}", d2.sqrt());
+    }
+}
+
+#[test]
+fn encoded_frame_decodes_to_the_lod_in_order_bitwise() {
+    // The codec contract the pipeline's lossless check relies on: a decoded
+    // frame is its LoD extraction, point for point and bit for bit, in a
+    // shared cube as `PreparedSequence::prepare` builds it.
+    let cloud = frame();
+    let cube = cloud.aabb().unwrap().bounding_cube();
+    let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(8).in_cube(cube)).unwrap();
+    for depth in 1..=8u8 {
+        let decoded = EncodedFrame::encode(&tree, depth)
+            .decode(tree.cube())
+            .unwrap();
+        let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+        assert_eq!(decoded.len(), lod.len(), "depth {depth}");
+        for (k, (got, want)) in decoded.iter().zip(lod.iter()).enumerate() {
+            assert_eq!(got.color, want.color, "depth {depth}, point {k}");
+            for axis in 0..3 {
+                assert_eq!(
+                    got.position[axis].to_bits(),
+                    want.position[axis].to_bits(),
+                    "depth {depth}, point {k}"
+                );
+            }
+        }
+        assert!(frames_equivalent(&decoded, &lod), "depth {depth}");
     }
 }
 
