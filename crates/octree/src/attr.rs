@@ -90,22 +90,27 @@ impl EncodedFrame {
         self.occupancy.len() + self.attributes.len()
     }
 
-    /// Reconstructs the LoD cloud (voxel centers + colors) over the tree's
-    /// original cube, in stream order: the order of
-    /// [`Octree::extract_lod`].
+    /// Reconstructs the LoD cloud (voxel centers + colors) over `cube`, in
+    /// stream order: the order of [`Octree::extract_lod`].
+    ///
+    /// Centers come from subdividing `cube.bounding_cube()`. A tree's own
+    /// [`Octree::cube`] is that cube itself, so for every tree `t` and
+    /// depth `d`, `EncodedFrame::encode(t, d).decode(t.cube())` equals
+    /// `t.extract_lod(d, LodMode::VoxelCenters).cloud` bit for bit and in
+    /// order, and [`frames_equivalent`] answers on its linear path.
     ///
     /// # Errors
     ///
-    /// Propagates occupancy/attribute decode failures, occupancy first;
-    /// [`DecodeError::Truncated`] when the two streams disagree on the voxel
-    /// count or depth.
+    /// Propagates occupancy/attribute decode failures, occupancy first (see
+    /// [`crate::occupancy::decode_occupancy`]); [`DecodeError::Truncated`]
+    /// when the two streams disagree on the voxel count or depth.
     pub fn decode(&self, cube: &arvis_pointcloud::Aabb) -> Result<PointCloud, DecodeError> {
         // Attribute errors are reported after the occupancy stream's own.
         let attributes = split_attributes(&self.attributes);
         let rgb = attributes.as_ref().map_or(&[][..], |&(_, rgb)| rgb);
         let mut colors = rgb.chunks_exact(3);
         let mut cloud = PointCloud::with_capacity(rgb.len() / 3);
-        decode_stream(&self.occupancy, cube, |center| {
+        decode_stream(&self.occupancy, cube, rgb.len() / 3, |center| {
             let color = colors.next().map_or(Color::BLACK, rgb_color);
             cloud.push(Point::new(center, color));
         })?;

@@ -6,7 +6,7 @@
 //! effective arrival per slot is `|added| + |removed|`, not `a(d)`. The
 //! `ratesweep`-style experiments can plug these numbers in directly.
 
-use crate::tree::{NodeId, Octree};
+use crate::tree::Octree;
 
 /// The voxel-set difference between two trees at one depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,37 +39,6 @@ impl OctreeDiff {
     }
 }
 
-/// Morton code of every occupied voxel at `depth`, by walking parent links
-/// through the level arena.
-fn voxel_codes(tree: &Octree, depth: u8) -> Vec<u64> {
-    // Recover codes by DFS, accumulating octant bits.
-    fn walk(tree: &Octree, id: NodeId, d: u8, target: u8, prefix: u64, out: &mut Vec<u64>) {
-        if d == target {
-            out.push(prefix);
-            return;
-        }
-        let view = tree.node(id);
-        for o in 0..8usize {
-            if let Some(child) = view.child(o) {
-                walk(
-                    tree,
-                    child.id(),
-                    d + 1,
-                    target,
-                    (prefix << 3) | o as u64,
-                    out,
-                );
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(tree.occupied_at_depth(depth));
-    walk(tree, NodeId::ROOT, 0, depth, 0, &mut out);
-    // The DFS visits octants 0..8 in order, so codes come out strictly
-    // ascending — the invariant the merge in `diff_at_depth` rides on.
-    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "DFS codes ascend");
-    out
-}
-
 /// Computes the voxel diff `a → b` at `depth`.
 ///
 /// Both trees must cover the *same cube* for codes to be comparable; this
@@ -84,11 +53,16 @@ pub fn diff_at_depth(a: &Octree, b: &Octree, depth: u8) -> OctreeDiff {
         depth <= a.max_depth() && depth <= b.max_depth(),
         "depth exceeds a tree's max depth"
     );
-    // Both code lists are strictly ascending (DFS order), so the set
-    // difference/intersection is a single linear merge — no hash sets, no
-    // post-sort, and the output order is deterministic by construction.
-    let codes_a = voxel_codes(a, depth);
-    let codes_b = voxel_codes(b, depth);
+    // Both code lists are strictly ascending (each level of the arena is in
+    // Morton order), so the set difference/intersection is a single linear
+    // merge — no hash sets, no post-sort, and the output order is
+    // deterministic by construction.
+    let codes = |tree: &Octree| {
+        let mut codes = Vec::with_capacity(tree.occupied_at_depth(depth));
+        tree.walk_voxels(depth, |code| codes.push(code));
+        codes
+    };
+    let (codes_a, codes_b) = (codes(a), codes(b));
     let mut added = Vec::new();
     let mut removed = Vec::new();
     let mut unchanged = 0usize;

@@ -10,7 +10,7 @@ use std::convert::Infallible;
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
-use crate::occupancy::walk_levels;
+use crate::occupancy::{walk_codes, VoxelCentres};
 use crate::tree::Octree;
 
 /// Where the representative point of each voxel is placed.
@@ -42,10 +42,16 @@ impl Octree {
     ///
     /// Points come in arena order: the order of [`Octree::nodes_at_depth`],
     /// of the attribute stream and of [`crate::attr::EncodedFrame::decode`]
-    /// (breadth-first, Morton order within the level). Voxel centers are
-    /// found by subdividing [`Octree::cube`] level by level with the
-    /// midpoint arithmetic of [`arvis_pointcloud::Aabb::octants`], so a
-    /// decoded frame matches its LoD point for point.
+    /// (breadth-first, Morton order within the level).
+    ///
+    /// Voxel centers are those of subdividing [`Octree::cube`] with the
+    /// midpoint arithmetic of [`arvis_pointcloud::Aabb::octants`], bit for
+    /// bit. They are not found by splitting boxes: one breadth-first walk
+    /// over the occupancy column, shared with the decoder, yields each
+    /// voxel's Morton code, and the code indexes per-axis tables of the
+    /// level's cell boundaries, each entry the midpoint of its neighbours
+    /// one level up. The decoder reads the same tables, so a decoded frame
+    /// matches its LoD point for point.
     ///
     /// # Panics
     ///
@@ -57,18 +63,18 @@ impl Octree {
             self.max_depth()
         );
         let rows = self.level_rows(depth);
+        let a = &self.arena;
         let mut cloud = PointCloud::with_capacity(rows.len());
         match mode {
             LodMode::VoxelCenters => {
+                let centres = VoxelCentres::new(self.cube(), depth, rows.len());
                 let mut row = rows.start;
-                let occupancy = |i: usize| Ok::<u8, Infallible>(self.arena.occupancy_byte(i));
-                let Ok(_) = walk_levels(*self.cube(), depth, occupancy, |center| {
-                    cloud.push(Point::new(center, self.arena.mean_color(row)));
+                self.walk_voxels(depth, |code| {
+                    cloud.push(Point::new(centres.at(code), a.mean_color(row)));
                     row += 1;
                 });
             }
             LodMode::MeanPositions => {
-                let a = &self.arena;
                 for row in rows {
                     cloud.push(Point::new(a.mean_position(row), a.mean_color(row)));
                 }
@@ -79,6 +85,14 @@ impl Octree {
             depth,
             voxel_size: self.voxel_size_at_depth(depth),
         }
+    }
+
+    /// Calls `emit` with the Morton code of every depth-`depth` voxel (three
+    /// bits per level, the octant in the low bits), in arena order, which is
+    /// ascending: the breadth-first walk over the occupancy column.
+    pub(crate) fn walk_voxels(&self, depth: u8, emit: impl FnMut(u64)) {
+        let occupancy = self.arena.occupancy();
+        let Ok(_) = walk_codes(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]), emit);
     }
 
     /// The occupied-voxel count at every depth `0..=max_depth`.

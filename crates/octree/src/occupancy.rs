@@ -5,13 +5,16 @@
 //! used by point-cloud geometry codecs (e.g. MPEG G-PCC) and a natural unit
 //! for "AR stream bytes ready to be visualized" in the paper's queue model.
 
+use std::ops::Range;
+
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::math::Vec3;
+use arvis_pointcloud::morton;
 use arvis_pointcloud::point::Point;
 use bytes::Bytes;
 
-use crate::tree::Octree;
+use crate::tree::{Octree, MAX_SUPPORTED_DEPTH};
 
 /// Errors from decoding an occupancy stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +28,9 @@ pub enum DecodeError {
         /// Byte offset of the offending byte.
         offset: usize,
     },
-    /// The header is malformed.
+    /// The header is malformed: the stream is empty, or an occupancy stream
+    /// declares a depth of 0 or above [`MAX_SUPPORTED_DEPTH`], which no
+    /// octree reaches.
     BadHeader,
 }
 
@@ -52,8 +57,8 @@ impl std::error::Error for DecodeError {}
 /// set of every level `0..=depth`.
 ///
 /// That order is the arena's own (breadth-first, each level in Morton
-/// order), so the stream is the occupancy bytes of arena rows
-/// `0..level_start(depth)`, read in one linear pass.
+/// order), so the stream is a copy of the tree's occupancy column over
+/// arena rows `0..level_start(depth)`.
 ///
 /// # Panics
 ///
@@ -64,7 +69,7 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
     let internal = tree.level_rows(depth).start;
     let mut out = Vec::with_capacity(1 + internal);
     out.push(depth);
-    out.extend((0..internal).map(|row| tree.arena.occupancy_byte(row)));
+    out.extend_from_slice(&tree.arena.occupancy()[..internal]);
     Bytes::from(out)
 }
 
@@ -72,78 +77,125 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 /// level, over the given bounding cube.
 ///
 /// The colors of the result are black (occupancy streams carry geometry
-/// only).
+/// only). The walk subdivides `cube.bounding_cube()`, which for a tree's
+/// own [`Octree::cube`] is that cube itself, so the stream of
+/// `encode_occupancy(tree, d)` decodes over `tree.cube()` to the positions
+/// of `tree.extract_lod(d, LodMode::VoxelCenters)`, bit for bit and in
+/// order.
 ///
 /// # Errors
 ///
-/// [`DecodeError::BadHeader`] for an empty stream or a zero depth,
-/// [`DecodeError::EmptyNodeByte`] at the first zero node byte, and
-/// [`DecodeError::Truncated`] when the stream ends before the declared
-/// depth or carries bytes after it (as [`ProgressiveDecoder::push`]
-/// rejects them).
+/// [`DecodeError::BadHeader`] for an empty stream or a declared depth of 0
+/// or above [`MAX_SUPPORTED_DEPTH`], [`DecodeError::EmptyNodeByte`] at the
+/// first zero node byte, and [`DecodeError::Truncated`] when the stream
+/// ends before the declared depth or carries bytes after it (as
+/// [`ProgressiveDecoder::push`] rejects them).
 pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
     let mut cloud = PointCloud::new();
-    decode_stream(&stream, cube, |center| {
+    decode_stream(&stream, cube, stream.len(), |center| {
         cloud.push(Point::from_position(center));
     })?;
     Ok(cloud)
 }
 
 /// Decodes a whole occupancy stream over `cube`, calling `emit` with every
-/// voxel center of the declared depth in stream order. The errors are those
-/// of [`decode_occupancy`].
+/// voxel center of the declared depth in stream order. `voxels` is how many
+/// the caller expects, which sizes the [`VoxelCentres`] tables: any value
+/// gives the same centers. The errors are those of [`decode_occupancy`].
 pub(crate) fn decode_stream(
     stream: &[u8],
     cube: &Aabb,
-    emit: impl FnMut(Vec3),
+    voxels: usize,
+    mut emit: impl FnMut(Vec3),
 ) -> Result<(), DecodeError> {
     let (&depth, nodes) = stream.split_first().ok_or(DecodeError::BadHeader)?;
-    if depth == 0 {
+    if depth == 0 || depth > MAX_SUPPORTED_DEPTH {
         return Err(DecodeError::BadHeader);
     }
-    let node_byte = |i: usize| match nodes.get(i) {
-        None => Err(DecodeError::Truncated),
-        Some(0) => Err(DecodeError::EmptyNodeByte { offset: 1 + i }),
-        Some(&byte) => Ok(byte),
+    // A level's bytes, or the error of the first one missing or zero: the
+    // stream is read in order, so a zero byte before the end wins.
+    let level_bytes = |range: Range<usize>| {
+        let bytes = &nodes[range.start.min(nodes.len())..range.end.min(nodes.len())];
+        if let Some(k) = bytes.iter().position(|&b| b == 0) {
+            return Err(DecodeError::EmptyNodeByte {
+                offset: 1 + range.start + k,
+            });
+        }
+        if bytes.len() < range.len() {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(bytes)
     };
-    if walk_levels(cube.bounding_cube(), depth, node_byte, emit)? != nodes.len() {
+    let centres = VoxelCentres::new(&cube.bounding_cube(), depth, voxels);
+    if walk_codes(depth, level_bytes, |code| emit(centres.at(code)))? != nodes.len() {
         // Bytes after the declared depth.
         return Err(DecodeError::Truncated);
     }
     Ok(())
 }
 
-/// The breadth-first occupancy walk shared by the decoder and
-/// [`Octree::extract_lod`]: subdivides `root` through `levels` levels, where
-/// `node_byte(i)` is the `i`-th occupancy byte in stream order (arena row
-/// `i` of a tree), and calls `emit` with the center of every depth-`levels`
-/// cell, in stream order. Cells are split with the arithmetic of
-/// [`Aabb::octants`], but only the occupied octants are built, and the
-/// deepest level's cells are never stored. Returns the number of bytes read;
-/// stops at the first error `node_byte` returns.
-pub(crate) fn walk_levels<E>(
-    root: Aabb,
+/// `OCTANTS[b]`: the set bits of occupancy byte `b` in ascending order,
+/// padded with zeros; `CHILDREN[b]`: how many there are.
+const OCTANTS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut o, mut n) = (0, 0);
+        while o < 8 {
+            if b & (1 << o) != 0 {
+                table[b][n] = o as u8;
+                n += 1;
+            }
+            o += 1;
+        }
+        b += 1;
+    }
+    table
+};
+const CHILDREN: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u8).count_ones() as u8;
+        b += 1;
+    }
+    table
+};
+
+/// The breadth-first occupancy walk shared by the decoder,
+/// [`Octree::extract_lod`] and [`crate::diff`]: expands the root through
+/// `levels` levels, where `level_bytes(range)` is the occupancy bytes
+/// `range` in stream order (arena rows `range` of a tree), one level at a
+/// time, and calls `emit` with the code of every depth-`levels` cell in
+/// stream order, which is ascending. A cell is carried as its Morton code:
+/// a child's code is its parent's shifted up three bits, with the octant in
+/// the low bits. Returns the number of bytes read; stops at the first error
+/// `level_bytes` returns, before emitting anything of that level.
+///
+/// Only the levels above the last are stored; the last is emitted as it is
+/// expanded, so the callers write their output in one pass.
+pub(crate) fn walk_codes<'a, E>(
     levels: u8,
-    mut node_byte: impl FnMut(usize) -> Result<u8, E>,
-    mut emit: impl FnMut(Vec3),
+    mut level_bytes: impl FnMut(Range<usize>) -> Result<&'a [u8], E>,
+    mut emit: impl FnMut(u64),
 ) -> Result<usize, E> {
+    debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a code holds 21 levels");
     if levels == 0 {
-        emit(root.center());
+        emit(0);
         return Ok(0);
     }
     let mut read = 0usize;
-    let mut cells = vec![root];
+    let mut cells = vec![0u64];
     let mut next = Vec::new();
     for level in 1..=levels {
-        let last = level == levels;
-        for cell in &cells {
-            let mut bits = node_byte(read)?;
-            read += 1;
-            while bits != 0 {
-                let child = cell.octant(bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                if last {
-                    emit(child.center());
+        let bytes = level_bytes(read..read + cells.len())?;
+        read += cells.len();
+        for (&code, &byte) in cells.iter().zip(bytes) {
+            let b = usize::from(byte);
+            for &octant in &OCTANTS[b][..usize::from(CHILDREN[b])] {
+                let child = (code << 3) | u64::from(octant);
+                if level == levels {
+                    emit(child);
                 } else {
                     next.push(child);
                 }
@@ -153,6 +205,87 @@ pub(crate) fn walk_levels<E>(
         next.clear();
     }
     Ok(read)
+}
+
+/// The centres of one level's voxels in a cube's subdivision, by Morton
+/// code, bit for bit as [`Aabb::octants`] subdivides: a cell splits at
+/// `(min + max) * 0.5` on each axis, and its centre is that midpoint.
+///
+/// Each axis splits independently, so along one axis the boundaries of the
+/// level-`h` cells form a table of `2^h + 1` values, each new one the
+/// midpoint of its two neighbours one level up; every cell's extent is read
+/// from it exactly. The table stops at `h = min(depth, ⌊log2(4·cells)⌋)`
+/// for `cells` voxels expected, about four entries per voxel, so it grows
+/// with the output and never with `2^depth`. Below `h`, a centre bisects
+/// its table interval along the remaining bits of its code: the same
+/// arithmetic, in the same order, so `cells` sets the cost and never a
+/// centre.
+#[derive(Debug)]
+pub(crate) struct VoxelCentres {
+    /// Per axis, the level-`h` cell boundaries.
+    bounds: [Vec<f64>; 3],
+    /// Per axis, the level-`h` cell centres.
+    centres: [Vec<f64>; 3],
+    /// `depth - h`: the levels each centre bisects below the tables.
+    below: u32,
+}
+
+impl VoxelCentres {
+    /// The tables for about `cells` voxels at `depth` in `cube`.
+    pub(crate) fn new(cube: &Aabb, depth: u8, cells: usize) -> VoxelCentres {
+        let h = u32::from(depth).min(cells.saturating_mul(4).max(1).ilog2());
+        let (min, max) = (cube.min(), cube.max());
+        let bounds: [Vec<f64>; 3] = std::array::from_fn(|a| boundaries(min[a], max[a], h));
+        let centres =
+            std::array::from_fn(|a| bounds[a].windows(2).map(|w| (w[0] + w[1]) * 0.5).collect());
+        VoxelCentres {
+            bounds,
+            centres,
+            below: u32::from(depth) - h,
+        }
+    }
+
+    /// The centre of the voxel with Morton code `code`.
+    pub(crate) fn at(&self, code: u64) -> Vec3 {
+        let (x, y, z) = morton::decode(code);
+        if self.below == 0 {
+            let [cx, cy, cz] = &self.centres;
+            Vec3::new(cx[x as usize], cy[y as usize], cz[z as usize])
+        } else {
+            Vec3::new(self.bisect(0, x), self.bisect(1, y), self.bisect(2, z))
+        }
+    }
+
+    fn bisect(&self, axis: usize, cell: u64) -> f64 {
+        let b = &self.bounds[axis];
+        let i = (cell >> self.below) as usize;
+        let (mut lo, mut hi) = (b[i], b[i + 1]);
+        for bit in (0..self.below).rev() {
+            let mid = (lo + hi) * 0.5;
+            if (cell >> bit) & 1 == 1 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo + hi) * 0.5
+    }
+}
+
+/// The `2^levels + 1` cell boundaries of `levels` halvings of `[min, max]`.
+fn boundaries(min: f64, max: f64, levels: u32) -> Vec<f64> {
+    let n = 1usize << levels;
+    let mut b = vec![min; n + 1];
+    b[n] = max;
+    let mut step = n;
+    while step > 1 {
+        let half = step / 2;
+        for lo in (0..n).step_by(step) {
+            b[lo + half] = (b[lo] + b[lo + step]) * 0.5;
+        }
+        step = half;
+    }
+    b
 }
 
 /// The encoded size in bytes of the tree structure down to `depth`
@@ -213,13 +346,14 @@ impl ProgressiveDecoder {
     ///
     /// # Errors
     ///
-    /// Rejects zero occupancy bytes, a zero declared depth, and bytes past
-    /// the declared end of the stream.
+    /// Rejects zero occupancy bytes, a declared depth of 0 or above
+    /// [`MAX_SUPPORTED_DEPTH`], and bytes past the declared end of the
+    /// stream.
     pub fn push(&mut self, chunk: &[u8]) -> Result<u8, DecodeError> {
         let mut completed = 0u8;
         for &byte in chunk {
             if self.declared_depth.is_none() {
-                if byte == 0 {
+                if byte == 0 || byte > MAX_SUPPORTED_DEPTH {
                     return Err(DecodeError::BadHeader);
                 }
                 self.declared_depth = Some(byte);
@@ -398,33 +532,119 @@ mod tests {
     fn batch_accepts_exactly_what_progressive_completes() {
         let tree = body_tree(4);
         let stream = encode_occupancy(&tree, 4).to_vec();
-        // Every truncation, the stream itself, and every one-byte extension.
+        // Every truncation, the stream itself, every one-byte extension, and
+        // the stream under every header byte.
         let mut candidates: Vec<Vec<u8>> =
             (0..=stream.len()).map(|k| stream[..k].to_vec()).collect();
         for extra in 0..=u8::MAX {
             let mut longer = stream.clone();
             longer.push(extra);
             candidates.push(longer);
+            let mut relabelled = stream.clone();
+            relabelled[0] = extra;
+            candidates.push(relabelled);
         }
         for bytes in candidates {
             let mut dec = ProgressiveDecoder::new(tree.cube());
-            let completes = dec.push(&bytes).is_ok() && dec.is_complete();
+            let pushed = dec.push(&bytes);
+            let completes = pushed.is_ok() && dec.is_complete();
+            let what = format!("{} bytes, header {:?}", bytes.len(), bytes.first());
             match decode_occupancy(Bytes::from(bytes.clone()), tree.cube()) {
                 Ok(cloud) => {
-                    assert!(completes, "batch accepted {} bytes", bytes.len());
+                    assert!(completes, "batch accepted {what}");
                     assert_eq!(cloud, dec.preview());
                 }
                 Err(e) => {
-                    assert!(!completes, "batch rejected {} bytes", bytes.len());
-                    let want = if bytes.is_empty() {
-                        DecodeError::BadHeader
-                    } else {
-                        DecodeError::Truncated
+                    assert!(!completes, "batch rejected {what}");
+                    let want = match bytes.first() {
+                        None | Some(0) => DecodeError::BadHeader,
+                        Some(&d) if d > MAX_SUPPORTED_DEPTH => DecodeError::BadHeader,
+                        Some(_) => DecodeError::Truncated,
                     };
-                    assert_eq!(e, want, "{} bytes", bytes.len());
+                    assert_eq!(e, want, "{what}");
+                    if let Err(p) = pushed {
+                        assert_eq!(p, e, "{what}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn voxel_centres_are_the_octant_descent_bitwise() {
+        // SplitMix64: a seeded stream of boxes, depths, counts and codes.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64;
+        for case in 0..400 {
+            // Boxes across the origin, beside it and far from it; cubic or
+            // stretched.
+            let offset = [0.0, 1.0, 1e3][case % 3];
+            let mut corner = || {
+                let [x, y, z] = [next(), next(), next()].map(unit);
+                Vec3::new(x - 0.5 + offset, y - 0.5, z * 3.0 - 1.0 - offset)
+            };
+            let cube = Aabb::new(corner(), corner());
+            let depth = (next() % 22) as u8;
+            // From one voxel to a few thousand: the tables stop at every
+            // level from 0 to `depth`.
+            let cells = 1usize << (next() % 12);
+            let centres = VoxelCentres::new(&cube, depth, cells);
+            for _ in 0..20 {
+                let code = next().checked_shr(64 - 3 * u32::from(depth)).unwrap_or(0);
+                let mut cell = cube;
+                for level in (0..depth).rev() {
+                    cell = cell.octant(((code >> (3 * level)) & 7) as usize);
+                }
+                assert_eq!(
+                    centres.at(code).to_array().map(f64::to_bits),
+                    cell.center().to_array().map(f64::to_bits),
+                    "{cube:?} at depth {depth}, code {code:o}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_point_decodes_at_the_deepest_supported_depth() {
+        let mut cloud = PointCloud::new();
+        cloud.push(Point::xyz_rgb(0.3, -1.7, 2.9, 1, 2, 3));
+        let cube = Aabb::new(Vec3::new(-4.1, -3.3, 0.7), Vec3::new(5.0, 1.2, 3.3));
+        let depth = MAX_SUPPORTED_DEPTH;
+        let tree =
+            Octree::build(&cloud, &OctreeConfig::with_max_depth(depth).in_cube(cube)).unwrap();
+        let stream = encode_occupancy(&tree, depth);
+        assert_eq!(stream.len(), 1 + usize::from(depth), "one byte per level");
+        let bits = |c: &PointCloud| -> Vec<[u64; 3]> {
+            c.positions()
+                .map(|p| p.to_array().map(f64::to_bits))
+                .collect()
+        };
+        let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+        assert!(lod.points()[0].position.distance(Vec3::new(0.3, -1.7, 2.9)) < 1e-5);
+        let batch = decode_occupancy(stream.clone(), tree.cube()).unwrap();
+        assert_eq!(bits(&batch), bits(&lod));
+        let mut dec = ProgressiveDecoder::new(tree.cube());
+        dec.push(&stream).unwrap();
+        assert!(dec.is_complete());
+        assert_eq!(bits(&dec.preview()), bits(&lod));
+
+        // One level deeper than any octree, where a cell's code would no
+        // longer fit in 63 bits.
+        let mut deeper = stream.to_vec();
+        deeper[0] = depth + 1;
+        deeper.push(1);
+        assert_eq!(
+            decode_occupancy(Bytes::from(deeper.clone()), tree.cube()).unwrap_err(),
+            DecodeError::BadHeader
+        );
+        let mut dec = ProgressiveDecoder::new(tree.cube());
+        assert_eq!(dec.push(&deeper).unwrap_err(), DecodeError::BadHeader);
     }
 
     #[test]

@@ -382,3 +382,128 @@ fn verify_paths_agree() {
         }
     }
 }
+
+/// Voxel codes by the recursive walk `diff_at_depth` ran before it shared
+/// the breadth-first walk: a DFS over node views, accumulating octant bits.
+fn voxel_codes_dfs(tree: &Octree, depth: u8) -> Vec<u64> {
+    fn walk(tree: &Octree, id: NodeId, d: u8, target: u8, prefix: u64, out: &mut Vec<u64>) {
+        if d == target {
+            out.push(prefix);
+            return;
+        }
+        let view = tree.node(id);
+        for o in 0..8usize {
+            if let Some(child) = view.child(o) {
+                walk(
+                    tree,
+                    child.id(),
+                    d + 1,
+                    target,
+                    (prefix << 3) | o as u64,
+                    out,
+                );
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(tree.occupied_at_depth(depth));
+    walk(tree, NodeId::ROOT, 0, depth, 0, &mut out);
+    out
+}
+
+/// Two sparse trees at the deepest supported depth over one shared box far
+/// from the origin: a handful of far-apart points, two of them 1e-5 apart
+/// so that their paths split only a few levels above the leaves, and the
+/// second tree drops two points and adds one. With so few voxels per level,
+/// every level deeper than a few has its centers bisected below the tables.
+fn sparse_deep_trees() -> [Octree; 2] {
+    let points = [
+        Vec3::new(1000.25, -40.5, 7.125),
+        Vec3::new(1003.9, -37.01, 9.3),
+        Vec3::new(1001.7, -38.2, 8.0),
+        Vec3::new(1001.70001, -38.20001, 8.00001),
+        Vec3::new(1000.0, -41.0, 7.0),
+        Vec3::new(1004.0, -36.5, 9.9),
+        Vec3::new(1002.2, -39.9, 8.8),
+    ];
+    let cloud = |keep: &dyn Fn(usize) -> bool| -> PointCloud {
+        points
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| keep(i))
+            .map(|(i, p)| Point::new(*p, Color::new(i as u8 * 30, 7, 200)))
+            .collect()
+    };
+    let frames = [cloud(&|i| i < 6), cloud(&|i| i != 1 && i != 3)];
+    let cube = frames
+        .iter()
+        .filter_map(PointCloud::aabb)
+        .reduce(|a, b| a.union(&b))
+        .unwrap();
+    let config = OctreeConfig::with_max_depth(crate::MAX_SUPPORTED_DEPTH).in_cube(cube);
+    frames.map(|f| Octree::build(&f, &config).unwrap())
+}
+
+#[test]
+fn sparse_deep_trees_decode_like_the_frontier_decoder() {
+    for tree in sparse_deep_trees() {
+        let c = tree.cube();
+        let stretched = Aabb::new(c.min(), c.max() + Vec3::new(0.1, 0.0, 0.03));
+        for cube in [c, &stretched] {
+            for depth in 1..=crate::MAX_SUPPORTED_DEPTH {
+                let frame = EncodedFrame::encode(&tree, depth);
+                let geometry = decode_occupancy(frame.occupancy.clone(), cube).unwrap();
+                let reference = decode_occupancy_frontier(frame.occupancy.clone(), cube).unwrap();
+                assert_eq!(in_order(&geometry), in_order(&reference), "depth {depth}");
+                let decoded = frame.decode(cube).unwrap();
+                let reference = decode_frame_frontier(&frame, cube).unwrap();
+                assert_eq!(in_order(&decoded), in_order(&reference), "depth {depth}");
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_deep_trees_lod_is_the_dfs_multiset_in_arena_order() {
+    for tree in sparse_deep_trees() {
+        let visits: Vec<_> = tree.bfs().collect();
+        for depth in 0..=crate::MAX_SUPPORTED_DEPTH {
+            let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+            let dfs = extract_lod_dfs(&tree, depth, LodMode::VoxelCenters);
+            assert_eq!(as_multiset(&lod), as_multiset(&dfs), "depth {depth}");
+            let expected: PointCloud = visits
+                .iter()
+                .filter(|v| v.node.depth() == depth)
+                .map(|v| Point::new(v.cube.center(), v.node.mean_color()))
+                .collect();
+            assert_eq!(in_order(&lod), in_order(&expected), "depth {depth}");
+        }
+    }
+}
+
+#[test]
+fn diff_codes_match_the_recursive_walk() {
+    use std::collections::BTreeSet;
+
+    let dense = trees();
+    let sparse = sparse_deep_trees();
+    let pairs = dense
+        .windows(2)
+        .map(|w| (&w[0], &w[1]))
+        .chain([(&sparse[0], &sparse[1])]);
+    for (a, b) in pairs {
+        for depth in 0..=a.max_depth() {
+            let (codes_a, codes_b) = (voxel_codes_dfs(a, depth), voxel_codes_dfs(b, depth));
+            let mut walked = Vec::new();
+            a.walk_voxels(depth, |code| walked.push(code));
+            assert_eq!(walked, codes_a, "depth {depth}");
+            let (set_a, set_b): (BTreeSet<u64>, BTreeSet<u64>) =
+                (codes_a.into_iter().collect(), codes_b.into_iter().collect());
+            let diff = crate::diff::diff_at_depth(a, b, depth);
+            let added: Vec<u64> = set_b.difference(&set_a).copied().collect();
+            let removed: Vec<u64> = set_a.difference(&set_b).copied().collect();
+            assert_eq!(diff.added, added, "depth {depth}");
+            assert_eq!(diff.removed, removed, "depth {depth}");
+            assert_eq!(diff.unchanged, set_a.intersection(&set_b).count());
+        }
+    }
+}

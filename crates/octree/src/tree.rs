@@ -10,12 +10,13 @@
 //!
 //! Node storage splits hot from cold ([`NodeArena`]): the mostly-empty
 //! child-link table is a structure-of-arrays `Vec<u32>` the allocator hands
-//! out as untouched zero pages (sentinel 0 = unoccupied), while the numeric
+//! out as untouched zero pages (sentinel 0 = unoccupied), the numeric
 //! payload (count, position sum, color sums) is one 56-byte row per node —
 //! a single cache line — written exactly once during the bottom-up
-//! aggregation. [`NodeView`] presents the classic node interface over both,
-//! so diffing, queries and traversal are unaffected by the layout. LoD
-//! extraction and occupancy/attribute coding read the rows directly: the
+//! aggregation, and a one-byte-per-node column holds each node's occupancy
+//! byte. [`NodeView`] presents the classic node interface over all three,
+//! so queries and traversal are unaffected by the layout. LoD extraction,
+//! diffing and occupancy/attribute coding read the columns directly: the
 //! arena is breadth-first with every level in Morton order, which is the
 //! order of the streams.
 
@@ -73,7 +74,10 @@ pub struct OctreeConfig {
     pub max_depth: u8,
     /// Bounding cube to build over. `None` (the default) uses the cloud's
     /// own bounding cube, matching Open3D's behaviour. Supplying a fixed cube
-    /// keeps voxel boundaries stable across the frames of a sequence.
+    /// keeps voxel boundaries stable across the frames of a sequence. Either
+    /// way the tree subdivides the box's [`Aabb::bounding_cube`], which is
+    /// the box itself when it already is a cube up to the rounding of its
+    /// corners.
     pub cube: Option<Aabb>,
 }
 
@@ -134,6 +138,12 @@ pub(crate) struct NodePayload {
 pub(crate) struct NodeArena {
     /// `children[8*i + octant]` = child arena index **plus one**; 0 = none.
     children: Vec<u32>,
+    /// `occupancy[i]` = node `i`'s occupancy byte (bit `o` set when octant
+    /// `o` has a child; 0 for leaves), filled by the link phase from the
+    /// octants it links. In arena order it is the occupancy stream itself:
+    /// the walks and the encoder read one byte per node here instead of
+    /// eight links.
+    occupancy: Vec<u8>,
     payload: Vec<NodePayload>,
 }
 
@@ -141,6 +151,7 @@ impl NodeArena {
     fn with_len(total: usize) -> NodeArena {
         NodeArena {
             children: vec![0; total * 8],
+            occupancy: vec![0; total],
             payload: vec![NodePayload::default(); total],
         }
     }
@@ -154,14 +165,9 @@ impl NodeArena {
         (c != 0).then(|| c - 1)
     }
 
-    pub(crate) fn occupancy_byte(&self, node: usize) -> u8 {
-        let mut byte = 0u8;
-        for (o, &c) in self.children[node * 8..node * 8 + 8].iter().enumerate() {
-            if c != 0 {
-                byte |= 1 << o;
-            }
-        }
-        byte
+    /// The occupancy column: one byte per node, in arena order.
+    pub(crate) fn occupancy(&self) -> &[u8] {
+        &self.occupancy
     }
 
     pub(crate) fn count(&self, node: usize) -> u64 {
@@ -227,7 +233,11 @@ impl Octree {
         OctreeBuilder::new().build(cloud, config)
     }
 
-    /// The bounding cube the tree subdivides.
+    /// The bounding cube the tree subdivides: the tree's root cell.
+    ///
+    /// It is a fixed point of [`Aabb::bounding_cube`], so a decoder handed
+    /// this cube subdivides it as is and reproduces the tree's voxel
+    /// centers bit for bit.
     pub fn cube(&self) -> &Aabb {
         &self.cube
     }
@@ -456,15 +466,7 @@ impl OctreeBuilder {
         );
         let cube = match config.cube {
             Some(c) => {
-                // Cube-ify non-cubic boxes; keep already-cubic boxes
-                // bit-exact so voxel boundaries match external quantizers
-                // (e.g. `VoxelGrid` over the same cube).
-                let s = c.size();
-                let c = if s.x == s.y && s.y == s.z {
-                    c
-                } else {
-                    c.bounding_cube()
-                };
+                let c = c.bounding_cube();
                 // Parallel containment check; the reported index is the
                 // global minimum, matching the serial scan.
                 let bad = par::map_chunks(points, POINT_CHUNK, |ci, chunk| {
@@ -685,12 +687,13 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
         let child_base = level_starts[d + 1] as usize;
         let child_count = child_bounds.len();
         // Split the arena at the child level boundary: parents mutate
-        // their rows and links, children's rows are read-only.
+        // their rows, links and occupancy bytes; children's rows are
+        // read-only.
         let (parent_payload, child_payload) = arena.payload.split_at_mut(child_base);
-        let (parent_links, _) = arena.children.split_at_mut(child_base * 8);
         link_level_split(
             &mut parent_payload[parent_base..],
-            &mut parent_links[parent_base * 8..child_base * 8],
+            &mut arena.children[parent_base * 8..child_base * 8],
+            &mut arena.occupancy[parent_base..child_base],
             0,
             &child_payload[..child_count],
             &level_octants[d + 1],
@@ -704,15 +707,17 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
 }
 
 /// Aggregates one internal level: every parent sums its children's payload
-/// rows and records their links. Split-recursive so the payload and link
-/// tables advance in lockstep without interior mutability; the midpoint
-/// decomposition is data-sized, so results are identical for any worker
-/// count. `forks` bounds the live-thread fan-out at ~`workers()` (halved
-/// per split) without affecting the decomposition.
+/// rows and records their links and its occupancy byte. Split-recursive so
+/// the payload, link and occupancy columns advance in lockstep without
+/// interior mutability; the midpoint decomposition is data-sized, so
+/// results are identical for any worker count. `forks` bounds the
+/// live-thread fan-out at ~`workers()` (halved per split) without affecting
+/// the decomposition.
 #[allow(clippy::too_many_arguments)]
 fn link_level_split(
     payload: &mut [NodePayload],
     links: &mut [u32],
+    occupancy: &mut [u8],
     node_base: usize,
     child_payload: &[NodePayload],
     child_octants: &[u8],
@@ -725,11 +730,13 @@ fn link_level_split(
         let mid = len / 2;
         let (p_l, p_r) = payload.split_at_mut(mid);
         let (l_l, l_r) = links.split_at_mut(mid * 8);
+        let (o_l, o_r) = occupancy.split_at_mut(mid);
         par::join(
             || {
                 link_level_split(
                     p_l,
                     l_l,
+                    o_l,
                     node_base,
                     child_payload,
                     child_octants,
@@ -742,6 +749,7 @@ fn link_level_split(
                 link_level_split(
                     p_r,
                     l_r,
+                    o_r,
                     node_base + mid,
                     child_payload,
                     child_octants,
@@ -756,11 +764,14 @@ fn link_level_split(
     for k in 0..len {
         let pi = node_base + k;
         let mut agg = NodePayload::default();
+        let mut byte = 0u8;
         for c in first_child[pi]..first_child[pi + 1] {
             let ci = c as usize;
             let child = &child_payload[ci];
+            let octant = child_octants[ci];
             // Stored as arena index + 1 (0 = unoccupied).
-            links[k * 8 + usize::from(child_octants[ci])] = child_arena_base + c + 1;
+            links[k * 8 + usize::from(octant)] = child_arena_base + c + 1;
+            byte |= 1 << octant;
             agg.count += child.count;
             agg.pos_sum += child.pos_sum;
             agg.color_sum[0] += child.color_sum[0];
@@ -768,6 +779,7 @@ fn link_level_split(
             agg.color_sum[2] += child.color_sum[2];
         }
         payload[k] = agg;
+        occupancy[k] = byte;
     }
 }
 
@@ -826,12 +838,12 @@ impl<'a> NodeView<'a> {
 
     /// `true` when the node has no children (it is a max-depth leaf).
     pub fn is_leaf(&self) -> bool {
-        self.tree.arena.occupancy_byte(self.id.index()) == 0
+        self.occupancy_byte() == 0
     }
 
     /// The bitmask of occupied children (bit `i` = octant `i`).
     pub fn occupancy_byte(&self) -> u8 {
-        self.tree.arena.occupancy_byte(self.id.index())
+        self.tree.arena.occupancy()[self.id.index()]
     }
 }
 
@@ -1069,6 +1081,30 @@ mod tests {
                 let reused = builder.build(cloud, &cfg).unwrap();
                 let fresh = Octree::build(cloud, &cfg).unwrap();
                 assert_eq!(reused, fresh, "depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_column_matches_the_child_links() {
+        let cloud = arvis_pointcloud::synth::SynthBodyConfig::new(
+            arvis_pointcloud::synth::SubjectProfile::Soldier,
+        )
+        .with_target_points(30_000)
+        .with_seed(9)
+        .generate();
+        // Deep enough that the link phase splits its levels across workers.
+        let cfg = OctreeConfig::with_max_depth(12);
+        for tree in [
+            Octree::build(&cloud, &cfg).unwrap(),
+            par::serial_scope(|| Octree::build(&cloud, &cfg).unwrap()),
+        ] {
+            let a = &tree.arena;
+            for row in 0..a.len() {
+                let from_links = (0..8)
+                    .filter(|&o| a.child(row, o).is_some())
+                    .fold(0u8, |byte, o| byte | (1 << o));
+                assert_eq!(a.occupancy()[row], from_links, "row {row}");
             }
         }
     }

@@ -154,7 +154,23 @@ impl Aabb {
     /// depth. Containment is guaranteed despite floating-point rounding:
     /// reconstructing `center ± extent/2` can exclude an extreme corner by a
     /// ULP, so the half-edge is nudged up until both corners test inside.
+    ///
+    /// A box that already is a cube up to the rounding of its corners is
+    /// returned as is: one whose edge lengths differ by at most `8·ε·m`
+    /// (plus the smallest normal float), where `m` is the largest corner
+    /// coordinate in magnitude. Every computed cube passes that test with
+    /// room to spare: its corners are `center ± half`, each rounded once, so
+    /// each edge is within about `2·ε·m` of `2·half`. That makes the
+    /// function idempotent: `b.bounding_cube().bounding_cube()` is
+    /// `b.bounding_cube()` bit for bit, for every finite box. Octrees rely
+    /// on it: a tree built in a cube keeps that cube as its root, and a
+    /// decoder handed the tree's cube subdivides it as is.
     pub fn bounding_cube(&self) -> Aabb {
+        let s = self.size();
+        let m = self.min.abs().max(self.max.abs()).max_component();
+        if s.max_component() - s.min_component() <= 8.0 * f64::EPSILON * m + f64::MIN_POSITIVE {
+            return *self;
+        }
         let c = self.center();
         let mut half = self.max_extent() * 0.5;
         for _ in 0..64 {
@@ -297,6 +313,51 @@ mod tests {
         let s = c.size();
         assert!((s.x - s.y).abs() < 1e-12 && (s.y - s.z).abs() < 1e-12);
         assert!(c.contains(b.min()) && c.contains(b.max()));
+    }
+
+    #[test]
+    fn bounding_cube_is_idempotent() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let bits = |b: &Aabb| [b.min(), b.max()].map(|v| v.to_array().map(f64::to_bits));
+        let mut rng = StdRng::seed_from_u64(0x0c7b);
+        for _ in 0..20_000 {
+            // Centers up to 1e8 from the origin, edges down to 1e-9: many
+            // boxes sit far from the origin relative to their size, where
+            // rounding the corners moves the edges the most.
+            let center = Vec3::new(
+                rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..=8)),
+                rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..=8)),
+                rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..=8)),
+            );
+            let edge = 10f64.powi(rng.gen_range(-9..=3));
+            // Extents from a cube (edges exactly equal, or a few ulps
+            // apart) to a slab.
+            let ratio = |rng: &mut StdRng| match rng.gen_range(0..3) {
+                0 => 1.0,
+                1 => 1.0 + rng.gen_range(0..4) as f64 * f64::EPSILON,
+                _ => rng.gen_range(0.01..1.0),
+            };
+            let half = Vec3::new(
+                edge * ratio(&mut rng),
+                edge * ratio(&mut rng),
+                edge * ratio(&mut rng),
+            ) * 0.5;
+            let b = Aabb::new(center - half, center + half);
+            let once = b.bounding_cube();
+            assert!(once.contains(b.min()) && once.contains(b.max()), "{b:?}");
+            let (s, m) = (once.size(), once.max().abs().max(once.min().abs()));
+            let slack = 8.0 * f64::EPSILON * m.max_component() + f64::MIN_POSITIVE;
+            assert!(
+                s.max_component() - s.min_component() <= slack,
+                "{b:?} -> {once:?}"
+            );
+            assert_eq!(
+                bits(&once.bounding_cube()),
+                bits(&once),
+                "{b:?} -> {once:?}"
+            );
+        }
     }
 
     #[test]

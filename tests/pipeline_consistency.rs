@@ -1,12 +1,14 @@
 //! Cross-crate consistency: the same frame measured through different paths
 //! (voxel grid, octree, occupancy codec, PLY round-trip) must agree.
 
+use arvis::core::pipeline::PreparedSequence;
 use arvis::octree::attr::{frames_equivalent, EncodedFrame};
 use arvis::octree::occupancy::{decode_occupancy, encode_occupancy};
 use arvis::octree::{LodMode, Octree, OctreeConfig};
 use arvis::pointcloud::ply::{read_ply, write_ply, Encoding};
-use arvis::pointcloud::synth::{voxelize_to_grid, SubjectProfile, SynthBodyConfig};
+use arvis::pointcloud::synth::{voxelize_to_grid, FrameSequence, SubjectProfile, SynthBodyConfig};
 use arvis::pointcloud::voxel::VoxelGrid;
+use arvis::pointcloud::PointCloud;
 use arvis::quality::profile::DepthProfile;
 
 fn frame() -> arvis::pointcloud::PointCloud {
@@ -52,28 +54,50 @@ fn occupancy_codec_reconstructs_lod_geometry() {
 #[test]
 fn encoded_frame_decodes_to_the_lod_in_order_bitwise() {
     // The codec contract the pipeline's lossless check relies on: a decoded
-    // frame is its LoD extraction, point for point and bit for bit, in a
-    // shared cube as `PreparedSequence::prepare` builds it.
+    // frame is its LoD extraction, point for point and bit for bit. The trees
+    // cover one frame's own bounding cube and the shared cubes
+    // `PreparedSequence::prepare` builds over seeded multi-frame sequences.
+    // The edges of most of those shared cubes differ in their last bits, so
+    // only a decoder that starts from the tree's own root cell (instead of
+    // cubing that cell again) reproduces the LoD's centers.
     let cloud = frame();
     let cube = cloud.aabb().unwrap().bounding_cube();
-    let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(8).in_cube(cube)).unwrap();
-    for depth in 1..=8u8 {
-        let decoded = EncodedFrame::encode(&tree, depth)
-            .decode(tree.cube())
-            .unwrap();
-        let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
-        assert_eq!(decoded.len(), lod.len(), "depth {depth}");
-        for (k, (got, want)) in decoded.iter().zip(lod.iter()).enumerate() {
-            assert_eq!(got.color, want.color, "depth {depth}, point {k}");
-            for axis in 0..3 {
-                assert_eq!(
-                    got.position[axis].to_bits(),
-                    want.position[axis].to_bits(),
-                    "depth {depth}, point {k}"
-                );
+    let mut trees =
+        vec![Octree::build(&cloud, &OctreeConfig::with_max_depth(8).in_cube(cube)).unwrap()];
+    for (subject, seed) in [
+        (SubjectProfile::Loot, 2),
+        (SubjectProfile::Loot, 3),
+        (SubjectProfile::Soldier, 5),
+        (SubjectProfile::Longdress, 1),
+        (SubjectProfile::RedAndBlack, 1),
+    ] {
+        let frames: Vec<PointCloud> = FrameSequence::new(subject, 3)
+            .with_target_points(3_000)
+            .with_seed(seed)
+            .iter_frames()
+            .collect();
+        let sequence = PreparedSequence::prepare(&frames, 2..=8).unwrap();
+        trees.extend((0..sequence.len() as u64).map(|i| sequence.tree(i).clone()));
+    }
+    for (t, tree) in trees.iter().enumerate() {
+        for depth in 1..=8u8 {
+            let decoded = EncodedFrame::encode(tree, depth)
+                .decode(tree.cube())
+                .unwrap();
+            let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+            assert_eq!(decoded.len(), lod.len(), "tree {t}, depth {depth}");
+            for (k, (got, want)) in decoded.iter().zip(lod.iter()).enumerate() {
+                assert_eq!(got.color, want.color, "tree {t}, depth {depth}, point {k}");
+                for axis in 0..3 {
+                    assert_eq!(
+                        got.position[axis].to_bits(),
+                        want.position[axis].to_bits(),
+                        "tree {t}, depth {depth}, point {k}"
+                    );
+                }
             }
+            assert!(frames_equivalent(&decoded, &lod), "tree {t}, depth {depth}");
         }
-        assert!(frames_equivalent(&decoded, &lod), "depth {depth}");
     }
 }
 
