@@ -109,10 +109,8 @@ impl EncodedFrame {
         let attributes = split_attributes(&self.attributes);
         let rgb = attributes.as_ref().map_or(&[][..], |&(_, rgb)| rgb);
         let mut colors = rgb.chunks_exact(3);
-        let mut cloud = PointCloud::with_capacity(rgb.len() / 3);
-        decode_stream(&self.occupancy, cube, rgb.len() / 3, |center| {
-            let color = colors.next().map_or(Color::BLACK, rgb_color);
-            cloud.push(Point::new(center, color));
+        let cloud = decode_stream(&self.occupancy, cube, || {
+            colors.next().map_or(Color::BLACK, rgb_color)
         })?;
         let (depth, rgb) = attributes?;
         if depth != self.depth || cloud.len() != rgb.len() / 3 {

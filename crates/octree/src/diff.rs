@@ -60,6 +60,7 @@ pub fn diff_at_depth(a: &Octree, b: &Octree, depth: u8) -> OctreeDiff {
     let codes = |tree: &Octree| {
         let mut codes = Vec::with_capacity(tree.occupied_at_depth(depth));
         tree.walk_voxels(depth, |code| codes.push(code));
+        debug_assert!(codes.windows(2).all(|w| w[0] < w[1]));
         codes
     };
     let (codes_a, codes_b) = (codes(a), codes(b));

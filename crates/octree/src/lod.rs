@@ -92,7 +92,11 @@ impl Octree {
     /// ascending: the breadth-first walk over the occupancy column.
     pub(crate) fn walk_voxels(&self, depth: u8, emit: impl FnMut(u64)) {
         let occupancy = self.arena.occupancy();
-        let Ok(_) = walk_codes(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]), emit);
+        let Ok(_) = walk_codes(
+            depth,
+            |rows| Ok::<_, Infallible>(&occupancy[rows]),
+            |_| emit,
+        );
     }
 
     /// The occupied-voxel count at every depth `0..=max_depth`.

@@ -9,6 +9,7 @@ use std::ops::Range;
 
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
+use arvis_pointcloud::color::Color;
 use arvis_pointcloud::math::Vec3;
 use arvis_pointcloud::morton;
 use arvis_pointcloud::point::Point;
@@ -91,120 +92,109 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 /// ends before the declared depth or carries bytes after it (as
 /// [`ProgressiveDecoder::push`] rejects them).
 pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
-    let mut cloud = PointCloud::new();
-    decode_stream(&stream, cube, stream.len(), |center| {
-        cloud.push(Point::from_position(center));
-    })?;
-    Ok(cloud)
+    decode_stream(&stream, cube, || Color::BLACK)
 }
 
-/// Decodes a whole occupancy stream over `cube`, calling `emit` with every
-/// voxel center of the declared depth in stream order. `voxels` is how many
-/// the caller expects, which sizes the [`VoxelCentres`] tables: any value
-/// gives the same centers. The errors are those of [`decode_occupancy`].
+/// Decodes a whole occupancy stream over `cube` into the voxel centres of
+/// the declared depth, in stream order, each coloured by the next call of
+/// `color`. The errors are those of [`decode_occupancy`].
+///
+/// The cloud and the [`VoxelCentres`] tables are sized by the voxel count
+/// the walk has read and checked, never by a length the stream declares.
 pub(crate) fn decode_stream(
     stream: &[u8],
     cube: &Aabb,
-    voxels: usize,
-    mut emit: impl FnMut(Vec3),
-) -> Result<(), DecodeError> {
+    mut color: impl FnMut() -> Color,
+) -> Result<PointCloud, DecodeError> {
     let (&depth, nodes) = stream.split_first().ok_or(DecodeError::BadHeader)?;
     if depth == 0 || depth > MAX_SUPPORTED_DEPTH {
         return Err(DecodeError::BadHeader);
     }
-    // A level's bytes, or the error of the first one missing or zero: the
-    // stream is read in order, so a zero byte before the end wins.
-    let level_bytes = |range: Range<usize>| {
-        let bytes = &nodes[range.start.min(nodes.len())..range.end.min(nodes.len())];
-        if let Some(k) = bytes.iter().position(|&b| b == 0) {
-            return Err(DecodeError::EmptyNodeByte {
-                offset: 1 + range.start + k,
-            });
-        }
-        if bytes.len() < range.len() {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(bytes)
+    let cube = cube.bounding_cube();
+    let mut cloud = PointCloud::new();
+    let out = &mut cloud;
+    let leaves = move |voxels| {
+        *out = PointCloud::with_capacity(voxels);
+        let centres = VoxelCentres::new(&cube, depth, voxels);
+        move |code| out.push(Point::new(centres.at(code), color()))
     };
-    let centres = VoxelCentres::new(&cube.bounding_cube(), depth, voxels);
-    if walk_codes(depth, level_bytes, |code| emit(centres.at(code)))? != nodes.len() {
+    if walk_codes(depth, |range| level_bytes(nodes, range), leaves)? != nodes.len() {
         // Bytes after the declared depth.
         return Err(DecodeError::Truncated);
     }
-    Ok(())
+    Ok(cloud)
 }
 
-/// `OCTANTS[b]`: the set bits of occupancy byte `b` in ascending order,
-/// padded with zeros; `CHILDREN[b]`: how many there are.
-const OCTANTS: [[u8; 8]; 256] = {
-    let mut table = [[0u8; 8]; 256];
-    let mut b = 0;
-    while b < 256 {
-        let (mut o, mut n) = (0, 0);
-        while o < 8 {
-            if b & (1 << o) != 0 {
-                table[b][n] = o as u8;
-                n += 1;
-            }
-            o += 1;
-        }
-        b += 1;
+/// The node bytes `range` of a stream, or the error of the first one
+/// missing or zero: the stream is read in order, so a zero byte before the
+/// end wins.
+fn level_bytes(nodes: &[u8], range: Range<usize>) -> Result<&[u8], DecodeError> {
+    let bytes = &nodes[range.start.min(nodes.len())..range.end.min(nodes.len())];
+    if let Some(k) = bytes.iter().position(|&b| b == 0) {
+        return Err(DecodeError::EmptyNodeByte {
+            offset: 1 + range.start + k,
+        });
     }
-    table
-};
-const CHILDREN: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut b = 0;
-    while b < 256 {
-        table[b] = (b as u8).count_ones() as u8;
-        b += 1;
+    if bytes.len() < range.len() {
+        return Err(DecodeError::Truncated);
     }
-    table
-};
+    Ok(bytes)
+}
 
 /// The breadth-first occupancy walk shared by the decoder,
 /// [`Octree::extract_lod`] and [`crate::diff`]: expands the root through
 /// `levels` levels, where `level_bytes(range)` is the occupancy bytes
 /// `range` in stream order (arena rows `range` of a tree), one level at a
-/// time, and calls `emit` with the code of every depth-`levels` cell in
-/// stream order, which is ascending. A cell is carried as its Morton code:
-/// a child's code is its parent's shifted up three bits, with the octant in
-/// the low bits. Returns the number of bytes read; stops at the first error
-/// `level_bytes` returns, before emitting anything of that level.
+/// time. A cell is carried as its Morton code: a child's code is its
+/// parent's shifted up three bits, with the octant in the low bits.
 ///
-/// Only the levels above the last are stored; the last is emitted as it is
-/// expanded, so the callers write their output in one pass.
-pub(crate) fn walk_codes<'a, E>(
+/// Once the bytes of the level above the last are read, the walk calls
+/// `leaves` with the number of depth-`levels` cells they mark, and then
+/// what `leaves` returns with the code of each, in stream order, which is
+/// ascending; only the levels above the last are stored, so the callers
+/// write their output in one pass. Returns the number of bytes read; stops
+/// at the first error `level_bytes` returns, before `leaves` when that
+/// comes first.
+pub(crate) fn walk_codes<'a, E, F: FnMut(u64)>(
     levels: u8,
     mut level_bytes: impl FnMut(Range<usize>) -> Result<&'a [u8], E>,
-    mut emit: impl FnMut(u64),
+    leaves: impl FnOnce(usize) -> F,
 ) -> Result<usize, E> {
     debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a code holds 21 levels");
     if levels == 0 {
-        emit(0);
+        leaves(1)(0);
         return Ok(0);
     }
     let mut read = 0usize;
     let mut cells = vec![0u64];
     let mut next = Vec::new();
-    for level in 1..=levels {
+    for _ in 1..levels {
         let bytes = level_bytes(read..read + cells.len())?;
         read += cells.len();
         for (&code, &byte) in cells.iter().zip(bytes) {
-            let b = usize::from(byte);
-            for &octant in &OCTANTS[b][..usize::from(CHILDREN[b])] {
-                let child = (code << 3) | u64::from(octant);
-                if level == levels {
-                    emit(child);
-                } else {
-                    next.push(child);
-                }
-            }
+            for_each_child(code, byte, |child| next.push(child));
         }
         std::mem::swap(&mut cells, &mut next);
         next.clear();
     }
+    let bytes = level_bytes(read..read + cells.len())?;
+    read += cells.len();
+    let mut emit = leaves(bytes.iter().map(|b| b.count_ones() as usize).sum());
+    for (&code, &byte) in cells.iter().zip(bytes) {
+        for_each_child(code, byte, &mut emit);
+    }
     Ok(read)
+}
+
+/// Calls `f` with the code of every child that `byte` marks occupied in the
+/// cell `code`, in octant order.
+#[inline]
+fn for_each_child(code: u64, byte: u8, mut f: impl FnMut(u64)) {
+    let mut bits = byte;
+    while bits != 0 {
+        f((code << 3) | u64::from(bits.trailing_zeros()));
+        bits &= bits - 1;
+    }
 }
 
 /// The centres of one level's voxels in a cube's subdivision, by Morton
@@ -215,32 +205,26 @@ pub(crate) fn walk_codes<'a, E>(
 /// level-`h` cells form a table of `2^h + 1` values, each new one the
 /// midpoint of its two neighbours one level up; every cell's extent is read
 /// from it exactly. The table stops at `h = min(depth, ⌊log2(4·cells)⌋)`
-/// for `cells` voxels expected, about four entries per voxel, so it grows
-/// with the output and never with `2^depth`. Below `h`, a centre bisects
-/// its table interval along the remaining bits of its code: the same
-/// arithmetic, in the same order, so `cells` sets the cost and never a
-/// centre.
+/// for a level of `cells` voxels, at most four entries per voxel, so it
+/// grows with the output and never with `2^depth`. A centre bisects its
+/// table interval along the bits of its code below `h`, then once more for
+/// the midpoint: the same arithmetic, in the same order, so `cells` sets
+/// the cost and never a centre.
 #[derive(Debug)]
 pub(crate) struct VoxelCentres {
     /// Per axis, the level-`h` cell boundaries.
     bounds: [Vec<f64>; 3],
-    /// Per axis, the level-`h` cell centres.
-    centres: [Vec<f64>; 3],
     /// `depth - h`: the levels each centre bisects below the tables.
     below: u32,
 }
 
 impl VoxelCentres {
-    /// The tables for about `cells` voxels at `depth` in `cube`.
+    /// The tables for a level of `cells` voxels at `depth` in `cube`.
     pub(crate) fn new(cube: &Aabb, depth: u8, cells: usize) -> VoxelCentres {
         let h = u32::from(depth).min(cells.saturating_mul(4).max(1).ilog2());
         let (min, max) = (cube.min(), cube.max());
-        let bounds: [Vec<f64>; 3] = std::array::from_fn(|a| boundaries(min[a], max[a], h));
-        let centres =
-            std::array::from_fn(|a| bounds[a].windows(2).map(|w| (w[0] + w[1]) * 0.5).collect());
         VoxelCentres {
-            bounds,
-            centres,
+            bounds: std::array::from_fn(|a| boundaries(min[a], max[a], h)),
             below: u32::from(depth) - h,
         }
     }
@@ -248,12 +232,7 @@ impl VoxelCentres {
     /// The centre of the voxel with Morton code `code`.
     pub(crate) fn at(&self, code: u64) -> Vec3 {
         let (x, y, z) = morton::decode(code);
-        if self.below == 0 {
-            let [cx, cy, cz] = &self.centres;
-            Vec3::new(cx[x as usize], cy[y as usize], cz[z as usize])
-        } else {
-            Vec3::new(self.bisect(0, x), self.bisect(1, y), self.bisect(2, z))
-        }
+        Vec3::new(self.bisect(0, x), self.bisect(1, y), self.bisect(2, z))
     }
 
     fn bisect(&self, axis: usize, cell: u64) -> f64 {
@@ -599,7 +578,7 @@ mod tests {
                 let code = next().checked_shr(64 - 3 * u32::from(depth)).unwrap_or(0);
                 let mut cell = cube;
                 for level in (0..depth).rev() {
-                    cell = cell.octant(((code >> (3 * level)) & 7) as usize);
+                    cell = cell.octants()[((code >> (3 * level)) & 7) as usize];
                 }
                 assert_eq!(
                     centres.at(code).to_array().map(f64::to_bits),
@@ -645,6 +624,67 @@ mod tests {
         );
         let mut dec = ProgressiveDecoder::new(tree.cube());
         assert_eq!(dec.push(&deeper).unwrap_err(), DecodeError::BadHeader);
+    }
+
+    #[test]
+    fn deep_streams_size_their_tables_by_the_checked_voxels() {
+        let cube = Aabb::cube(Vec3::new(3.0, -1.0, 0.5), 2.0);
+        let depth = MAX_SUPPORTED_DEPTH;
+        // Walks a stream as the decoder does, returning its error or the
+        // voxel count it sizes the cloud and the tables by.
+        let leaves_of = |stream: &[u8]| {
+            let mut sized = None;
+            let walked = walk_codes(
+                stream[0],
+                |range| level_bytes(&stream[1..], range),
+                |voxels| {
+                    sized = Some(voxels);
+                    |_| {}
+                },
+            );
+            walked.map(|_| sized.unwrap())
+        };
+
+        // A zero first node byte followed by 512 KiB: the error comes
+        // before anything is sized.
+        let mut zero_root = vec![depth, 0];
+        zero_root.resize(2 + (512 << 10), 0xff);
+        assert_eq!(
+            leaves_of(&zero_root),
+            Err(DecodeError::EmptyNodeByte { offset: 1 })
+        );
+        assert_eq!(
+            decode_occupancy(Bytes::from(zero_root), &cube).unwrap_err(),
+            DecodeError::EmptyNodeByte { offset: 1 }
+        );
+
+        // A one-voxel chain with 2^19 colours: the tables are sized by the
+        // one voxel the walk checked, so they stop at level 2 (not at 21,
+        // as 2^19 voxels would have them) and each centre bisects the 19
+        // levels below.
+        let mut chain = vec![depth];
+        chain.resize(1 + usize::from(depth), 1);
+        assert_eq!(leaves_of(&chain), Ok(1));
+        // A zero byte in the last level is found before sizing too.
+        let mut last_zero = chain.clone();
+        last_zero[usize::from(depth)] = 0;
+        assert_eq!(
+            leaves_of(&last_zero),
+            Err(DecodeError::EmptyNodeByte {
+                offset: usize::from(depth)
+            })
+        );
+        let centres = VoxelCentres::new(&cube.bounding_cube(), depth, 1);
+        assert_eq!(centres.bounds.map(|b| b.len()), [5; 3]);
+        assert_eq!(centres.below, u32::from(depth) - 2);
+        let mut attributes = vec![depth];
+        attributes.resize(1 + (3 << 19), 9);
+        let frame = crate::attr::EncodedFrame {
+            occupancy: Bytes::from(chain),
+            attributes: Bytes::from(attributes),
+            depth,
+        };
+        assert_eq!(frame.decode(&cube).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]

@@ -212,26 +212,20 @@ impl Aabb {
     /// Child `i` has bit 0 set for +x, bit 1 for +y, bit 2 for +z, matching
     /// the Morton/occupancy ordering used by `arvis-octree`.
     pub fn octants(&self) -> [Aabb; 8] {
-        std::array::from_fn(|i| self.octant(i))
-    }
-
-    /// Octant `i` (0..8) of [`Aabb::octants`] on its own, bit for bit: walks
-    /// that visit only the occupied children build only those.
-    #[inline]
-    pub fn octant(&self, i: usize) -> Aabb {
-        debug_assert!(i < 8, "octant must be in 0..8");
         let c = self.center();
-        // Per axis, the child spans entries (b, b + 1) of [min, center, max]
-        // for octant bit b: an index, so the walk does not branch on which
-        // octants the data occupies.
-        let xs = [self.min.x, c.x, self.max.x];
-        let ys = [self.min.y, c.y, self.max.y];
-        let zs = [self.min.z, c.z, self.max.z];
-        let (bx, by, bz) = (i & 1, (i >> 1) & 1, (i >> 2) & 1);
-        Aabb {
-            min: Vec3::new(xs[bx], ys[by], zs[bz]),
-            max: Vec3::new(xs[bx + 1], ys[by + 1], zs[bz + 1]),
-        }
+        std::array::from_fn(|i| {
+            let min = Vec3::new(
+                if i & 1 == 0 { self.min.x } else { c.x },
+                if i & 2 == 0 { self.min.y } else { c.y },
+                if i & 4 == 0 { self.min.z } else { c.z },
+            );
+            let max = Vec3::new(
+                if i & 1 == 0 { c.x } else { self.max.x },
+                if i & 2 == 0 { c.y } else { self.max.y },
+                if i & 4 == 0 { c.z } else { self.max.z },
+            );
+            Aabb { min, max }
+        })
     }
 
     /// Index of the octant (0..8) containing `p`, using the same bit layout
