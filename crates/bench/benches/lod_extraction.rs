@@ -22,16 +22,6 @@ fn bench_lod(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let mut modes = c.benchmark_group("lod_mode");
-    modes.sample_size(30);
-    modes.bench_function("voxel_centers_d8", |b| {
-        b.iter(|| black_box(tree.extract_lod(8, LodMode::VoxelCenters)))
-    });
-    modes.bench_function("mean_positions_d8", |b| {
-        b.iter(|| black_box(tree.extract_lod(8, LodMode::MeanPositions)))
-    });
-    modes.finish();
 }
 
 criterion_group!(benches, bench_lod);

@@ -236,6 +236,7 @@ pub fn geometry_distortion_mse(reference: &PointCloud, degraded: &PointCloud) ->
 mod tests {
     use super::*;
     use arvis_octree::{LodMode, Octree, OctreeConfig};
+    use arvis_pointcloud::color::Color;
     use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
     use arvis_quality::psnr::geometry_distortion;
 
@@ -252,29 +253,25 @@ mod tests {
         let depth = 7u8;
         let reference = octree_build(&cloud, depth);
         let optimized = Octree::build(&cloud, &OctreeConfig::with_max_depth(depth)).unwrap();
-        assert_eq!(
-            reference.level_starts,
-            (0..=depth + 1)
-                .map(|d| if d == 0 {
-                    0
-                } else {
-                    optimized.nodes_at_depth(d - 1).last().unwrap().index() as u32 + 1
+        let starts = &reference.level_starts;
+        let profile: Vec<usize> = starts.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
+        assert_eq!(optimized.occupancy_profile(), profile);
+        // Each level's LoD colours are the seed's colour sums over its
+        // counts, rounded, node for node (both builds are breadth-first with
+        // each level in Morton order).
+        for (d, w) in (0..=depth).zip(starts.windows(2)) {
+            let want: Vec<Color> = reference.nodes[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(|node| {
+                    let [r, g, b] = node
+                        .color_sum
+                        .map(|s| (s as f64 / node.count as f64).round() as u8);
+                    Color::new(r, g, b)
                 })
-                .collect::<Vec<_>>(),
-        );
-        // Per-node aggregates match (counts exactly, sums to fp tolerance).
-        for d in 0..=depth {
-            for id in optimized.nodes_at_depth(d) {
-                let opt = optimized.node(id);
-                let base = &reference.nodes[id.index()];
-                assert_eq!(opt.count(), base.count, "count at {id:?}");
-                assert_eq!(base.color_sum.iter().sum::<u64>() > 0, opt.count() > 0);
-                let mean_ref = base.position_sum / base.count as f64;
-                assert!(
-                    opt.mean_position().distance(mean_ref) < 1e-9,
-                    "centroid mismatch at {id:?}"
-                );
-            }
+                .collect();
+            let lod = optimized.extract_lod(d, LodMode::VoxelCenters);
+            let got: Vec<Color> = lod.cloud.iter().map(|p| p.color).collect();
+            assert_eq!(got, want, "depth {d}");
         }
     }
 

@@ -17,20 +17,18 @@ use crate::tree::Octree;
 
 /// Serializes the mean colors of all depth-`depth` voxels, breadth-first.
 ///
+/// The tree keeps its mean colours in this byte order, so the stream is a
+/// copy of the level's colour bytes after the header.
+///
 /// # Panics
 ///
 /// Panics when `depth` exceeds the tree's max depth.
 pub fn encode_attributes(tree: &Octree, depth: u8) -> Bytes {
     assert!(depth <= tree.max_depth(), "depth exceeds max depth");
-    // The level's arena rows are in Morton order, the order in which
-    // occupancy decode expands children (octant 0..8).
-    let rows = tree.level_rows(depth);
-    let mut out = Vec::with_capacity(1 + 3 * rows.len());
+    let rgb = tree.colors_at(depth);
+    let mut out = Vec::with_capacity(1 + rgb.len());
     out.push(depth);
-    for row in rows {
-        let c = tree.arena.mean_color(row);
-        out.extend_from_slice(&[c.r, c.g, c.b]);
-    }
+    out.extend_from_slice(rgb);
     Bytes::from(out)
 }
 
@@ -55,7 +53,7 @@ fn split_attributes(stream: &[u8]) -> Result<(u8, &[u8]), DecodeError> {
     Ok((depth, rgb))
 }
 
-fn rgb_color(c: &[u8]) -> Color {
+pub(crate) fn rgb_color(c: &[u8]) -> Color {
     Color::new(c[0], c[1], c[2])
 }
 

@@ -10,6 +10,7 @@ use std::convert::Infallible;
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
+use crate::attr::rgb_color;
 use crate::occupancy::{walk_codes, VoxelCentres};
 use crate::tree::Octree;
 
@@ -20,9 +21,6 @@ pub enum LodMode {
     /// visualization). Default.
     #[default]
     VoxelCenters,
-    /// At the mean of the contained points (lower geometric error; what
-    /// `voxel_down_sample` produces).
-    MeanPositions,
 }
 
 /// A level-of-detail cloud extracted at a fixed depth.
@@ -40,9 +38,9 @@ impl Octree {
     /// Extracts the LoD cloud at `depth` (one point per occupied voxel, with
     /// the voxel's mean color).
     ///
-    /// Points come in arena order: the order of [`Octree::nodes_at_depth`],
-    /// of the attribute stream and of [`crate::attr::EncodedFrame::decode`]
-    /// (breadth-first, Morton order within the level).
+    /// Points come in node order: the order of the attribute stream and of
+    /// [`crate::attr::EncodedFrame::decode`] (breadth-first, Morton order
+    /// within the level).
     ///
     /// Voxel centers are those of subdividing [`Octree::cube`] with the
     /// midpoint arithmetic of [`arvis_pointcloud::Aabb::octants`], bit for
@@ -62,41 +60,26 @@ impl Octree {
             "depth {depth} exceeds max depth {}",
             self.max_depth()
         );
-        let rows = self.level_rows(depth);
-        let a = &self.arena;
-        let mut cloud = PointCloud::with_capacity(rows.len());
-        match mode {
-            LodMode::VoxelCenters => {
-                let centres = VoxelCentres::new(self.cube(), depth, rows.len());
-                let mut row = rows.start;
-                self.walk_voxels(depth, |code| {
-                    cloud.push(Point::new(centres.at(code), a.mean_color(row)));
-                    row += 1;
-                });
-            }
-            LodMode::MeanPositions => {
-                for row in rows {
-                    cloud.push(Point::new(a.mean_position(row), a.mean_color(row)));
-                }
-            }
-        }
-        LodCloud {
-            cloud,
-            depth,
-            voxel_size: self.voxel_size_at_depth(depth),
-        }
-    }
-
-    /// Calls `emit` with the Morton code of every depth-`depth` voxel (three
-    /// bits per level, the octant in the low bits), in arena order, which is
-    /// ascending: the breadth-first walk over the occupancy column.
-    pub(crate) fn walk_voxels(&self, depth: u8, emit: impl FnMut(u64)) {
-        let occupancy = self.arena.occupancy();
+        let LodMode::VoxelCenters = mode;
+        let occupancy = self.occupancy_above(depth);
+        let mut colors = self.colors_at(depth).chunks_exact(3);
+        let voxels = colors.len();
+        let centres = VoxelCentres::new(self.cube(), depth, voxels);
+        let mut cloud = PointCloud::with_capacity(voxels);
+        let emit = |code| {
+            let rgb = colors.next().expect("one colour per voxel");
+            cloud.push(Point::new(centres.at(code), rgb_color(rgb)));
+        };
         let Ok(_) = walk_codes(
             depth,
             |rows| Ok::<_, Infallible>(&occupancy[rows]),
             |_| emit,
         );
+        LodCloud {
+            cloud,
+            depth,
+            voxel_size: self.voxel_size_at_depth(depth),
+        }
     }
 
     /// The occupied-voxel count at every depth `0..=max_depth`.
@@ -144,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_positions_lie_inside_cube() {
-        let tree = body_tree(5);
-        let lod = tree.extract_lod(4, LodMode::MeanPositions);
-        for p in lod.cloud.iter() {
-            assert!(tree.cube().contains(p.position));
-        }
-    }
-
-    #[test]
     fn lod_at_depth_zero_is_single_point() {
         let tree = body_tree(4);
         let lod = tree.extract_lod(0, LodMode::VoxelCenters);
@@ -170,27 +144,6 @@ mod tests {
         let tree = body_tree(6);
         let lod = tree.extract_lod(3, LodMode::VoxelCenters);
         assert!((lod.voxel_size - tree.cube().max_extent() / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_mode_has_lower_error_than_centers() {
-        // Geometric intuition check: the mean position is closer to the
-        // original points than the voxel center, on average.
-        let cloud = SynthBodyConfig::new(SubjectProfile::Loot)
-            .with_target_points(5_000)
-            .generate();
-        let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(4)).unwrap();
-        let centers = tree.extract_lod(4, LodMode::VoxelCenters);
-        let means = tree.extract_lod(4, LodMode::MeanPositions);
-        let tree_c = arvis_pointcloud::kdtree::KdTree::build(centers.cloud.positions());
-        let tree_m = arvis_pointcloud::kdtree::KdTree::build(means.cloud.positions());
-        let err = |t: &arvis_pointcloud::kdtree::KdTree| -> f64 {
-            cloud
-                .positions()
-                .map(|p| t.nearest_distance_squared(p).unwrap())
-                .sum::<f64>()
-        };
-        assert!(err(&tree_m) <= err(&tree_c));
     }
 
     #[test]

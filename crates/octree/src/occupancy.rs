@@ -21,7 +21,9 @@ use crate::tree::{Octree, MAX_SUPPORTED_DEPTH};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
-    /// The stream ended before all announced levels were decoded.
+    /// The stream ended before all announced levels were decoded, or
+    /// carries bytes after them; for a whole frame, also an attribute
+    /// stream whose depth or voxel count disagrees with the occupancy.
     Truncated,
     /// A node byte was zero, which would encode an occupied node with no
     /// occupied children — invalid in a tree built from points.
@@ -57,9 +59,9 @@ impl std::error::Error for DecodeError {}
 /// the previous level. A tree serialized to `depth` reconstructs the voxel
 /// set of every level `0..=depth`.
 ///
-/// That order is the arena's own (breadth-first, each level in Morton
-/// order), so the stream is a copy of the tree's occupancy column over
-/// arena rows `0..level_start(depth)`.
+/// That order is the tree's own node order (breadth-first, each level in
+/// Morton order), so the stream is a copy of the tree's occupancy column
+/// over the nodes above `depth`.
 ///
 /// # Panics
 ///
@@ -67,10 +69,10 @@ impl std::error::Error for DecodeError {}
 pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
     assert!(depth >= 1, "occupancy encoding needs depth >= 1");
     assert!(depth <= tree.max_depth(), "depth exceeds max depth");
-    let internal = tree.level_rows(depth).start;
-    let mut out = Vec::with_capacity(1 + internal);
+    let bytes = tree.occupancy_above(depth);
+    let mut out = Vec::with_capacity(1 + bytes.len());
     out.push(depth);
-    out.extend_from_slice(&tree.arena.occupancy()[..internal]);
+    out.extend_from_slice(bytes);
     Bytes::from(out)
 }
 
@@ -89,8 +91,7 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 /// [`DecodeError::BadHeader`] for an empty stream or a declared depth of 0
 /// or above [`MAX_SUPPORTED_DEPTH`], [`DecodeError::EmptyNodeByte`] at the
 /// first zero node byte, and [`DecodeError::Truncated`] when the stream
-/// ends before the declared depth or carries bytes after it (as
-/// [`ProgressiveDecoder::push`] rejects them).
+/// ends before the declared depth or carries bytes after it.
 pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
     decode_stream(&stream, cube, || Color::BLACK)
 }
@@ -141,12 +142,12 @@ fn level_bytes(nodes: &[u8], range: Range<usize>) -> Result<&[u8], DecodeError> 
     Ok(bytes)
 }
 
-/// The breadth-first occupancy walk shared by the decoder,
-/// [`Octree::extract_lod`] and [`crate::diff`]: expands the root through
-/// `levels` levels, where `level_bytes(range)` is the occupancy bytes
-/// `range` in stream order (arena rows `range` of a tree), one level at a
-/// time. A cell is carried as its Morton code: a child's code is its
-/// parent's shifted up three bits, with the octant in the low bits.
+/// The breadth-first occupancy walk shared by the decoder and
+/// [`Octree::extract_lod`]: expands the root through `levels` levels, where
+/// `level_bytes(range)` is the occupancy bytes `range` in stream order (the
+/// bytes of nodes `range` of a tree), one level at a time. A cell is
+/// carried as its Morton code: a child's code is its parent's shifted up
+/// three bits, with the octant in the low bits.
 ///
 /// Once the bytes of the level above the last are read, the walk calls
 /// `leaves` with the number of depth-`levels` cells they mark, and then
@@ -271,129 +272,15 @@ fn boundaries(min: f64, max: f64, levels: u32) -> Vec<f64> {
 /// (header included), without materializing the stream.
 pub fn encoded_size(tree: &Octree, depth: u8) -> usize {
     assert!(depth >= 1 && depth <= tree.max_depth());
-    // One byte per node at depths 0..depth: the arena rows above `depth`.
-    1 + tree.level_rows(depth).start
-}
-
-/// Incremental occupancy decoding: consume the stream as bytes arrive and
-/// surface a coarse-to-fine preview after every completed level.
-///
-/// An AR client behind a slow link does not wait for the whole frame — the
-/// breadth-first layout means each completed level is already a renderable
-/// LoD. Feed arbitrary chunks with [`ProgressiveDecoder::push`]; whenever a
-/// level completes, [`ProgressiveDecoder::preview`] returns the current
-/// voxel-center cloud.
-#[derive(Debug, Clone)]
-pub struct ProgressiveDecoder {
-    /// Cubes whose occupancy bytes are expected next (current level).
-    frontier: Vec<Aabb>,
-    /// Cubes decoded for the next level so far.
-    next: Vec<Aabb>,
-    /// Index into `frontier` of the next byte's parent.
-    cursor: usize,
-    declared_depth: Option<u8>,
-    completed_levels: u8,
-    offset: usize,
-}
-
-impl ProgressiveDecoder {
-    /// Starts a decoder over the frame's bounding cube.
-    pub fn new(cube: &Aabb) -> ProgressiveDecoder {
-        ProgressiveDecoder {
-            frontier: vec![cube.bounding_cube()],
-            next: Vec::new(),
-            cursor: 0,
-            declared_depth: None,
-            completed_levels: 0,
-            offset: 0,
-        }
-    }
-
-    /// Number of fully decoded levels so far.
-    pub fn completed_levels(&self) -> u8 {
-        self.completed_levels
-    }
-
-    /// `true` when the declared depth has been fully decoded.
-    pub fn is_complete(&self) -> bool {
-        self.declared_depth
-            .is_some_and(|d| self.completed_levels >= d)
-    }
-
-    /// Consumes a chunk of stream bytes. Returns how many levels *completed*
-    /// during this push.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero occupancy bytes, a declared depth of 0 or above
-    /// [`MAX_SUPPORTED_DEPTH`], and bytes past the declared end of the
-    /// stream.
-    pub fn push(&mut self, chunk: &[u8]) -> Result<u8, DecodeError> {
-        let mut completed = 0u8;
-        for &byte in chunk {
-            if self.declared_depth.is_none() {
-                if byte == 0 || byte > MAX_SUPPORTED_DEPTH {
-                    return Err(DecodeError::BadHeader);
-                }
-                self.declared_depth = Some(byte);
-                self.offset = 1;
-                continue;
-            }
-            if self.is_complete() {
-                // Trailing garbage after the declared depth.
-                return Err(DecodeError::Truncated);
-            }
-            if byte == 0 {
-                return Err(DecodeError::EmptyNodeByte {
-                    offset: self.offset,
-                });
-            }
-            let cell = self.frontier[self.cursor];
-            let octants = cell.octants();
-            for (o, octant_cube) in octants.iter().enumerate() {
-                if byte & (1 << o) != 0 {
-                    self.next.push(*octant_cube);
-                }
-            }
-            self.cursor += 1;
-            self.offset += 1;
-            if self.cursor == self.frontier.len() {
-                self.frontier = std::mem::take(&mut self.next);
-                self.cursor = 0;
-                self.completed_levels += 1;
-                completed += 1;
-            }
-        }
-        Ok(completed)
-    }
-
-    /// The current coarse preview: one voxel-center point per cell of the
-    /// deepest *completed* level.
-    pub fn preview(&self) -> PointCloud {
-        if self.cursor == 0 {
-            // Frontier is exactly the last completed level.
-            self.frontier
-                .iter()
-                .map(|c| Point::from_position(c.center()))
-                .collect()
-        } else {
-            // Mid-level: the completed part of this level lives in `next`,
-            // the rest still at the previous level's granularity.
-            self.next
-                .iter()
-                .chain(&self.frontier[self.cursor..])
-                .map(|c| Point::from_position(c.center()))
-                .collect()
-        }
-    }
+    1 + tree.occupancy_above(depth).len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lod::LodMode;
+    use crate::reference::decode_occupancy_frontier;
     use crate::tree::OctreeConfig;
-    use arvis_pointcloud::math::Vec3;
     use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 
     fn body_tree(depth: u8) -> Octree {
@@ -492,23 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn progressive_matches_batch_decode() {
-        let tree = body_tree(5);
-        let stream = encode_occupancy(&tree, 5);
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        // Feed in awkward 7-byte chunks.
-        for chunk in stream.chunks(7) {
-            dec.push(chunk).unwrap();
-        }
-        assert!(dec.is_complete());
-        assert_eq!(dec.completed_levels(), 5);
-        let progressive = dec.preview();
-        let batch = decode_occupancy(stream, tree.cube()).unwrap();
-        assert_eq!(progressive.len(), batch.len());
-    }
-
-    #[test]
-    fn batch_accepts_exactly_what_progressive_completes() {
+    fn batch_accepts_only_the_stream_itself() {
         let tree = body_tree(4);
         let stream = encode_occupancy(&tree, 4).to_vec();
         // Every truncation, the stream itself, every one-byte extension, and
@@ -524,26 +395,21 @@ mod tests {
             candidates.push(relabelled);
         }
         for bytes in candidates {
-            let mut dec = ProgressiveDecoder::new(tree.cube());
-            let pushed = dec.push(&bytes);
-            let completes = pushed.is_ok() && dec.is_complete();
             let what = format!("{} bytes, header {:?}", bytes.len(), bytes.first());
             match decode_occupancy(Bytes::from(bytes.clone()), tree.cube()) {
                 Ok(cloud) => {
-                    assert!(completes, "batch accepted {what}");
-                    assert_eq!(cloud, dec.preview());
+                    assert_eq!(bytes, stream, "batch accepted {what}");
+                    let frontier = decode_occupancy_frontier(Bytes::from(bytes), tree.cube());
+                    assert_eq!(cloud, frontier.unwrap());
                 }
                 Err(e) => {
-                    assert!(!completes, "batch rejected {what}");
+                    assert_ne!(bytes, stream, "batch rejected the stream");
                     let want = match bytes.first() {
                         None | Some(0) => DecodeError::BadHeader,
                         Some(&d) if d > MAX_SUPPORTED_DEPTH => DecodeError::BadHeader,
                         Some(_) => DecodeError::Truncated,
                     };
                     assert_eq!(e, want, "{what}");
-                    if let Err(p) = pushed {
-                        assert_eq!(p, e, "{what}");
-                    }
                 }
             }
         }
@@ -608,10 +474,8 @@ mod tests {
         assert!(lod.points()[0].position.distance(Vec3::new(0.3, -1.7, 2.9)) < 1e-5);
         let batch = decode_occupancy(stream.clone(), tree.cube()).unwrap();
         assert_eq!(bits(&batch), bits(&lod));
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        dec.push(&stream).unwrap();
-        assert!(dec.is_complete());
-        assert_eq!(bits(&dec.preview()), bits(&lod));
+        let frontier = decode_occupancy_frontier(stream.clone(), tree.cube()).unwrap();
+        assert_eq!(bits(&frontier), bits(&lod));
 
         // One level deeper than any octree, where a cell's code would no
         // longer fit in 63 bits.
@@ -619,11 +483,9 @@ mod tests {
         deeper[0] = depth + 1;
         deeper.push(1);
         assert_eq!(
-            decode_occupancy(Bytes::from(deeper.clone()), tree.cube()).unwrap_err(),
+            decode_occupancy(Bytes::from(deeper), tree.cube()).unwrap_err(),
             DecodeError::BadHeader
         );
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        assert_eq!(dec.push(&deeper).unwrap_err(), DecodeError::BadHeader);
     }
 
     #[test]
@@ -685,58 +547,5 @@ mod tests {
             depth,
         };
         assert_eq!(frame.decode(&cube).unwrap_err(), DecodeError::Truncated);
-    }
-
-    #[test]
-    fn progressive_previews_refine_monotonically() {
-        let tree = body_tree(5);
-        let stream = encode_occupancy(&tree, 5);
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        let mut sizes = vec![dec.preview().len()];
-        for chunk in stream.chunks(16) {
-            dec.push(chunk).unwrap();
-            sizes.push(dec.preview().len());
-        }
-        // Preview size is non-decreasing as bytes arrive (each byte expands
-        // one cell into >= 1 children).
-        for w in sizes.windows(2) {
-            assert!(w[1] >= w[0], "preview shrank: {sizes:?}");
-        }
-        // The level-complete counts match the tree occupancies.
-        assert_eq!(*sizes.last().unwrap(), tree.occupied_at_depth(5));
-    }
-
-    #[test]
-    fn progressive_mid_level_preview_counts() {
-        let tree = body_tree(3);
-        let stream = encode_occupancy(&tree, 3);
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        // Header + root byte: level 1 complete.
-        dec.push(&stream[..2]).unwrap();
-        assert_eq!(dec.completed_levels(), 1);
-        assert_eq!(dec.preview().len(), tree.occupied_at_depth(1));
-        assert!(!dec.is_complete());
-        // Rest of the stream.
-        dec.push(&stream[2..]).unwrap();
-        assert!(dec.is_complete());
-    }
-
-    #[test]
-    fn progressive_rejects_bad_streams() {
-        let tree = body_tree(3);
-        // Zero depth header.
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        assert_eq!(dec.push(&[0u8]).unwrap_err(), DecodeError::BadHeader);
-        // Zero occupancy byte.
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        assert!(matches!(
-            dec.push(&[3u8, 0u8]).unwrap_err(),
-            DecodeError::EmptyNodeByte { offset: 1 }
-        ));
-        // Trailing bytes after completion.
-        let stream = encode_occupancy(&tree, 3);
-        let mut dec = ProgressiveDecoder::new(tree.cube());
-        dec.push(&stream).unwrap();
-        assert_eq!(dec.push(&[0xff]).unwrap_err(), DecodeError::Truncated);
     }
 }

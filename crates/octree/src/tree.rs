@@ -1,4 +1,4 @@
-//! Core octree structure and construction.
+//! Octree construction, and the octree as its codec columns.
 //!
 //! Construction is a flat Morton pipeline (see [`OctreeBuilder`]): points
 //! are Morton-coded into flat scratch buffers (a packed `code | index`
@@ -8,22 +8,17 @@
 //! points for the leaf level and one O(nodes) pass per internal level,
 //! instead of re-scanning the point range of every node at every depth.
 //!
-//! Node storage splits hot from cold ([`NodeArena`]): the mostly-empty
-//! child-link table is a structure-of-arrays `Vec<u32>` the allocator hands
-//! out as untouched zero pages (sentinel 0 = unoccupied), the numeric
-//! payload (count, position sum, color sums) is one 56-byte row per node —
-//! a single cache line — written exactly once during the bottom-up
-//! aggregation, and a one-byte-per-node column holds each node's occupancy
-//! byte. [`NodeView`] presents the classic node interface over all three,
-//! so queries and traversal are unaffected by the layout. LoD extraction,
-//! diffing and occupancy/attribute coding read the columns directly: the
-//! arena is breadth-first with every level in Morton order, which is the
-//! order of the streams.
+//! An [`Octree`] keeps only what the codec and the LoD read: each node's
+//! occupancy byte and its mean colour, 4 bytes per node. Nodes are numbered
+//! breadth-first with every level in Morton order, which is the order of
+//! the occupancy and attribute streams, so each column is the body of its
+//! stream: encoding copies a slice, and the LoD walk reads one byte per
+//! node above its depth. The point counts and colour sums the means are
+//! rounded from stay in the builder as scratch for the next frame.
 
 use arvis_par as par;
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
-use arvis_pointcloud::color::Color;
 use arvis_pointcloud::math::Vec3;
 use arvis_pointcloud::morton;
 use arvis_pointcloud::point::Point;
@@ -104,113 +99,26 @@ impl Default for OctreeConfig {
     }
 }
 
-/// Identifier of a node within its [`Octree`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) u32);
-
-impl NodeId {
-    /// The root node's id.
-    pub const ROOT: NodeId = NodeId(0);
-
-    /// The arena index of this node.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The per-node numeric aggregates: one 56-byte row (a single cache line)
-/// written exactly once during the bottom-up aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct NodePayload {
-    count: u64,
-    pos_sum: Vec3,
-    color_sum: [u64; 3],
-}
-
-/// Hybrid node storage.
+/// A sparse octree over a point cloud, kept as its codec columns.
 ///
-/// The child-link table is kept apart from the numeric payload: links are
-/// mostly empty (stored as `arena_index + 1`, `0` = octant unoccupied), so
-/// their vector comes straight from the allocator's zero pages and only the
-/// occupied octants are ever written; the payload rows pack each node's
-/// aggregates into one cache line for the bottom-up sweeps.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct NodeArena {
-    /// `children[8*i + octant]` = child arena index **plus one**; 0 = none.
-    children: Vec<u32>,
-    /// `occupancy[i]` = node `i`'s occupancy byte (bit `o` set when octant
-    /// `o` has a child; 0 for leaves), filled by the link phase from the
-    /// octants it links. In arena order it is the occupancy stream itself:
-    /// the walks and the encoder read one byte per node here instead of
-    /// eight links.
-    occupancy: Vec<u8>,
-    payload: Vec<NodePayload>,
-}
-
-impl NodeArena {
-    fn with_len(total: usize) -> NodeArena {
-        NodeArena {
-            children: vec![0; total * 8],
-            occupancy: vec![0; total],
-            payload: vec![NodePayload::default(); total],
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    pub(crate) fn child(&self, node: usize, octant: usize) -> Option<u32> {
-        let c = self.children[node * 8 + octant];
-        (c != 0).then(|| c - 1)
-    }
-
-    /// The occupancy column: one byte per node, in arena order.
-    pub(crate) fn occupancy(&self) -> &[u8] {
-        &self.occupancy
-    }
-
-    pub(crate) fn count(&self, node: usize) -> u64 {
-        self.payload[node].count
-    }
-
-    pub(crate) fn color_sum(&self, node: usize) -> [u64; 3] {
-        self.payload[node].color_sum
-    }
-
-    pub(crate) fn mean_position(&self, node: usize) -> Vec3 {
-        self.payload[node].pos_sum / self.count(node) as f64
-    }
-
-    /// The mean color, each channel rounded half up: `⌊(2s + n) / 2n⌋` for
-    /// channel sum `s` over `n` points, in integers. This is exactly
-    /// `(s as f64 / n as f64).round()`: the float quotient is within
-    /// 2⁻⁴⁵ of `s/n`, and `s/n` is either a half-integer (which the quotient
-    /// represents exactly) or at least `1/2n` from one, so both round to the
-    /// same side whenever `n < 2⁴⁴` (a tree holds at most 2³² points).
-    pub(crate) fn mean_color(&self, node: usize) -> Color {
-        let n = self.count(node);
-        let c = self.color_sum(node);
-        let mean = |s: u64| ((2 * s + n) / (2 * n)) as u8;
-        Color::new(mean(c[0]), mean(c[1]), mean(c[2]))
-    }
-}
-
-/// A sparse octree over a point cloud.
-///
-/// Every internal node aggregates the number of contained points, their
-/// position sum and color sums, so any depth can be rendered without
-/// revisiting the input points. Nodes live in a hybrid arena
-/// (`NodeArena`, private) in breadth-first order: levels are contiguous,
-/// nodes within a level are in Morton order.
+/// Nodes are numbered breadth-first: levels are contiguous, and nodes
+/// within a level are in Morton order. Per node the tree keeps its
+/// occupancy byte (bit `o` set when octant `o` is occupied; leaves have
+/// none) and the mean colour of its points, rounded once at build time, so
+/// any depth can be encoded or rendered without revisiting the input
+/// points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Octree {
-    pub(crate) arena: NodeArena,
-    /// First arena index of each level: `level_starts[d] .. level_starts[d+1]`
-    /// are the depth-`d` nodes. Has `max_depth + 2` entries.
-    pub(crate) level_starts: Vec<u32>,
     cube: Aabb,
-    max_depth: u8,
+    /// `level_starts[d] .. level_starts[d + 1]` are the depth-`d` nodes.
+    /// Has `max_depth + 2` entries.
+    level_starts: Vec<u32>,
+    /// One occupancy byte per internal node, in node order: the body of the
+    /// occupancy stream.
+    occupancy: Vec<u8>,
+    /// `r g b` per node, in node order: each level's bytes are the body of
+    /// its attribute stream.
+    colors: Vec<u8>,
     point_count: u64,
 }
 
@@ -227,8 +135,8 @@ impl Octree {
     ///
     /// # Panics
     ///
-    /// Panics when the cloud holds more than `u32::MAX` points (the arena
-    /// addresses points and nodes with 32-bit indices).
+    /// Panics when the cloud holds more than `u32::MAX` points (nodes and
+    /// points are addressed with 32-bit indices).
     pub fn build(cloud: &PointCloud, config: &OctreeConfig) -> Result<Octree, OctreeError> {
         OctreeBuilder::new().build(cloud, config)
     }
@@ -244,7 +152,7 @@ impl Octree {
 
     /// The maximum (leaf) depth.
     pub fn max_depth(&self) -> u8 {
-        self.max_depth
+        (self.level_starts.len() - 2) as u8
     }
 
     /// Number of input points.
@@ -254,7 +162,7 @@ impl Octree {
 
     /// Total number of nodes in the tree (all levels).
     pub fn node_count(&self) -> usize {
-        self.arena.len()
+        self.colors.len() / 3
     }
 
     /// Number of occupied voxels (nodes) at `depth`.
@@ -267,58 +175,30 @@ impl Octree {
     /// Panics when `depth > max_depth`.
     pub fn occupied_at_depth(&self, depth: u8) -> usize {
         assert!(
-            depth <= self.max_depth,
+            depth <= self.max_depth(),
             "depth {depth} exceeds max depth {}",
-            self.max_depth
+            self.max_depth()
         );
-        let d = depth as usize;
-        (self.level_starts[d + 1] - self.level_starts[d]) as usize
+        self.level_rows(depth).len()
     }
 
-    /// A view of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is out of range.
-    pub fn node(&self, id: NodeId) -> NodeView<'_> {
-        assert!(id.index() < self.arena.len(), "node id out of range");
-        NodeView {
-            tree: self,
-            id,
-            depth: self.depth_of(id),
-        }
-    }
-
-    pub(crate) fn depth_of(&self, id: NodeId) -> u8 {
-        let idx = id.0;
-        // level_starts is sorted; find the level containing idx.
-        match self.level_starts.binary_search(&idx) {
-            Ok(level) => {
-                // idx is the first node of `level`... but trailing empty
-                // levels share the same start; pick the first matching level.
-                let mut l = level;
-                while l > 0 && self.level_starts[l - 1] == idx {
-                    l -= 1;
-                }
-                l as u8
-            }
-            Err(insertion) => (insertion - 1) as u8,
-        }
-    }
-
-    /// Ids of all nodes at `depth`, in Morton (breadth-first) order.
-    pub fn nodes_at_depth(&self, depth: u8) -> impl Iterator<Item = NodeId> + '_ {
-        assert!(depth <= self.max_depth, "depth out of range");
-        self.level_rows(depth).map(|row| NodeId(row as u32))
-    }
-
-    /// Arena rows of the depth-`depth` nodes. The arena is breadth-first
-    /// with every level in Morton order, which is the order of the occupancy
-    /// and attribute streams: row `i` is occupancy byte `i` (after the
-    /// header), and the rows of the LoD depth are its attribute triples.
-    pub(crate) fn level_rows(&self, depth: u8) -> std::ops::Range<usize> {
+    /// The numbers of the depth-`depth` nodes. Node `i` owns occupancy
+    /// byte `i` of the stream (after the header), and the nodes of the LoD
+    /// depth own its attribute triples, in order.
+    fn level_rows(&self, depth: u8) -> std::ops::Range<usize> {
         let d = usize::from(depth);
         self.level_starts[d] as usize..self.level_starts[d + 1] as usize
+    }
+
+    /// The occupancy bytes of every node above `depth`, in node order.
+    pub(crate) fn occupancy_above(&self, depth: u8) -> &[u8] {
+        &self.occupancy[..self.level_rows(depth).start]
+    }
+
+    /// The mean colours of the depth-`depth` nodes, `r g b` per node.
+    pub(crate) fn colors_at(&self, depth: u8) -> &[u8] {
+        let rows = self.level_rows(depth);
+        &self.colors[3 * rows.start..3 * rows.end]
     }
 
     /// Edge length of a voxel at `depth`.
@@ -328,10 +208,9 @@ impl Octree {
 }
 
 /// Chunk size for the point- and node-parallel phases, and the node
-/// threshold under which the split-recursive linking phase stops forking.
-/// Fixed constants (never derived from the worker count) so every phase
-/// observes an identical work decomposition — and therefore produces
-/// bit-identical floating-point sums — in serial and parallel builds.
+/// threshold under which the split-recursive aggregation stops forking.
+/// Fixed constants (never derived from the worker count), so every phase
+/// splits its work the same way in serial and parallel builds.
 const POINT_CHUNK: usize = 1 << 13;
 const NODE_CHUNK: usize = 1 << 9;
 const NODE_SPLIT_THRESHOLD: usize = 1 << 11;
@@ -390,13 +269,34 @@ impl CodeIdx for (u64, u32) {
     }
 }
 
+/// A node's point count and colour channel sums: build scratch, of which
+/// the tree keeps only the rounded mean.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSums {
+    count: u64,
+    color: [u64; 3],
+}
+
+impl NodeSums {
+    /// The mean colour, each channel rounded half up: `⌊(2s + n) / 2n⌋` for
+    /// channel sum `s` over `n` points, in integers. This is exactly
+    /// `(s as f64 / n as f64).round()`: the float quotient is within
+    /// 2⁻⁴⁵ of `s/n`, and `s/n` is either a half-integer (which the quotient
+    /// represents exactly) or at least `1/2n` from one, so both round to the
+    /// same side whenever `n < 2⁴⁴` (a tree holds at most 2³² points).
+    fn mean_color(&self) -> [u8; 3] {
+        let n = self.count;
+        self.color.map(|s| ((2 * s + n) / (2 * n)) as u8)
+    }
+}
+
 /// Reusable octree construction pipeline.
 ///
 /// Holds the flat scratch buffers (packed/wide code-index words, radix
-/// ping-pong buffers, per-level boundary and octant lists) so a streaming
-/// pipeline that builds one octree per frame pays the allocations once, not
-/// per slot. [`Octree::build`] is a convenience wrapper creating a fresh
-/// builder per call.
+/// ping-pong buffers, per-level boundary and octant lists, per-node sums)
+/// so a streaming pipeline that builds one octree per frame pays the
+/// allocations once, not per slot. [`Octree::build`] is a convenience
+/// wrapper creating a fresh builder per call.
 ///
 /// # Pipeline
 ///
@@ -408,26 +308,35 @@ impl CodeIdx for (u64, u32) {
 /// 3. **Boundary derivation**: leaf-range starts are the positions where
 ///    the sorted code changes; each shallower level's starts are the subset
 ///    where the shorter prefix changes — O(total nodes) overall. Each
-///    node's octant bits are extracted here, so linking never revisits the
-///    code array.
-/// 4. **Aggregation** (parallel over nodes): each leaf sums its point
-///    range, reading every input point exactly once through its sorted
-///    code-index word; every internal node then sums its children's rows —
-///    prefix-sum reuse that replaces the seed algorithm's O(n·depth)
-///    re-scan with O(n + total nodes) work, writing each arena row exactly
-///    once.
+///    node's octant bits are extracted here, so aggregation never revisits
+///    the code array.
+/// 4. **Aggregation** (parallel over nodes): each leaf counts its point
+///    range and sums its colours, reading every input point exactly once
+///    through its sorted code-index word; every internal node then adds up
+///    its children's sums and sets their octants in its occupancy byte —
+///    O(n + total nodes) work instead of the seed algorithm's O(n·depth)
+///    re-scan. Last, every node's mean colour is rounded into the tree; the
+///    sums stay behind in the builder.
 #[derive(Debug, Default)]
 pub struct OctreeBuilder {
     packed: Vec<u64>,
     packed_scratch: Vec<u64>,
     wide: Vec<(u64, u32)>,
     wide_scratch: Vec<(u64, u32)>,
-    /// `level_bounds[d]` = start index (into the sorted order) of every
-    /// depth-`d` node, ascending. Entry 0 is always 0.
-    level_bounds: Vec<Vec<u32>>,
-    /// `level_octants[d][i]` = octant of node `i` within its parent.
-    level_octants: Vec<Vec<u8>>,
+    levels: Levels,
+}
+
+/// The builder's scratch that does not depend on the code representation.
+#[derive(Debug, Default)]
+struct Levels {
+    /// `bounds[d]` = start index (into the sorted order) of every depth-`d`
+    /// node, ascending. Entry 0 is always 0.
+    bounds: Vec<Vec<u32>>,
+    /// `octants[d][i]` = octant of node `i` within its parent.
+    octants: Vec<Vec<u8>>,
     first_child: Vec<u32>,
+    /// Per node, in node order.
+    sums: Vec<NodeSums>,
 }
 
 impl OctreeBuilder {
@@ -444,8 +353,8 @@ impl OctreeBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the cloud holds more than `u32::MAX` points (the arena
-    /// addresses points and nodes with 32-bit indices).
+    /// Panics when the cloud holds more than `u32::MAX` points (nodes and
+    /// points are addressed with 32-bit indices).
     pub fn build(
         &mut self,
         cloud: &PointCloud,
@@ -488,72 +397,59 @@ impl OctreeBuilder {
                 .expect("non-empty cloud has an aabb")
                 .bounding_cube(),
         };
-        let max_depth = config.max_depth;
-
-        // Shared quantizer with `VoxelGrid::key_of`, so octree voxel
-        // assignment is bit-identical to the brute-force voxelizer over the
-        // same cube.
-        let cells = 1u64 << max_depth; // cells per axis
-        let min = cube.min();
-        let scale = morton::grid_scale(cube.max_extent(), cells);
-        let code_of = move |p: Vec3| -> u64 {
-            morton::encode(
-                morton::grid_cell(p.x, min.x, scale, cells),
-                morton::grid_cell(p.y, min.y, scale, cells),
-                morton::grid_cell(p.z, min.z, scale, cells),
-            )
-        };
-
-        let (arena, level_starts) = if 3 * u32::from(max_depth) <= 30 {
-            build_pipeline::<u64, _>(
+        Ok(if 3 * u32::from(config.max_depth) <= 30 {
+            build_pipeline(
                 &mut self.packed,
                 &mut self.packed_scratch,
-                &mut self.level_bounds,
-                &mut self.level_octants,
-                &mut self.first_child,
+                &mut self.levels,
                 points,
-                code_of,
-                max_depth,
+                cube,
+                config.max_depth,
             )
         } else {
-            build_pipeline::<(u64, u32), _>(
+            build_pipeline(
                 &mut self.wide,
                 &mut self.wide_scratch,
-                &mut self.level_bounds,
-                &mut self.level_octants,
-                &mut self.first_child,
+                &mut self.levels,
                 points,
-                code_of,
-                max_depth,
+                cube,
+                config.max_depth,
             )
-        };
-
-        Ok(Octree {
-            arena,
-            level_starts,
-            cube,
-            max_depth,
-            point_count: points.len() as u64,
         })
     }
 }
 
 /// Phases 1–4 of the build (see [`OctreeBuilder`]), generic over the
 /// code-index representation.
-#[allow(clippy::too_many_arguments)]
-fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
+fn build_pipeline<E: CodeIdx>(
     items: &mut Vec<E>,
     sort_scratch: &mut Vec<E>,
-    level_bounds: &mut Vec<Vec<u32>>,
-    level_octants: &mut Vec<Vec<u8>>,
-    first_child: &mut Vec<u32>,
+    levels: &mut Levels,
     points: &[Point],
-    code_of: F,
+    cube: Aabb,
     max_depth: u8,
-) -> (NodeArena, Vec<u32>) {
+) -> Octree {
     let n = points.len();
+    let Levels {
+        bounds,
+        octants,
+        first_child,
+        sums,
+    } = levels;
 
-    // Phase 1: Morton-code every point at max depth (parallel).
+    // Phase 1: Morton-code every point at max depth (parallel), with the
+    // quantizer of `VoxelGrid::key_of`, so octree voxel assignment is
+    // bit-identical to the brute-force voxelizer over the same cube.
+    let cells = 1u64 << max_depth; // cells per axis
+    let min = cube.min();
+    let scale = morton::grid_scale(cube.max_extent(), cells);
+    let code_of = |p: Vec3| -> u64 {
+        morton::encode(
+            morton::grid_cell(p.x, min.x, scale, cells),
+            morton::grid_cell(p.y, min.y, scale, cells),
+            morton::grid_cell(p.z, min.z, scale, cells),
+        )
+    };
     items.clear();
     items.resize(n, E::default());
     par::for_each_chunk_mut(items, POINT_CHUNK, |ci, out| {
@@ -572,12 +468,12 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
     // depth-d node starts wherever the 3d-bit prefix of the sorted codes
     // changes, so level d's starts are a subset of level d+1's.
     let d_max = usize::from(max_depth);
-    level_bounds.resize_with(d_max + 1, Vec::new);
-    level_octants.resize_with(d_max + 1, Vec::new);
-    for b in level_bounds.iter_mut() {
+    bounds.resize_with(d_max + 1, Vec::new);
+    octants.resize_with(d_max + 1, Vec::new);
+    for b in bounds.iter_mut() {
         b.clear();
     }
-    for o in level_octants.iter_mut() {
+    for o in octants.iter_mut() {
         o.clear();
     }
     {
@@ -596,18 +492,16 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
                 }
                 (starts, octs)
             });
-        let leaf = &mut level_bounds[d_max];
-        let leaf_octs = &mut level_octants[d_max];
         for (mut s, mut o) in leaf_parts {
-            leaf.append(&mut s);
-            leaf_octs.append(&mut o);
+            bounds[d_max].append(&mut s);
+            octants[d_max].append(&mut o);
         }
     }
     for d in (0..d_max).rev() {
         let shift = 3 * (d_max - d) as u32;
-        let (shallow, deep) = level_bounds.split_at_mut(d + 1);
+        let (shallow, deep) = bounds.split_at_mut(d + 1);
         let (dst, src) = (&mut shallow[d], &deep[0]);
-        let dst_octs = &mut level_octants[d];
+        let dst_octs = &mut octants[d];
         let mut prev_prefix = u64::MAX;
         for &start in src.iter() {
             let prefix = items[start as usize].code() >> shift;
@@ -619,55 +513,53 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
         }
     }
 
-    // Phase 4: allocate the arena (children come from zero pages; payload
-    // rows are written exactly once below) and aggregate bottom-up.
+    // Phase 4: number the nodes level by level, then aggregate bottom-up.
     let mut level_starts = Vec::with_capacity(d_max + 2);
     let mut total = 0usize;
-    for b in level_bounds.iter() {
-        // The arena addresses nodes with u32 links (stored +1), so the
-        // node total must fit u32 even though the count accumulates in
-        // usize.
-        level_starts.push(u32::try_from(total).expect("node count exceeds u32 arena limit"));
+    for b in bounds.iter() {
+        // Nodes are numbered with u32, so the node total must fit u32 even
+        // though the count accumulates in usize.
+        level_starts.push(u32::try_from(total).expect("node count exceeds u32 limit"));
         total += b.len();
     }
-    level_starts.push(u32::try_from(total).expect("node count exceeds u32 arena limit"));
-    let mut arena = NodeArena::with_len(total);
+    level_starts.push(u32::try_from(total).expect("node count exceeds u32 limit"));
+    sums.clear();
+    sums.resize(total, NodeSums::default());
 
     // Leaf level: one pass over the sorted order, reading each input point
     // exactly once through its code-index word (parallel over fixed node
-    // chunks; each node's range is summed serially, so sums do not depend
-    // on the decomposition).
+    // chunks).
     {
-        let bounds = &level_bounds[d_max];
+        let leaf_bounds = &bounds[d_max];
         let leaf_base = level_starts[d_max] as usize;
-        par::for_each_chunk_mut(&mut arena.payload[leaf_base..], NODE_CHUNK, |ci, chunk| {
+        par::for_each_chunk_mut(&mut sums[leaf_base..], NODE_CHUNK, |ci, chunk| {
             let base = ci * NODE_CHUNK;
-            for (k, row) in chunk.iter_mut().enumerate() {
+            for (k, node) in chunk.iter_mut().enumerate() {
                 let ni = base + k;
-                let lo = bounds[ni] as usize;
-                let hi = bounds.get(ni + 1).map_or(n, |&b| b as usize);
-                let mut agg = NodePayload {
-                    count: (hi - lo) as u64,
-                    ..NodePayload::default()
-                };
+                let lo = leaf_bounds[ni] as usize;
+                let hi = leaf_bounds.get(ni + 1).map_or(n, |&b| b as usize);
+                let mut color = [0u64; 3];
                 for item in &items[lo..hi] {
-                    let p = &points[item.idx() as usize];
-                    agg.pos_sum += p.position;
-                    agg.color_sum[0] += u64::from(p.color.r);
-                    agg.color_sum[1] += u64::from(p.color.g);
-                    agg.color_sum[2] += u64::from(p.color.b);
+                    let c = points[item.idx() as usize].color;
+                    color[0] += u64::from(c.r);
+                    color[1] += u64::from(c.g);
+                    color[2] += u64::from(c.b);
                 }
-                *row = agg;
+                *node = NodeSums {
+                    count: (hi - lo) as u64,
+                    color,
+                };
             }
         });
     }
 
-    // Internal levels: sums are reused from the level below (each parent
-    // adds its children's rows), and child links come from the octants
-    // recorded during boundary derivation.
+    // Internal levels: each parent adds up its children's sums, which come
+    // from the level below, and sets their octants, recorded during
+    // boundary derivation, in its occupancy byte.
+    let mut occupancy = vec![0u8; level_starts[d_max] as usize];
     for d in (0..d_max).rev() {
-        let parent_bounds = &level_bounds[d];
-        let child_bounds = &level_bounds[d + 1];
+        let parent_bounds = &bounds[d];
+        let child_bounds = &bounds[d + 1];
         // first_child[i] = index (into child_bounds) of parent i's first
         // child. Parents' starts are a subset of children's, so one merged
         // scan suffices.
@@ -685,172 +577,107 @@ fn build_pipeline<E: CodeIdx, F: Fn(Vec3) -> u64 + Sync>(
 
         let parent_base = level_starts[d] as usize;
         let child_base = level_starts[d + 1] as usize;
-        let child_count = child_bounds.len();
-        // Split the arena at the child level boundary: parents mutate
-        // their rows, links and occupancy bytes; children's rows are
-        // read-only.
-        let (parent_payload, child_payload) = arena.payload.split_at_mut(child_base);
-        link_level_split(
-            &mut parent_payload[parent_base..],
-            &mut arena.children[parent_base * 8..child_base * 8],
-            &mut arena.occupancy[parent_base..child_base],
+        // Split the sums at the child level: parents write theirs, the
+        // children's are read-only.
+        let (parent_sums, child_sums) = sums.split_at_mut(child_base);
+        aggregate_level(
+            &mut parent_sums[parent_base..],
+            &mut occupancy[parent_base..child_base],
             0,
-            &child_payload[..child_count],
-            &level_octants[d + 1],
+            &child_sums[..child_bounds.len()],
+            &octants[d + 1],
             first_child,
-            child_base as u32,
             par::workers(),
         );
     }
 
-    (arena, level_starts)
+    let sums = &sums[..];
+    let mut colors = vec![0u8; 3 * total];
+    par::for_each_chunk_mut(&mut colors, 3 * NODE_CHUNK, |ci, chunk| {
+        for (rgb, node) in chunk.chunks_exact_mut(3).zip(&sums[ci * NODE_CHUNK..]) {
+            rgb.copy_from_slice(&node.mean_color());
+        }
+    });
+
+    Octree {
+        cube,
+        level_starts,
+        occupancy,
+        colors,
+        point_count: n as u64,
+    }
 }
 
-/// Aggregates one internal level: every parent sums its children's payload
-/// rows and records their links and its occupancy byte. Split-recursive so
-/// the payload, link and occupancy columns advance in lockstep without
-/// interior mutability; the midpoint decomposition is data-sized, so
-/// results are identical for any worker count. `forks` bounds the
-/// live-thread fan-out at ~`workers()` (halved per split) without affecting
-/// the decomposition.
-#[allow(clippy::too_many_arguments)]
-fn link_level_split(
-    payload: &mut [NodePayload],
-    links: &mut [u32],
+/// Aggregates one internal level: every parent adds up its children's
+/// sums and sets their octants in its occupancy byte. Split-recursive so
+/// the sum and occupancy columns advance in lockstep without interior
+/// mutability; the midpoint decomposition is data-sized, so results are
+/// identical for any worker count. `forks` bounds the live-thread fan-out
+/// at ~`workers()` (halved per split) without affecting the decomposition.
+fn aggregate_level(
+    sums: &mut [NodeSums],
     occupancy: &mut [u8],
     node_base: usize,
-    child_payload: &[NodePayload],
+    child_sums: &[NodeSums],
     child_octants: &[u8],
     first_child: &[u32],
-    child_arena_base: u32,
     forks: usize,
 ) {
-    let len = payload.len();
+    let len = sums.len();
     if len > NODE_SPLIT_THRESHOLD && forks > 1 {
         let mid = len / 2;
-        let (p_l, p_r) = payload.split_at_mut(mid);
-        let (l_l, l_r) = links.split_at_mut(mid * 8);
+        let (s_l, s_r) = sums.split_at_mut(mid);
         let (o_l, o_r) = occupancy.split_at_mut(mid);
         par::join(
             || {
-                link_level_split(
-                    p_l,
-                    l_l,
+                let forks = forks / 2;
+                aggregate_level(
+                    s_l,
                     o_l,
                     node_base,
-                    child_payload,
+                    child_sums,
                     child_octants,
                     first_child,
-                    child_arena_base,
-                    forks / 2,
+                    forks,
                 )
             },
             || {
-                link_level_split(
-                    p_r,
-                    l_r,
+                let (base, forks) = (node_base + mid, forks - forks / 2);
+                aggregate_level(
+                    s_r,
                     o_r,
-                    node_base + mid,
-                    child_payload,
+                    base,
+                    child_sums,
                     child_octants,
                     first_child,
-                    child_arena_base,
-                    forks - forks / 2,
+                    forks,
                 )
             },
         );
         return;
     }
-    for k in 0..len {
+    for (k, (node, byte)) in sums.iter_mut().zip(occupancy).enumerate() {
         let pi = node_base + k;
-        let mut agg = NodePayload::default();
-        let mut byte = 0u8;
-        for c in first_child[pi]..first_child[pi + 1] {
-            let ci = c as usize;
-            let child = &child_payload[ci];
-            let octant = child_octants[ci];
-            // Stored as arena index + 1 (0 = unoccupied).
-            links[k * 8 + usize::from(octant)] = child_arena_base + c + 1;
-            byte |= 1 << octant;
+        let mut agg = NodeSums::default();
+        let mut bits = 0u8;
+        for c in first_child[pi] as usize..first_child[pi + 1] as usize {
+            let child = &child_sums[c];
+            bits |= 1 << child_octants[c];
             agg.count += child.count;
-            agg.pos_sum += child.pos_sum;
-            agg.color_sum[0] += child.color_sum[0];
-            agg.color_sum[1] += child.color_sum[1];
-            agg.color_sum[2] += child.color_sum[2];
+            agg.color[0] += child.color[0];
+            agg.color[1] += child.color[1];
+            agg.color[2] += child.color[2];
         }
-        payload[k] = agg;
-        occupancy[k] = byte;
-    }
-}
-
-/// A borrowed view of one octree node with its derived geometry.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeView<'a> {
-    tree: &'a Octree,
-    id: NodeId,
-    depth: u8,
-}
-
-impl<'a> NodeView<'a> {
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Depth of the node (root = 0).
-    pub fn depth(&self) -> u8 {
-        self.depth
-    }
-
-    /// Number of input points inside this node's voxel.
-    pub fn count(&self) -> u64 {
-        self.tree.arena.count(self.id.index())
-    }
-
-    /// Mean position of the contained points.
-    pub fn mean_position(&self) -> Vec3 {
-        self.tree.arena.mean_position(self.id.index())
-    }
-
-    /// Mean color of the contained points.
-    pub fn mean_color(&self) -> Color {
-        self.tree.arena.mean_color(self.id.index())
-    }
-
-    /// The child in `octant` (0..8, bit layout of
-    /// [`arvis_pointcloud::Aabb::octants`]), if occupied.
-    pub fn child(&self, octant: usize) -> Option<NodeView<'a>> {
-        assert!(octant < 8, "octant must be in 0..8");
-        self.tree
-            .arena
-            .child(self.id.index(), octant)
-            .map(|c| NodeView {
-                tree: self.tree,
-                id: NodeId(c),
-                depth: self.depth + 1,
-            })
-    }
-
-    /// Iterates over the occupied children.
-    pub fn children(&self) -> impl Iterator<Item = NodeView<'a>> + '_ {
-        (0..8).filter_map(move |o| self.child(o))
-    }
-
-    /// `true` when the node has no children (it is a max-depth leaf).
-    pub fn is_leaf(&self) -> bool {
-        self.occupancy_byte() == 0
-    }
-
-    /// The bitmask of occupied children (bit `i` = octant `i`).
-    pub fn occupancy_byte(&self) -> u8 {
-        self.tree.arena.occupancy()[self.id.index()]
+        *node = agg;
+        *byte = bits;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arvis_pointcloud::point::Point;
+    use crate::lod::LodMode;
+    use arvis_pointcloud::color::Color;
 
     fn unit_cloud() -> PointCloud {
         // Points at the eight corners (inset) of the unit cube, plus center.
@@ -865,6 +692,12 @@ mod tests {
         }
         c.push(Point::xyz_rgb(0.5, 0.5, 0.5, 255, 255, 255));
         c
+    }
+
+    /// The colours of the depth-`depth` LoD, in node order.
+    fn lod_colors(tree: &Octree, depth: u8) -> Vec<Color> {
+        let lod = tree.extract_lod(depth, LodMode::VoxelCenters);
+        lod.cloud.iter().map(|p| p.color).collect()
     }
 
     #[test]
@@ -896,13 +729,12 @@ mod tests {
 
     #[test]
     fn root_aggregates_everything() {
-        let cloud = unit_cloud();
-        let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(4)).unwrap();
-        let root = tree.node(NodeId::ROOT);
-        assert_eq!(root.count(), cloud.len() as u64);
-        assert_eq!(root.depth(), 0);
+        let tree = Octree::build(&unit_cloud(), &OctreeConfig::with_max_depth(4)).unwrap();
         assert_eq!(tree.occupied_at_depth(0), 1);
         assert_eq!(tree.point_count(), 9);
+        // Red sums to 30·(0 + … + 7) + 255 = 1095 over 9 points; green and
+        // blue to 255.
+        assert_eq!(lod_colors(&tree, 0), [Color::new(122, 28, 28)]);
     }
 
     #[test]
@@ -930,36 +762,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_sum_to_parent_at_every_level() {
-        let cloud = unit_cloud();
-        let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(4)).unwrap();
-        for d in 0..4u8 {
-            for id in tree.nodes_at_depth(d).collect::<Vec<_>>() {
-                let v = tree.node(id);
-                if !v.is_leaf() {
-                    let child_sum: u64 = v.children().map(|c| c.count()).sum();
-                    assert_eq!(child_sum, v.count(), "count mismatch at node {id:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn depth_of_is_consistent() {
-        let tree = Octree::build(&unit_cloud(), &OctreeConfig::with_max_depth(4)).unwrap();
-        for d in 0..=4u8 {
-            for id in tree.nodes_at_depth(d).collect::<Vec<_>>() {
-                assert_eq!(tree.depth_of(id), d);
-            }
-        }
-    }
-
-    #[test]
     fn occupancy_byte_reflects_children() {
         let tree = Octree::build(&unit_cloud(), &OctreeConfig::with_max_depth(2)).unwrap();
-        let root = tree.node(NodeId::ROOT);
-        assert_eq!(root.occupancy_byte(), 0xff, "all 8 octants occupied");
-        assert_eq!(root.children().count(), 8);
+        assert_eq!(tree.occupancy_above(1), [0xff], "all 8 octants occupied");
+        assert_eq!(tree.occupied_at_depth(1), 8);
     }
 
     #[test]
@@ -975,19 +781,16 @@ mod tests {
         .unwrap();
         for d in 0..=5 {
             assert_eq!(tree.occupied_at_depth(d), 1, "depth {d}");
+            assert_eq!(lod_colors(&tree, d), [Color::new(5, 6, 7)], "depth {d}");
         }
-        let leaf_id = tree.nodes_at_depth(5).next().unwrap();
-        let leaf = tree.node(leaf_id);
-        assert!(leaf.is_leaf());
-        assert_eq!(leaf.mean_color(), Color::new(5, 6, 7));
-        assert!(leaf.mean_position().distance(Vec3::splat(0.1)) < 1e-12);
+        assert_eq!(tree.node_count(), 6);
     }
 
     #[test]
     fn depth_zero_tree() {
         let tree = Octree::build(&unit_cloud(), &OctreeConfig::with_max_depth(0)).unwrap();
         assert_eq!(tree.node_count(), 1);
-        assert!(tree.node(NodeId::ROOT).is_leaf());
+        assert!(tree.occupancy_above(0).is_empty(), "the root is a leaf");
         assert_eq!(tree.occupied_at_depth(0), 1);
     }
 
@@ -1014,24 +817,19 @@ mod tests {
         c.push(Point::xyz_rgb(0.1, 0.1, 0.1, 0, 0, 0));
         c.push(Point::xyz_rgb(0.9, 0.9, 0.9, 200, 100, 50));
         let tree = Octree::build(&c, &OctreeConfig::with_max_depth(1)).unwrap();
-        assert_eq!(
-            tree.node(NodeId::ROOT).mean_color(),
-            Color::new(100, 50, 25)
-        );
+        assert_eq!(lod_colors(&tree, 0), [Color::new(100, 50, 25)]);
     }
 
     #[test]
     fn mean_color_rounds_like_the_float_quotient() {
         let float = |s: u64, n: u64| (s as f64 / n as f64).round() as u8;
-        let mut arena = NodeArena::with_len(1);
-        let mut check = |s: u64, n: u64| {
-            arena.payload[0] = NodePayload {
+        let check = |s: u64, n: u64| {
+            let sums = NodeSums {
                 count: n,
-                color_sum: [s, s / 2, s / 3],
-                ..NodePayload::default()
+                color: [s, s / 2, s / 3],
             };
-            let want = Color::new(float(s, n), float(s / 2, n), float(s / 3, n));
-            assert_eq!(arena.mean_color(0), want, "sum {s} over {n} points");
+            let want = [float(s, n), float(s / 2, n), float(s / 3, n)];
+            assert_eq!(sums.mean_color(), want, "sum {s} over {n} points");
         };
         // Every sum for small counts, and the sums around every
         // half-integer mean for large ones.
@@ -1062,8 +860,7 @@ mod tests {
         let cfg = OctreeConfig::with_max_depth(1).in_cube(cube);
         let t1 = Octree::build(&f1, &cfg).unwrap();
         let t2 = Octree::build(&f2, &cfg).unwrap();
-        let byte1 = t1.node(NodeId::ROOT).occupancy_byte();
-        let byte2 = t2.node(NodeId::ROOT).occupancy_byte();
+        let (byte1, byte2) = (t1.occupancy_above(1)[0], t2.occupancy_above(1)[0]);
         assert_eq!(byte1 & 0b1000_0000, byte2 & 0b1000_0000);
     }
 
@@ -1086,26 +883,21 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_column_matches_the_child_links() {
+    fn occupancy_column_matches_the_voxel_grids() {
         let cloud = arvis_pointcloud::synth::SynthBodyConfig::new(
             arvis_pointcloud::synth::SubjectProfile::Soldier,
         )
         .with_target_points(30_000)
         .with_seed(9)
         .generate();
-        // Deep enough that the link phase splits its levels across workers.
+        // Deep enough that aggregation splits its levels across workers.
         let cfg = OctreeConfig::with_max_depth(12);
         for tree in [
             Octree::build(&cloud, &cfg).unwrap(),
             par::serial_scope(|| Octree::build(&cloud, &cfg).unwrap()),
         ] {
-            let a = &tree.arena;
-            for row in 0..a.len() {
-                let from_links = (0..8)
-                    .filter(|&o| a.child(row, o).is_some())
-                    .fold(0u8, |byte, o| byte | (1 << o));
-                assert_eq!(a.occupancy()[row], from_links, "row {row}");
-            }
+            let grids = crate::reference::occupancy_from_grids(&cloud, tree.cube(), 12);
+            assert_eq!(tree.occupancy_above(12), grids);
         }
     }
 

@@ -2,13 +2,12 @@
 //!
 //! Generates the four synthetic 8i-like subjects, voxelizes them into the
 //! 1024³ grid of the original distribution, writes/reads binary PLY, and
-//! prints per-subject octree statistics.
+//! prints per-subject octree node and leaf counts.
 //!
 //! ```bash
 //! cargo run --release --example dataset_tools
 //! ```
 
-use arvis::octree::stats::OctreeStats;
 use arvis::octree::{Octree, OctreeConfig};
 use arvis::pointcloud::ply::{read_ply_file, write_ply_file, Encoding};
 use arvis::pointcloud::synth::{SubjectProfile, SynthBodyConfig, EIGHT_I_GRID_BITS};
@@ -19,8 +18,8 @@ fn main() {
     println!("writing PLY frames to {}\n", out_dir.display());
 
     println!(
-        "{:<12} {:>9} {:>10} {:>9} {:>10} {:>11}",
-        "subject", "sampled", "voxelized", "ply_kib", "octree_kib", "leaf_multi"
+        "{:<12} {:>9} {:>10} {:>9} {:>12} {:>9}",
+        "subject", "sampled", "voxelized", "ply_kib", "octree_nodes", "leaves"
     );
     for subject in SubjectProfile::ALL {
         // Sample the body surface, then voxelize into the 8i 1024³ grid.
@@ -45,16 +44,15 @@ fn main() {
         let ply_kib = std::fs::metadata(&path).expect("stat").len() / 1024;
 
         let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(8)).expect("octree");
-        let stats = OctreeStats::compute(&tree);
 
         println!(
-            "{:<12} {:>9} {:>10} {:>9} {:>10} {:>10.1}%",
+            "{:<12} {:>9} {:>10} {:>9} {:>12} {:>9}",
             subject.name(),
             cloud.len(),
             voxelized.len(),
             ply_kib,
-            stats.memory_estimate() / 1024,
-            100.0 * stats.leaf_multi_occupancy,
+            tree.node_count(),
+            tree.occupied_at_depth(8),
         );
     }
 
