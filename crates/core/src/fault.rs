@@ -163,9 +163,9 @@ pub struct DegradationGuardSpec {
     /// Aggregate-backlog threshold that also engages the guard
     /// (`f64::INFINITY` disables the backlog trigger).
     pub backlog_limit: f64,
-    /// Fraction of the fleet to shed when engaged, in `(0, 1]`; whole
-    /// lowest-weight groups are shed until at least
-    /// `ceil(shed_fraction · n)` sessions are covered.
+    /// Fraction of the fleet to shed when engaged, in `(0, 1]`: sessions at
+    /// or below the `⌈shed_fraction · n⌉`-th smallest weight are shed, where
+    /// `n` counts every id ever issued, dead and departed ones included.
     pub shed_fraction: f64,
     /// What shedding does to the selected demands.
     pub mode: ShedMode,
@@ -680,14 +680,13 @@ struct GuardState {
     spec: DegradationGuardSpec,
     ema: f64,
     engaged: bool,
-    shed: Vec<bool>,
     levels: Vec<f64>,
 }
 
 impl GuardState {
     /// Updates the engage/release hysteresis for this slot and, when
-    /// engaged, sheds the lowest-weight groups' demands. Returns the
-    /// number of sessions shed.
+    /// engaged, sheds every session at or below the threshold weight (see
+    /// [`DegradationGuardSpec::shed_fraction`]). Returns the number shed.
     fn shed(&mut self, backlog: f64, demands: &mut [f64], weights: Option<&[f64]>) -> u64 {
         let spec = self.spec;
         let over = self.ema >= spec.engage_above || backlog >= spec.backlog_limit;
@@ -704,30 +703,16 @@ impl GuardState {
         }
         let n = demands.len();
         let target = ((spec.shed_fraction * n as f64).ceil() as usize).clamp(1, n);
-        // Whole lowest-weight groups until the target is covered — chosen
-        // by weight *value*, so the set permutes with the sessions.
+        // The threshold is a weight *value*, so the shed set permutes with
+        // the sessions.
         let weight = |i: usize| weights.map_or(1.0, |w| w[i]);
-        self.levels.clear();
-        self.levels.extend((0..n).map(weight));
-        self.levels.sort_unstable_by(|a, b| a.total_cmp(b));
-        self.levels.dedup_by(|a, b| a.total_cmp(b).is_eq());
-        self.shed.clear();
-        self.shed.resize(n, false);
-        let mut covered = 0usize;
-        for level in self.levels.iter() {
-            for i in 0..n {
-                if weight(i).total_cmp(level).is_eq() {
-                    self.shed[i] = true;
-                    covered += 1;
-                }
-            }
-            if covered >= target {
-                break;
-            }
-        }
+        let levels = &mut self.levels;
+        levels.clear();
+        levels.extend((0..n).map(weight));
+        let threshold = *levels.select_nth_unstable_by(target - 1, f64::total_cmp).1;
         let mut count = 0u64;
         for (i, demand) in demands.iter_mut().enumerate() {
-            if self.shed[i] {
+            if weight(i).total_cmp(&threshold).is_le() {
                 match spec.mode {
                     ShedMode::Defer => *demand = 0.0,
                     ShedMode::Clamp { factor } => *demand *= factor,
@@ -827,7 +812,6 @@ impl FaultPlane {
                 spec,
                 ema: 0.0,
                 engaged: false,
-                shed: Vec::new(),
                 levels: Vec::new(),
             }),
             loss_scratch: Vec::new(),
@@ -884,10 +868,10 @@ impl FaultPlane {
         }
     }
 
-    /// Runs the degradation guard for this slot (no-op without one):
-    /// updates the hysteresis from the smoothed contended fraction and the
-    /// aggregate backlog, and sheds the selected demands. Returns the
-    /// number of sessions shed.
+    /// Runs the degradation guard for this slot (no-op without one): updates
+    /// the hysteresis from the smoothed contended fraction and the aggregate
+    /// backlog, and sheds what [`DegradationGuardSpec::shed_fraction`]
+    /// selects. Returns the number of sessions shed.
     pub fn shed(&mut self, backlog: f64, demands: &mut [f64], weights: Option<&[f64]>) -> u64 {
         let Some(guard) = self.guard.as_mut() else {
             return 0;

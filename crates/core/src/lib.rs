@@ -265,6 +265,8 @@ pub mod hash;
 pub mod json;
 pub mod ledger;
 pub mod pipeline;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 pub mod session;
 pub mod stream;

@@ -41,15 +41,15 @@
 //!
 //! Coupling sessions threatens the batch runtime's determinism contract,
 //! so every policy is written to be **order-invariant bit-for-bit**:
-//! aggregate sums are computed over value-sorted copies (permutation
-//! invariant), max-weight water-fills over descending-priority *groups*
-//! (ties share pro rata) instead of picking an arbitrary order within a
-//! tie, and α-fair derives its water level from permutation-invariant
-//! sums with pointwise capping. `tests/shared_uplink.rs` and
-//! `tests/uplink_adaptive.rs` pin the resulting invariants: per-slot
-//! conservation under a binding budget, session-order / chunk-size /
-//! serial-vs-parallel invariance for every policy, and
-//! [`UplinkPolicy::Unconstrained`] ≡ the uncoupled batch.
+//! aggregate sums add their nonzero operands in ascending value order from
+//! `+0.0` (permutation invariant; zeros change no bit, so dead ids cost no
+//! sort), max-weight water-fills over descending-priority *groups* (ties
+//! share pro rata) instead of picking an arbitrary order within a tie, and
+//! α-fair derives its water level from permutation-invariant sums with
+//! pointwise capping. `tests/shared_uplink.rs` and `tests/uplink_adaptive.rs`
+//! pin the resulting invariants: per-slot conservation under a binding
+//! budget, session-order / chunk-size / serial-vs-parallel invariance for
+//! every policy, and [`UplinkPolicy::Unconstrained`] ≡ the uncoupled batch.
 //!
 //! ## Uplink-aware `V` adaptation
 //!
@@ -106,16 +106,18 @@ use crate::scenario::Scenario;
 use crate::session::SessionBatch;
 use crate::telemetry::{CsvRow, SessionSummary, TelemetrySink};
 
-/// Sums `values` in ascending value order (scratch holds the sorted copy),
-/// so the total is bit-identical under any permutation of `values` —
-/// the primitive every aggregate in this module is built on. Shared with
-/// the fault plane (`crate::fault`), whose lost-grant aggregate keeps the
-/// same contract.
+/// Sums the nonzero `values` in ascending value order from `+0.0` (scratch
+/// holds the sorted copy), so the total is bit-identical under any
+/// permutation of `values` — the primitive every aggregate in this module
+/// is built on, shared with the fault plane's lost-grant aggregate.
+/// Skipping zeros of either sign is exact: a fold from `+0.0` never holds
+/// `−0.0`, so adding a zero anywhere changes no bit. With no nonzero
+/// operand, the empty sum included, the result is `+0.0`.
 pub(crate) fn invariant_sum(values: impl Iterator<Item = f64>, scratch: &mut Vec<f64>) -> f64 {
     scratch.clear();
-    scratch.extend(values);
+    scratch.extend(values.filter(|&v| v != 0.0));
     scratch.sort_unstable_by(|a, b| a.total_cmp(b));
-    scratch.iter().sum()
+    scratch.iter().fold(0.0, |sum, &v| sum + v)
 }
 
 /// A per-slot backhaul budget, evaluated as a pure function of the slot
@@ -603,7 +605,7 @@ impl UplinkPolicy {
     /// never exceeds `budget` beyond f64 rounding (each scarce slot
     /// performs one global scale, one scale per priority group, or one
     /// water-level multiply per session, so the accumulated error is a few
-    /// ulps). A zero budget yields exactly `+0.0` grants.
+    /// ulps). A zero budget of either sign yields exactly `+0.0` grants.
     ///
     /// # Contract
     ///
@@ -648,6 +650,8 @@ impl UplinkPolicy {
             "backlogs and demands must be parallel arrays"
         );
         assert!(!budget.is_nan() && budget >= 0.0, "bad budget {budget}");
+        // −0.0 + 0.0 = +0.0: no scale or water level below can be −0.0.
+        let budget = budget + 0.0;
         debug_assert!(
             backlogs.iter().all(|q| q.is_finite() && *q >= 0.0),
             "backlogs must be finite and non-negative: {backlogs:?}"
@@ -704,7 +708,11 @@ impl UplinkPolicy {
 /// lasts, the group where it runs dry shares the remainder pro rata to
 /// demand, and all lower-priority groups get zero. Order-invariant: groups
 /// are formed by priority *value*, their demand totals by value-sorted
-/// sums, and the in-group scale is one multiply per session.
+/// sums, and the in-group scale is one multiply per session. Sessions whose
+/// demand is exactly `+0.0` are not ordered: wherever they would rank, their
+/// grant is `+0.0` (it starts at the demand and is only zeroed or scaled by a
+/// finite `scale ≥ +0.0`, the budget never being `−0.0`), and they add
+/// nothing to their group's total.
 fn max_weight_fill(
     priorities: &[f64],
     demands: &[f64],
@@ -714,7 +722,7 @@ fn max_weight_fill(
     order: &mut Vec<usize>,
 ) {
     order.clear();
-    order.extend(0..priorities.len());
+    order.extend((0..priorities.len()).filter(|&i| demands[i].to_bits() != 0));
     order.sort_unstable_by(|&i, &j| priorities[j].total_cmp(&priorities[i]));
     let mut remaining = budget;
     let mut at = 0;
@@ -1033,7 +1041,7 @@ pub struct UplinkSlotStats {
     /// Sessions whose demand the degradation guard shed this slot
     /// (0 without a guard — see [`crate::fault`]).
     pub shed_sessions: u64,
-    /// Granted capacity destroyed by grant-loss faults this slot.
+    /// Granted capacity destroyed by grant-loss faults this slot (`+0.0` if none).
     pub lost: f64,
     /// Sessions down or dead after this slot.
     pub down_sessions: u64,
@@ -1593,9 +1601,12 @@ mod tests {
     #[test]
     fn zero_budget_grants_are_exactly_positive_zero() {
         // The zero-budget slot path: grants must be +0.0 bit-for-bit (not
-        // -0.0, not NaN) for every policy, including inside tie groups.
+        // -0.0, not NaN) for every policy, including inside tie groups, for
+        // a zero budget of either sign, called directly or per slot.
         let demands = [500.0, 0.0, 3.25, 1e9];
         let backlogs = [70.0, 70.0, 0.0, 1e12];
+        let positive_zeros = |grants: &[f64]| grants.iter().all(|g| g.to_bits() == 0);
+        let cfg = ExperimentConfig::new(profile(), 3_000.0, 5);
         for policy in [
             UplinkPolicy::ProportionalShare,
             UplinkPolicy::MaxWeightBacklog,
@@ -1608,17 +1619,61 @@ mod tests {
                 alpha: f64::INFINITY,
             },
         ] {
-            let mut grants = Vec::new();
-            policy.allocate(0.0, &backlogs, &demands, &mut grants);
-            for (i, g) in grants.iter().enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    0.0f64.to_bits(),
-                    "{} grant {i} is {g:?}, want +0.0",
+            for budget in [0.0, -0.0] {
+                let mut grants = Vec::new();
+                policy.allocate(budget, &backlogs, &demands, &mut grants);
+                assert!(
+                    positive_zeros(&grants),
+                    "{} budget {budget:?}: {grants:?}",
                     policy.name()
                 );
             }
+            let spec = UplinkSpec::with_profile(BudgetProfile::Constant(-0.0), policy.clone());
+            let scenario = Scenario::replicated(&cfg, ControllerSpec::OnlyMax, 4).with_uplink(spec);
+            let mut batch = crate::session::SessionBatch::summary_only(&scenario);
+            let mut uplink = SharedUplink::new(scenario.uplink.clone().unwrap());
+            while !batch.is_done() {
+                let stats = uplink.step_slot(&mut batch);
+                assert!(stats.contended);
+                assert!(
+                    positive_zeros(uplink.last_grants()) && stats.granted.to_bits() == 0,
+                    "{} slot {}: {:?}",
+                    policy.name(),
+                    stats.slot,
+                    uplink.last_grants()
+                );
+            }
         }
+    }
+
+    #[test]
+    fn lost_is_positive_zero_on_loss_free_slots() {
+        // The loss event draws every slot; where it takes nothing, `lost`
+        // is +0.0 bitwise, as on a plane without loss events.
+        let cfg = ExperimentConfig::new(profile(), 3_000.0, 200);
+        let scenario = Scenario::replicated(&cfg, ControllerSpec::OnlyMax, 3)
+            .with_uplink(UplinkSpec::new(5_000.0, UplinkPolicy::ProportionalShare));
+        let plan = crate::fault::FaultPlan::new().with_event(crate::fault::FaultEvent::GrantLoss {
+            session: 1,
+            p: 0.2,
+            seed: 3,
+        });
+        let mut batch = crate::session::SessionBatch::summary_only(&scenario);
+        let mut uplink = SharedUplink::with_fault(scenario.uplink.clone().unwrap(), &plan, 3);
+        let (mut lossy, mut loss_free) = (0, 0);
+        while !batch.is_done() {
+            let stats = uplink.step_slot(&mut batch);
+            if stats.lost > 0.0 {
+                lossy += 1;
+            } else {
+                assert_eq!(stats.lost.to_bits(), 0, "slot {}", stats.slot);
+                loss_free += 1;
+            }
+        }
+        assert!(
+            lossy > 0 && loss_free > 0,
+            "{lossy} lossy, {loss_free} loss-free"
+        );
     }
 
     #[cfg(debug_assertions)]
