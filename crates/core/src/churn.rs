@@ -40,8 +40,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::CrashPolicy;
-use crate::json::{self, JsonError, JsonValue, Pos};
-use crate::scenario::{ControllerSpec, Scenario, SessionSpec};
+use crate::json::{self, ensure, Codec, JsonError, JsonValue, Rules};
+#[cfg(test)]
+use crate::scenario::ControllerSpec;
+use crate::scenario::{Scenario, SessionSpec};
 use crate::session::SessionBatch;
 use crate::telemetry::{SummarySink, TelemetrySink};
 use crate::uplink::SharedUplink;
@@ -83,15 +85,15 @@ pub enum ChurnArrivalSpec {
 }
 
 impl ChurnArrivalSpec {
-    /// Reports parameter violations through `fail`, prefixed `"arrivals:"`.
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    /// The process's rule walk; messages start with `"arrivals:"`.
+    fn check(&self) -> Rules {
         match self {
             ChurnArrivalSpec::Poisson { lambda, .. } => {
-                if !(lambda.is_finite() && *lambda >= 0.0) {
-                    fail(format!(
+                ensure(lambda.is_finite() && *lambda >= 0.0, "lambda", || {
+                    format!(
                         "arrivals: poisson lambda must be finite and non-negative, got {lambda}"
-                    ));
-                }
+                    )
+                })
             }
             ChurnArrivalSpec::Mmpp2 {
                 lambda_low,
@@ -101,26 +103,31 @@ impl ChurnArrivalSpec {
                 ..
             } => {
                 for (name, rate) in [("lambda_low", lambda_low), ("lambda_high", lambda_high)] {
-                    if !(rate.is_finite() && *rate >= 0.0) {
-                        fail(format!(
+                    ensure(rate.is_finite() && *rate >= 0.0, name, || {
+                        format!(
                             "arrivals: mmpp2 {name} must be finite and non-negative, got {rate}"
-                        ));
-                    }
+                        )
+                    })?;
                 }
                 for (name, p) in [("switch_up", switch_up), ("switch_down", switch_down)] {
-                    if !(0.0..=1.0).contains(p) {
-                        fail(format!("arrivals: mmpp2 {name} must be in [0, 1], got {p}"));
-                    }
+                    ensure((0.0..=1.0).contains(p), name, || {
+                        format!("arrivals: mmpp2 {name} must be in [0, 1], got {p}")
+                    })?;
                 }
+                Ok(())
             }
-            ChurnArrivalSpec::Trace { counts } => {
-                if counts.is_empty() {
-                    fail("arrivals: need at least one traced join count".to_string());
-                }
-            }
+            ChurnArrivalSpec::Trace { counts } => ensure(!counts.is_empty(), "counts", || {
+                "arrivals: need at least one traced join count".to_string()
+            }),
         }
     }
 }
+
+json::codec!(ChurnArrivalSpec as "churn arrival type" {
+    Poisson "poisson" { lambda, seed },
+    Mmpp2 "mmpp2" { lambda_low, lambda_high, switch_up, switch_down, seed },
+    Trace "trace" { counts },
+});
 
 /// Per-session lifetime distribution. Every session — initial fleet and
 /// joiners alike — draws its lifetime as a pure function of the spec and
@@ -153,28 +160,20 @@ pub enum LifetimeSpec {
 }
 
 impl LifetimeSpec {
-    /// Reports parameter violations through `fail`, prefixed `"lifetime:"`.
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    /// The distribution's rule walk; messages start with `"lifetime:"`.
+    fn check(&self) -> Rules {
         match self {
-            LifetimeSpec::Fixed { slots } => {
-                if *slots == 0 {
-                    fail("lifetime: fixed lifetime must be at least 1 slot".to_string());
-                }
-            }
+            LifetimeSpec::Fixed { slots } => ensure(*slots > 0, "slots", || {
+                "lifetime: fixed lifetime must be at least 1 slot".to_string()
+            }),
             LifetimeSpec::Geometric { mean, .. } => {
-                if !(mean.is_finite() && *mean >= 1.0) {
-                    fail(format!(
-                        "lifetime: geometric mean must be finite and at least 1, got {mean}"
-                    ));
-                }
+                ensure(mean.is_finite() && *mean >= 1.0, "mean", || {
+                    format!("lifetime: geometric mean must be finite and at least 1, got {mean}")
+                })
             }
-            LifetimeSpec::Uniform { min, max, .. } => {
-                if *min == 0 || min > max {
-                    fail(format!(
-                        "lifetime: uniform lifetime needs 1 <= min <= max, got [{min}, {max}]"
-                    ));
-                }
-            }
+            LifetimeSpec::Uniform { min, max, .. } => ensure(*min > 0 && min <= max, "min", || {
+                format!("lifetime: uniform lifetime needs 1 <= min <= max, got [{min}, {max}]")
+            }),
         }
     }
 
@@ -203,6 +202,12 @@ impl LifetimeSpec {
         }
     }
 }
+
+json::codec!(LifetimeSpec as "churn lifetime type" {
+    Fixed "fixed" { slots },
+    Geometric "geometric" { mean, seed },
+    Uniform "uniform" { min, max, seed },
+});
 
 /// Declarative session churn, carried by
 /// [`crate::scenario::Scenario::churn`] (`"schema": 3`).
@@ -298,138 +303,59 @@ impl ChurnSpec {
     /// Panics on bad arrival/lifetime parameters, arrivals without a
     /// template or with `max_joins == 0`, a template / `max_joins` /
     /// `weight` without arrivals, a non-positive or non-finite weight, or
-    /// a template whose `uplink_v_adapt` lacks a proposed controller.
+    /// a template that breaks a session rule (such as an `uplink_v_adapt`
+    /// without a proposed controller).
     pub fn validate(&self) {
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking variant; from_json routes the same walk into positioned errors")
-        self.try_validate(&mut |msg| panic!("{msg}"))
+        json::enforce(self.check());
     }
 
-    /// The shared validation walk: every violation is reported through
-    /// `fail`, prefixed with the offending field name (panic for
-    /// [`ChurnSpec::validate`], positioned error for
-    /// [`ChurnSpec::from_json`]).
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    /// The spec's rule walk. Its own messages start with the offending
+    /// field's name; the template's rules are the session's
+    /// ([`SessionSpec`]'s walk), with the session's messages.
+    fn check(&self) -> Rules {
         if let Some(arrivals) = &self.arrivals {
-            arrivals.try_validate(fail);
-            if self.template.is_none() {
-                fail("arrivals: churn arrivals require a session template".to_string());
-            }
-            if self.max_joins == 0 {
-                fail("max_joins: churn arrivals require max_joins >= 1".to_string());
-            }
+            arrivals.check().map_err(|b| b.under("arrivals"))?;
+            ensure(self.template.is_some(), "arrivals", || {
+                "arrivals: churn arrivals require a session template".to_string()
+            })?;
+            ensure(self.max_joins > 0, "max_joins", || {
+                "max_joins: churn arrivals require max_joins >= 1".to_string()
+            })?;
         } else {
-            if self.template.is_some() {
-                fail("template: a churn template requires arrivals".to_string());
-            }
-            if self.max_joins > 0 {
-                fail("max_joins: max_joins without arrivals has no effect; omit it".to_string());
-            }
-            if self.weight.is_some() {
-                fail("weight: a churn weight requires arrivals".to_string());
-            }
+            ensure(self.template.is_none(), "template", || {
+                "template: a churn template requires arrivals".to_string()
+            })?;
+            ensure(self.max_joins == 0, "max_joins", || {
+                "max_joins: max_joins without arrivals has no effect; omit it".to_string()
+            })?;
+            ensure(self.weight.is_none(), "weight", || {
+                "weight: a churn weight requires arrivals".to_string()
+            })?;
         }
         if let Some(template) = &self.template {
-            let proposed = matches!(template.controller, ControllerSpec::Proposed { v } if v > 0.0);
-            if template.uplink_v_adapt.is_some() && !proposed {
-                fail(
-                    "template: uplink_v_adapt requires a proposed controller with v > 0"
-                        .to_string(),
-                );
-            }
+            template.check().map_err(|b| b.under("template"))?;
         }
         if let Some(weight) = self.weight {
-            if !(weight.is_finite() && weight > 0.0) {
-                fail(format!(
-                    "weight: churn weight must be finite and positive, got {weight}"
-                ));
-            }
+            ensure(weight.is_finite() && weight > 0.0, "weight", || {
+                format!("weight: churn weight must be finite and positive, got {weight}")
+            })?;
         }
-        if let Some(lifetime) = &self.lifetime {
-            lifetime.try_validate(fail);
+        match &self.lifetime {
+            Some(lifetime) => lifetime.check().map_err(|b| b.under("lifetime")),
+            None => Ok(()),
         }
     }
 
-    /// Encodes the spec for a scenario file: `arrivals`, `template` and
-    /// `max_joins` only when joins are declared, `weight` / `lifetime`
-    /// only when set, `compact` always.
+    /// Encodes the spec for a scenario file: `arrivals`, `template`,
+    /// `max_joins` (when nonzero), `weight` and `lifetime` when set,
+    /// `compact` always.
     ///
     /// # Errors
     ///
-    /// Errors on non-finite parameters, an extern-controller template (no
-    /// file form), or arrivals without a template.
+    /// Errors on non-finite parameters or an extern-controller template
+    /// (no file form).
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mut members = Vec::new();
-        if let Some(arrivals) = &self.arrivals {
-            members.push((
-                "arrivals",
-                match arrivals {
-                    ChurnArrivalSpec::Poisson { lambda, seed } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("poisson")),
-                        ("lambda", json::finite_num("lambda", *lambda)?),
-                        ("seed", JsonValue::int(*seed)),
-                    ]),
-                    ChurnArrivalSpec::Mmpp2 {
-                        lambda_low,
-                        lambda_high,
-                        switch_up,
-                        switch_down,
-                        seed,
-                    } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("mmpp2")),
-                        ("lambda_low", json::finite_num("lambda_low", *lambda_low)?),
-                        (
-                            "lambda_high",
-                            json::finite_num("lambda_high", *lambda_high)?,
-                        ),
-                        ("switch_up", json::finite_num("switch_up", *switch_up)?),
-                        (
-                            "switch_down",
-                            json::finite_num("switch_down", *switch_down)?,
-                        ),
-                        ("seed", JsonValue::int(*seed)),
-                    ]),
-                    ChurnArrivalSpec::Trace { counts } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("trace")),
-                        (
-                            "counts",
-                            JsonValue::arr(counts.iter().map(|&c| JsonValue::int(c)).collect()),
-                        ),
-                    ]),
-                },
-            ));
-            let template = self.template.as_ref().ok_or_else(|| {
-                JsonError::new("churn arrivals require a session template".to_string())
-            })?;
-            members.push(("template", template.to_json()?));
-            members.push(("max_joins", JsonValue::int(self.max_joins)));
-        }
-        if let Some(weight) = self.weight {
-            members.push(("weight", json::finite_num("weight", weight)?));
-        }
-        if let Some(lifetime) = &self.lifetime {
-            members.push((
-                "lifetime",
-                match lifetime {
-                    LifetimeSpec::Fixed { slots } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("fixed")),
-                        ("slots", JsonValue::int(*slots)),
-                    ]),
-                    LifetimeSpec::Geometric { mean, seed } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("geometric")),
-                        ("mean", json::finite_num("mean", *mean)?),
-                        ("seed", JsonValue::int(*seed)),
-                    ]),
-                    LifetimeSpec::Uniform { min, max, seed } => JsonValue::obj(vec![
-                        ("type", JsonValue::str("uniform")),
-                        ("min", JsonValue::int(*min)),
-                        ("max", JsonValue::int(*max)),
-                        ("seed", JsonValue::int(*seed)),
-                    ]),
-                },
-            ));
-        }
-        members.push(("compact", JsonValue::bool(self.compact)));
-        Ok(JsonValue::obj(members))
+        self.encode("churn")
     }
 
     /// Decodes a spec from its scenario-file form, turning every
@@ -441,136 +367,18 @@ impl ChurnSpec {
     /// wrong types, unknown `"type"` tags, and every consistency violation
     /// [`ChurnSpec::validate`] checks.
     pub fn from_json(v: &JsonValue) -> Result<ChurnSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let mut positions: Vec<(&str, Pos)> = Vec::new();
-        let arrivals = match obj.opt("arrivals") {
-            Some(node) => {
-                positions.push(("arrivals", node.pos));
-                let mut arr = node.as_obj()?;
-                let tag = arr.req("type")?;
-                let parsed = match tag.as_str()? {
-                    "poisson" => ChurnArrivalSpec::Poisson {
-                        lambda: arr.req("lambda")?.as_f64()?,
-                        seed: arr.req("seed")?.as_u64()?,
-                    },
-                    "mmpp2" => ChurnArrivalSpec::Mmpp2 {
-                        lambda_low: arr.req("lambda_low")?.as_f64()?,
-                        lambda_high: arr.req("lambda_high")?.as_f64()?,
-                        switch_up: arr.req("switch_up")?.as_f64()?,
-                        switch_down: arr.req("switch_down")?.as_f64()?,
-                        seed: arr.req("seed")?.as_u64()?,
-                    },
-                    "trace" => ChurnArrivalSpec::Trace {
-                        counts: arr
-                            .req("counts")?
-                            .as_array()?
-                            .iter()
-                            .map(JsonValue::as_u64)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
-                    other => {
-                        return Err(JsonError::at(
-                            tag.pos,
-                            format!(
-                                "unknown churn arrival type \"{other}\" (expected poisson, \
-                                 mmpp2, or trace)"
-                            ),
-                        ))
-                    }
-                };
-                arr.finish()?;
-                Some(parsed)
-            }
-            None => None,
-        };
-        let template = match obj.opt("template") {
-            Some(node) => {
-                positions.push(("template", node.pos));
-                Some(SessionSpec::from_json(node)?)
-            }
-            None => None,
-        };
-        let max_joins = match obj.opt("max_joins") {
-            Some(node) => {
-                positions.push(("max_joins", node.pos));
-                node.as_u64()?
-            }
-            None => 0,
-        };
-        let weight = match obj.opt("weight") {
-            Some(node) => {
-                positions.push(("weight", node.pos));
-                Some(node.as_f64()?)
-            }
-            None => None,
-        };
-        let lifetime = match obj.opt("lifetime") {
-            Some(node) => {
-                positions.push(("lifetime", node.pos));
-                let mut life = node.as_obj()?;
-                let tag = life.req("type")?;
-                let parsed = match tag.as_str()? {
-                    "fixed" => LifetimeSpec::Fixed {
-                        slots: life.req("slots")?.as_u64()?,
-                    },
-                    "geometric" => LifetimeSpec::Geometric {
-                        mean: life.req("mean")?.as_f64()?,
-                        seed: life.req("seed")?.as_u64()?,
-                    },
-                    "uniform" => LifetimeSpec::Uniform {
-                        min: life.req("min")?.as_u64()?,
-                        max: life.req("max")?.as_u64()?,
-                        seed: life.req("seed")?.as_u64()?,
-                    },
-                    other => {
-                        return Err(JsonError::at(
-                            tag.pos,
-                            format!(
-                                "unknown churn lifetime type \"{other}\" (expected fixed, \
-                                 geometric, or uniform)"
-                            ),
-                        ))
-                    }
-                };
-                life.finish()?;
-                Some(parsed)
-            }
-            None => None,
-        };
-        let compact = obj.req("compact")?.as_bool()?;
-        obj.finish()?;
-        let spec = ChurnSpec {
-            arrivals,
-            template,
-            max_joins,
-            weight,
-            lifetime,
-            compact,
-        };
-        // Cross-field validation with the offending member's position: the
-        // walk prefixes each message with the field name.
-        let mut first: Option<JsonError> = None;
-        spec.try_validate(&mut |msg| {
-            if first.is_none() {
-                let pos = msg
-                    .split(':')
-                    .next()
-                    .and_then(|field| {
-                        positions
-                            .iter()
-                            .find(|(name, _)| *name == field)
-                            .map(|(_, pos)| *pos)
-                    })
-                    .unwrap_or(v.pos);
-                first = Some(JsonError::at(pos, msg));
-            }
-        });
-        match first {
-            Some(err) => Err(err),
-            None => Ok(spec),
-        }
+        ChurnSpec::decode(v)
     }
 }
+
+json::codec!(ChurnSpec {
+    arrivals,
+    template,
+    max_joins: ZeroAbsent,
+    weight,
+    lifetime,
+    compact,
+} check);
 
 impl Default for ChurnSpec {
     fn default() -> Self {

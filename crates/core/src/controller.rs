@@ -220,7 +220,9 @@ impl QueueThreshold {
 
 impl DepthController for QueueThreshold {
     fn select_depth(&mut self, _slot: u64, backlog: f64, profile: &DepthProfile) -> u8 {
-        let crossed = self.thresholds.iter().filter(|&&t| backlog >= t).count() as u8;
+        // Saturate: 256 or more crossed thresholds must not wrap to zero.
+        let crossed = self.thresholds.iter().filter(|&&t| backlog >= t).count();
+        let crossed = u8::try_from(crossed).unwrap_or(u8::MAX);
         profile
             .max_depth()
             .saturating_sub(crossed)
@@ -355,6 +357,15 @@ mod tests {
         let mut c = QueueThreshold::evenly_spaced(&p, 1_000.0);
         assert_eq!(c.select_depth(0, 0.0, &p), 10);
         assert_eq!(c.select_depth(0, 2_000.0, &p), 5);
+    }
+
+    #[test]
+    fn threshold_count_saturates_past_255() {
+        let p = DepthProfile::from_parts(5, vec![100.0, 400.0], vec![0.0, 1.0]);
+        for n in [255u32, 256, 300] {
+            let mut c = QueueThreshold::new((1..=n).map(f64::from).collect());
+            assert_eq!(c.select_depth(0, 1e9, &p), 5, "{n} thresholds, all crossed");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use arvis_sim::stats::{SummaryStats, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{DepthController, ProposedDpp};
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, ensure, Rules};
 use crate::scenario::{ControllerSpec, SessionSpec};
 use crate::session::Session;
 use crate::stream::ArStream;
@@ -84,107 +84,43 @@ impl ServiceSpec {
         }
     }
 
-    /// Encodes the spec for a scenario file (see [`crate::json`]): a
-    /// `"type"`-tagged object (`constant` / `jittered` / `duty_cycled`).
-    ///
-    /// # Errors
-    ///
-    /// Errors when a rate or sigma is non-finite (the service
-    /// constructors reject those values too, so nothing non-finite has a
-    /// file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(match *self {
-            ServiceSpec::Constant(rate) => JsonValue::obj(vec![
-                ("type", JsonValue::str("constant")),
-                ("rate", json::finite_num("rate", rate)?),
-            ]),
-            ServiceSpec::Jittered { rate, sigma } => JsonValue::obj(vec![
-                ("type", JsonValue::str("jittered")),
-                ("rate", json::finite_num("rate", rate)?),
-                ("sigma", json::finite_num("sigma", sigma)?),
-            ]),
+    /// The spec's rule walk: the service constructors' invariants
+    /// (non-negative rates and sigma, a non-empty duty cycle whose slot
+    /// count fits a `u64` — the constructor sums the two).
+    pub(crate) fn check(&self) -> Rules {
+        let rate =
+            |x: f64, key: &str| ensure(x >= 0.0, key, || format!("{key} must be >= 0, got {x}"));
+        match *self {
+            ServiceSpec::Constant(r) => rate(r, "rate"),
+            ServiceSpec::Jittered { rate: r, sigma } => {
+                rate(r, "rate")?;
+                rate(sigma, "sigma")
+            }
             ServiceSpec::DutyCycled {
                 high,
                 low,
                 high_slots,
                 low_slots,
-            } => JsonValue::obj(vec![
-                ("type", JsonValue::str("duty_cycled")),
-                ("high", json::finite_num("high", high)?),
-                ("low", json::finite_num("low", low)?),
-                ("high_slots", JsonValue::int(high_slots)),
-                ("low_slots", JsonValue::int(low_slots)),
-            ]),
-        })
-    }
-
-    /// Decodes a spec from its scenario-file form, enforcing the service
-    /// constructors' invariants (finite non-negative rates and sigma, a
-    /// non-empty duty cycle) as errors instead of panics.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, and invalid parameters.
-    pub fn from_json(v: &JsonValue) -> Result<ServiceSpec, JsonError> {
-        let rate_field = |obj: &mut crate::json::ObjReader<'_>, key: &str| {
-            let node = obj.req(key)?;
-            let rate = node.as_f64()?;
-            if rate < 0.0 {
-                return Err(JsonError::at(
-                    node.pos,
-                    format!("{key} must be >= 0, got {rate}"),
-                ));
+            } => {
+                rate(high, "high")?;
+                rate(low, "low")?;
+                let cycle = high_slots.checked_add(low_slots);
+                ensure(cycle.is_some(), "low_slots", || {
+                    "high_slots + low_slots overflows u64".to_string()
+                })?;
+                ensure(cycle != Some(0), "low_slots", || {
+                    "cycle must be non-empty".to_string()
+                })
             }
-            Ok(rate)
-        };
-        let mut obj = v.as_obj()?;
-        let tag = obj.req("type")?;
-        let spec = match tag.as_str()? {
-            "constant" => ServiceSpec::Constant(rate_field(&mut obj, "rate")?),
-            "jittered" => ServiceSpec::Jittered {
-                rate: rate_field(&mut obj, "rate")?,
-                sigma: rate_field(&mut obj, "sigma")?,
-            },
-            "duty_cycled" => {
-                let high = rate_field(&mut obj, "high")?;
-                let low = rate_field(&mut obj, "low")?;
-                let high_slots = obj.req("high_slots")?.as_u64()?;
-                let low_node = obj.req("low_slots")?;
-                let low_slots = low_node.as_u64()?;
-                // checked_add: two u64::MAX-ish slot counts must error,
-                // not overflow (the service constructor sums them too).
-                match high_slots.checked_add(low_slots) {
-                    Some(0) => return Err(JsonError::at(low_node.pos, "cycle must be non-empty")),
-                    None => {
-                        return Err(JsonError::at(
-                            low_node.pos,
-                            "high_slots + low_slots overflows u64",
-                        ))
-                    }
-                    Some(_) => {}
-                }
-                ServiceSpec::DutyCycled {
-                    high,
-                    low,
-                    high_slots,
-                    low_slots,
-                }
-            }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!(
-                        "unknown service type \"{other}\" \
-                         (expected constant, jittered, or duty_cycled)"
-                    ),
-                ))
-            }
-        };
-        obj.finish()?;
-        Ok(spec)
+        }
     }
 }
+
+json::codec!(ServiceSpec as "service type" {
+    Constant "constant" (rate),
+    Jittered "jittered" { rate, sigma },
+    DutyCycled "duty_cycled" { high, low, high_slots, low_slots },
+} check);
 
 /// Configuration of one closed-loop run.
 #[derive(Debug, Clone)]

@@ -50,7 +50,7 @@ use arvis_sim::rng::seeded;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, ensure, Broken, Codec, JsonError, JsonValue, Rules};
 use crate::session::SessionBatch;
 use crate::telemetry::TelemetrySink;
 use crate::uplink::invariant_sum;
@@ -71,16 +71,8 @@ pub enum CrashPolicy {
     Permanent,
 }
 
-impl CrashPolicy {
-    /// Machine-readable policy name (the scenario-file tag).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CrashPolicy::ColdRestart => "cold_restart",
-            CrashPolicy::WarmRestart => "warm_restart",
-            CrashPolicy::Permanent => "permanent",
-        }
-    }
-}
+json::codec!(CrashPolicy as "crash policy" =
+    ColdRestart "cold_restart" | WarmRestart "warm_restart" | Permanent "permanent");
 
 /// One typed fault event of a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -181,154 +173,64 @@ impl DegradationGuardSpec {
     /// NaN or non-positive, `shed_fraction ∉ (0, 1]`, or a clamp factor
     /// is outside `[0, 1)`.
     pub fn validate(&self) {
-        assert!(
-            self.ema_alpha > 0.0 && self.ema_alpha <= 1.0,
-            "guard ema_alpha must be in (0, 1], got {}",
-            self.ema_alpha
-        );
-        assert!(
-            0.0 <= self.release_below
-                && self.release_below <= self.engage_above
-                && self.engage_above <= 1.0,
-            "guard needs 0 <= release_below <= engage_above <= 1, got [{}, {}]",
-            self.release_below,
-            self.engage_above
-        );
-        assert!(
-            !self.backlog_limit.is_nan() && self.backlog_limit > 0.0,
-            "guard backlog_limit must be positive (inf disables it), got {}",
-            self.backlog_limit
-        );
-        assert!(
-            self.shed_fraction > 0.0 && self.shed_fraction <= 1.0,
-            "guard shed_fraction must be in (0, 1], got {}",
-            self.shed_fraction
-        );
-        if let ShedMode::Clamp { factor } = self.mode {
-            assert!(
-                (0.0..1.0).contains(&factor),
-                "guard clamp factor must be in [0, 1), got {factor}"
-            );
-        }
+        json::enforce(self.check());
     }
 
-    /// Encodes the guard for a scenario file.
-    ///
-    /// # Errors
-    ///
-    /// Errors on non-finite fields without a file form (everything but an
-    /// infinite `backlog_limit`).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mode = match self.mode {
-            ShedMode::Defer => JsonValue::obj(vec![("type", JsonValue::str("defer"))]),
-            ShedMode::Clamp { factor } => JsonValue::obj(vec![
-                ("type", JsonValue::str("clamp")),
-                ("factor", json::finite_num("factor", factor)?),
-            ]),
-        };
-        Ok(JsonValue::obj(vec![
-            ("ema_alpha", json::finite_num("ema_alpha", self.ema_alpha)?),
-            (
-                "engage_above",
-                json::finite_num("engage_above", self.engage_above)?,
-            ),
-            (
-                "release_below",
-                json::finite_num("release_below", self.release_below)?,
-            ),
-            (
-                "backlog_limit",
-                json::num_or_inf_checked("backlog_limit", self.backlog_limit)?,
-            ),
-            (
-                "shed_fraction",
-                json::finite_num("shed_fraction", self.shed_fraction)?,
-            ),
-            ("mode", mode),
-        ]))
-    }
-
-    /// Decodes the guard from its scenario-file form, enforcing every
-    /// [`DegradationGuardSpec::validate`] condition as a positioned error.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown or missing keys,
-    /// wrong types, and out-of-range parameters.
-    pub fn from_json(v: &JsonValue) -> Result<DegradationGuardSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let alpha_node = obj.req("ema_alpha")?;
-        let ema_alpha = alpha_node.as_f64()?;
-        if !(ema_alpha > 0.0 && ema_alpha <= 1.0) {
-            return Err(JsonError::at(
-                alpha_node.pos,
-                format!("ema_alpha must be in (0, 1], got {ema_alpha}"),
-            ));
-        }
-        let engage_node = obj.req("engage_above")?;
-        let engage_above = engage_node.as_f64()?;
-        let release_node = obj.req("release_below")?;
-        let release_below = release_node.as_f64()?;
-        if !(0.0 <= release_below && release_below <= engage_above && engage_above <= 1.0) {
-            return Err(JsonError::at(
-                release_node.pos,
-                format!(
-                    "need 0 <= release_below <= engage_above <= 1, \
-                     got [{release_below}, {engage_above}]"
-                ),
-            ));
-        }
-        let limit_node = obj.req("backlog_limit")?;
-        let backlog_limit = limit_node.as_f64_or_inf()?;
-        if backlog_limit <= 0.0 || backlog_limit.is_nan() {
-            return Err(JsonError::at(
-                limit_node.pos,
-                format!("backlog_limit must be positive (inf disables it), got {backlog_limit}"),
-            ));
-        }
-        let shed_node = obj.req("shed_fraction")?;
-        let shed_fraction = shed_node.as_f64()?;
-        if !(shed_fraction > 0.0 && shed_fraction <= 1.0) {
-            return Err(JsonError::at(
-                shed_node.pos,
-                format!("shed_fraction must be in (0, 1], got {shed_fraction}"),
-            ));
-        }
-        let mode_node = obj.req("mode")?;
-        let mut mode_obj = mode_node.as_obj()?;
-        let tag = mode_obj.req("type")?;
-        let mode = match tag.as_str()? {
-            "defer" => ShedMode::Defer,
-            "clamp" => {
-                let factor_node = mode_obj.req("factor")?;
-                let factor = factor_node.as_f64()?;
-                if !(0.0..1.0).contains(&factor) {
-                    return Err(JsonError::at(
-                        factor_node.pos,
-                        format!("clamp factor must be in [0, 1), got {factor}"),
-                    ));
-                }
-                ShedMode::Clamp { factor }
-            }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!("unknown shed mode \"{other}\" (expected defer or clamp)"),
-                ))
-            }
-        };
-        mode_obj.finish()?;
-        obj.finish()?;
-        Ok(DegradationGuardSpec {
+    /// The guard's rule walk.
+    pub(crate) fn check(&self) -> Rules {
+        let DegradationGuardSpec {
             ema_alpha,
             engage_above,
             release_below,
             backlog_limit,
             shed_fraction,
             mode,
-        })
+        } = *self;
+        ensure(ema_alpha > 0.0 && ema_alpha <= 1.0, "ema_alpha", || {
+            format!("guard ema_alpha must be in (0, 1], got {ema_alpha}")
+        })?;
+        ensure(
+            0.0 <= release_below && release_below <= engage_above && engage_above <= 1.0,
+            "release_below",
+            || {
+                format!(
+                    "guard needs 0 <= release_below <= engage_above <= 1, \
+                     got [{release_below}, {engage_above}]"
+                )
+            },
+        )?;
+        ensure(backlog_limit > 0.0, "backlog_limit", || {
+            format!("guard backlog_limit must be positive (inf disables it), got {backlog_limit}")
+        })?;
+        ensure(
+            shed_fraction > 0.0 && shed_fraction <= 1.0,
+            "shed_fraction",
+            || format!("guard shed_fraction must be in (0, 1], got {shed_fraction}"),
+        )?;
+        match mode {
+            ShedMode::Clamp { factor } => {
+                ensure((0.0..1.0).contains(&factor), "mode.factor", || {
+                    format!("guard clamp factor must be in [0, 1), got {factor}")
+                })
+            }
+            ShedMode::Defer => Ok(()),
+        }
     }
 }
+
+json::codec!(DegradationGuardSpec {
+    ema_alpha,
+    engage_above,
+    release_below,
+    backlog_limit: Inf,
+    shed_fraction,
+    mode,
+} check);
+
+json::codec!(ShedMode as "shed mode" {
+    Defer "defer",
+    Clamp "clamp" { factor },
+});
 
 /// A declarative fault plan: typed events plus an optional degradation
 /// guard, carried by [`crate::scenario::Scenario::fault`] (`"schema": 2`).
@@ -380,53 +282,50 @@ impl FaultPlan {
     /// overlap a previous downtime window, a crash after a permanent one,
     /// or an invalid guard (see [`DegradationGuardSpec::validate`]).
     pub fn validate(&self, sessions: usize) {
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking variant; from_json routes the same walk into positioned errors")
-        self.try_validate(sessions, &mut |msg| panic!("{msg}"))
+        json::enforce(self.check(sessions));
     }
 
-    /// The shared validation walk: every violation is reported through
-    /// `fail` (panic for [`FaultPlan::validate`], positioned error
-    /// collection for [`FaultPlan::from_json`]).
-    fn try_validate(&self, sessions: usize, fail: &mut dyn FnMut(String)) {
+    /// The plan's rule walk against a fleet of `sessions` sessions; a
+    /// broken event rule names the event (`events[i]`).
+    fn check(&self, sessions: usize) -> Rules {
         let mut has_loss = vec![false; sessions];
         // Per-session crash bookkeeping: (last crash slot, earliest slot
         // the next crash may use, permanently crashed).
         let mut crash_floor: Vec<Option<(u64, u64, bool)>> = vec![None; sessions];
         for (i, event) in self.events.iter().enumerate() {
+            let fail = |msg: String| {
+                Err(Broken {
+                    path: format!("events[{i}]"),
+                    msg: format!("event {i}: {msg}"),
+                })
+            };
             match event {
                 FaultEvent::Outage { start, slots } | FaultEvent::Brownout { start, slots, .. } => {
                     if *slots == 0 {
-                        fail(format!("event {i}: window must cover at least one slot"));
+                        return fail("window must cover at least one slot".to_string());
                     }
                     if start.checked_add(*slots).is_none() {
-                        fail(format!(
-                            "event {i}: window end overflows (start {start} + {slots})"
-                        ));
+                        return fail(format!("window end overflows (start {start} + {slots})"));
                     }
                     if let FaultEvent::Brownout { factor, .. } = event {
                         if !(0.0..=1.0).contains(factor) {
-                            fail(format!(
-                                "event {i}: brownout factor must be in [0, 1], got {factor}"
+                            return fail(format!(
+                                "brownout factor must be in [0, 1], got {factor}"
                             ));
                         }
                     }
                 }
                 FaultEvent::GrantLoss { session, p, .. } => {
                     if *session >= sessions {
-                        fail(format!(
-                            "event {i}: session {session} out of range (fleet has {sessions})"
+                        return fail(format!(
+                            "session {session} out of range (fleet has {sessions})"
                         ));
-                        continue;
                     }
                     if !(0.0..=1.0).contains(p) {
-                        fail(format!(
-                            "event {i}: loss probability must be in [0, 1], got {p}"
-                        ));
+                        return fail(format!("loss probability must be in [0, 1], got {p}"));
                     }
                     if has_loss[*session] {
-                        fail(format!(
-                            "event {i}: session {session} already has a grant_loss event"
-                        ));
+                        return fail(format!("session {session} already has a grant_loss event"));
                     }
                     has_loss[*session] = true;
                 }
@@ -437,67 +336,60 @@ impl FaultPlan {
                     policy,
                 } => {
                     if *session >= sessions {
-                        fail(format!(
-                            "event {i}: session {session} out of range (fleet has {sessions})"
+                        return fail(format!(
+                            "session {session} out of range (fleet has {sessions})"
                         ));
-                        continue;
                     }
                     let restart_at = match (policy, restart_after) {
                         (CrashPolicy::Permanent, Some(_)) => {
-                            fail(format!(
-                                "event {i}: a permanent crash takes no restart_after"
-                            ));
-                            u64::MAX
+                            return fail("a permanent crash takes no restart_after".to_string())
                         }
                         (CrashPolicy::Permanent, None) => u64::MAX,
                         (_, None) => {
-                            fail(format!(
-                                "event {i}: a {} crash requires restart_after",
+                            return fail(format!(
+                                "a {} crash requires restart_after",
                                 policy.name()
-                            ));
-                            u64::MAX
+                            ))
                         }
                         (_, Some(0)) => {
-                            fail(format!("event {i}: restart_after must be at least 1"));
-                            u64::MAX
+                            return fail("restart_after must be at least 1".to_string())
                         }
                         (_, Some(after)) => match slot.checked_add(*after) {
                             Some(at) => at,
                             None => {
-                                fail(format!(
-                                    "event {i}: restart slot overflows ({slot} + {after})"
-                                ));
-                                u64::MAX
+                                return fail(format!("restart slot overflows ({slot} + {after})"))
                             }
                         },
                     };
                     match crash_floor[*session] {
-                        Some((last, _, true)) => fail(format!(
-                            "event {i}: session {session} crashed permanently at slot {last}; \
-                             nothing can follow"
-                        )),
-                        Some((last, floor, false)) => {
-                            if *slot <= last {
-                                fail(format!(
-                                    "event {i}: session {session} crashes must have strictly \
-                                     ascending slots (got {slot} after {last})"
-                                ));
-                            } else if *slot < floor {
-                                fail(format!(
-                                    "event {i}: session {session} crash at slot {slot} overlaps \
-                                     the previous downtime (ends at slot {floor})"
-                                ));
-                            }
+                        Some((last, _, true)) => {
+                            return fail(format!(
+                                "session {session} crashed permanently at slot {last}; \
+                                 nothing can follow"
+                            ))
                         }
-                        None => {}
+                        Some((last, _, false)) if *slot <= last => {
+                            return fail(format!(
+                                "session {session} crashes must have strictly \
+                                 ascending slots (got {slot} after {last})"
+                            ))
+                        }
+                        Some((_, floor, false)) if *slot < floor => {
+                            return fail(format!(
+                                "session {session} crash at slot {slot} overlaps \
+                                 the previous downtime (ends at slot {floor})"
+                            ))
+                        }
+                        _ => {}
                     }
                     crash_floor[*session] =
                         Some((*slot, restart_at, matches!(policy, CrashPolicy::Permanent)));
                 }
             }
         }
-        if let Some(guard) = &self.guard {
-            guard.validate();
+        match &self.guard {
+            Some(guard) => guard.check().map_err(|b| b.under("guard")),
+            None => Ok(()),
         }
     }
 
@@ -508,54 +400,7 @@ impl FaultPlan {
     ///
     /// Errors on non-finite parameters without a file form.
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mut events = Vec::with_capacity(self.events.len());
-        for event in &self.events {
-            events.push(match event {
-                FaultEvent::Outage { start, slots } => JsonValue::obj(vec![
-                    ("type", JsonValue::str("outage")),
-                    ("start", JsonValue::int(*start)),
-                    ("slots", JsonValue::int(*slots)),
-                ]),
-                FaultEvent::Brownout {
-                    start,
-                    slots,
-                    factor,
-                } => JsonValue::obj(vec![
-                    ("type", JsonValue::str("brownout")),
-                    ("start", JsonValue::int(*start)),
-                    ("slots", JsonValue::int(*slots)),
-                    ("factor", json::finite_num("factor", *factor)?),
-                ]),
-                FaultEvent::GrantLoss { session, p, seed } => JsonValue::obj(vec![
-                    ("type", JsonValue::str("grant_loss")),
-                    ("session", JsonValue::int(*session as u64)),
-                    ("p", json::finite_num("p", *p)?),
-                    ("seed", JsonValue::int(*seed)),
-                ]),
-                FaultEvent::SessionCrash {
-                    session,
-                    slot,
-                    restart_after,
-                    policy,
-                } => {
-                    let mut members = vec![
-                        ("type", JsonValue::str("session_crash")),
-                        ("session", JsonValue::int(*session as u64)),
-                        ("slot", JsonValue::int(*slot)),
-                        ("policy", JsonValue::str(policy.name())),
-                    ];
-                    if let Some(after) = restart_after {
-                        members.push(("restart_after", JsonValue::int(*after)));
-                    }
-                    JsonValue::obj(members)
-                }
-            });
-        }
-        let mut members = vec![("events", JsonValue::arr(events))];
-        if let Some(guard) = &self.guard {
-            members.push(("guard", guard.to_json()?));
-        }
-        Ok(JsonValue::obj(members))
+        self.encode("fault")
     }
 
     /// Decodes a plan from its scenario-file form and validates it against
@@ -568,94 +413,20 @@ impl FaultPlan {
     /// wrong types, unknown `"type"`/policy tags, and every cross-field
     /// violation [`FaultPlan::validate`] checks.
     pub fn from_json(v: &JsonValue, sessions: usize) -> Result<FaultPlan, JsonError> {
-        let mut obj = v.as_obj()?;
-        let events_node = obj.req("events")?;
-        let mut events = Vec::new();
-        let mut positions = Vec::new();
-        for item in events_node.as_array()? {
-            let mut event = item.as_obj()?;
-            let tag = event.req("type")?;
-            let parsed = match tag.as_str()? {
-                "outage" => FaultEvent::Outage {
-                    start: event.req("start")?.as_u64()?,
-                    slots: event.req("slots")?.as_u64()?,
-                },
-                "brownout" => FaultEvent::Brownout {
-                    start: event.req("start")?.as_u64()?,
-                    slots: event.req("slots")?.as_u64()?,
-                    factor: event.req("factor")?.as_f64()?,
-                },
-                "grant_loss" => FaultEvent::GrantLoss {
-                    session: event.req("session")?.as_usize()?,
-                    p: event.req("p")?.as_f64()?,
-                    seed: event.req("seed")?.as_u64()?,
-                },
-                "session_crash" => {
-                    let policy_node = event.req("policy")?;
-                    let policy = match policy_node.as_str()? {
-                        "cold_restart" => CrashPolicy::ColdRestart,
-                        "warm_restart" => CrashPolicy::WarmRestart,
-                        "permanent" => CrashPolicy::Permanent,
-                        other => {
-                            return Err(JsonError::at(
-                                policy_node.pos,
-                                format!(
-                                    "unknown crash policy \"{other}\" (expected cold_restart, \
-                                     warm_restart, or permanent)"
-                                ),
-                            ))
-                        }
-                    };
-                    FaultEvent::SessionCrash {
-                        session: event.req("session")?.as_usize()?,
-                        slot: event.req("slot")?.as_u64()?,
-                        restart_after: match event.opt("restart_after") {
-                            Some(node) => Some(node.as_u64()?),
-                            None => None,
-                        },
-                        policy,
-                    }
-                }
-                other => {
-                    return Err(JsonError::at(
-                        tag.pos,
-                        format!(
-                            "unknown fault event type \"{other}\" (expected outage, brownout, \
-                             grant_loss, or session_crash)"
-                        ),
-                    ))
-                }
-            };
-            event.finish()?;
-            positions.push(item.pos);
-            events.push(parsed);
-        }
-        let guard = match obj.opt("guard") {
-            Some(node) => Some(DegradationGuardSpec::from_json(node)?),
-            None => None,
-        };
-        obj.finish()?;
-        let plan = FaultPlan { events, guard };
-        // Cross-field validation with the offending event's position: the
-        // walk reports "event {i}: …", which indexes into `positions`.
-        let mut first: Option<JsonError> = None;
-        plan.try_validate(sessions, &mut |msg| {
-            if first.is_none() {
-                let pos = msg
-                    .strip_prefix("event ")
-                    .and_then(|rest| rest.split(':').next())
-                    .and_then(|idx| idx.parse::<usize>().ok())
-                    .and_then(|idx| positions.get(idx).copied())
-                    .unwrap_or(v.pos);
-                first = Some(JsonError::at(pos, msg));
-            }
-        });
-        match first {
-            Some(err) => Err(err),
-            None => Ok(plan),
-        }
+        let plan = FaultPlan::decode(v)?;
+        plan.check(sessions).map_err(|broken| broken.at(v))?;
+        Ok(plan)
     }
 }
+
+json::codec!(FaultPlan { events, guard });
+
+json::codec!(FaultEvent as "fault event type" {
+    Outage "outage" { start, slots },
+    Brownout "brownout" { start, slots, factor },
+    GrantLoss "grant_loss" { session, p, seed },
+    SessionCrash "session_crash" { session, slot, policy, restart_after },
+});
 
 /// One session's pending grant-loss stream.
 #[derive(Debug)]

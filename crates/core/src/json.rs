@@ -3,11 +3,20 @@
 //! The offline container vendors a no-op serde shim, so scenario files
 //! cannot ride on derived `Serialize`/`Deserialize` impls. This module is
 //! the dependency-free substitute: a [`JsonValue`] tree, a strict
-//! recursive-descent parser with line/column errors ([`parse`]), and a
-//! deterministic pretty-printer ([`JsonValue::to_pretty`]) — everything the
-//! hand-written scenario codecs ([`crate::scenario::Scenario::to_json`] and
-//! friends) need. On a networked build the codecs can become serde impls
-//! behind the same `to_json_string`/`from_json_str` API.
+//! recursive-descent parser with line/column errors ([`parse`]), a
+//! deterministic pretty-printer ([`JsonValue::to_pretty`]), and the
+//! [`Codec`] every scenario-file and ledger type gets from one field table
+//! (`codec!`).
+//!
+//! ## Field tables and rule walks
+//!
+//! A type's table lists its fields once, in file order; the macro derives
+//! both directions from it, so the two cannot drift and a field missing
+//! from the table does not compile. A type's range and cross-field rules
+//! live in one walk, `fn check(&self) -> Rules`, which names the offending
+//! member of the first broken rule (`Broken`). `validate()` turns that
+//! into a panic (`enforce`) and decoding into an error at the member's
+//! position (`Broken::at`), with the same message on both routes.
 //!
 //! ## Exact round-trips
 //!
@@ -476,6 +485,472 @@ impl<'a> ObjReader<'a> {
             }
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Field tables
+// ---------------------------------------------------------------------------
+
+/// A value with a file form: how it encodes, and how it decodes back bit
+/// for bit. Scalars, strings, arrays and optional members are implemented
+/// here; every scenario-file and ledger type gets its impl from one field
+/// table (`codec!`).
+pub trait Codec: Sized {
+    /// Encodes the value; `name` names the field in encode errors.
+    ///
+    /// # Errors
+    ///
+    /// Errors on a value with no file form (a non-finite float, an extern
+    /// controller).
+    fn encode(&self, name: &str) -> Result<JsonValue, JsonError>;
+
+    /// Decodes a value, checking the type's rules.
+    ///
+    /// # Errors
+    ///
+    /// Errors with the offending position on wrong types, unknown or
+    /// missing keys, and broken rules.
+    fn decode(v: &JsonValue) -> Result<Self, JsonError>;
+
+    /// Reads the value as member `key` of an object: required, unless the
+    /// type is an `Option`.
+    ///
+    /// # Errors
+    ///
+    /// Errors when the member is missing or does not decode.
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<Self, JsonError> {
+        Self::decode(obj.req(key)?)
+    }
+}
+
+/// A field's file form when it is not its type's own [`Codec`]: the form
+/// named after a field in a `codec!` table (`budget: Inf`).
+pub(crate) trait Form<T> {
+    /// Encodes `x` as field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Errors on a value with no file form in this form.
+    fn encode(x: &T, name: &str) -> Result<JsonValue, JsonError>;
+
+    /// Reads member `key` of `obj` in this form.
+    ///
+    /// # Errors
+    ///
+    /// Errors when the member is missing or does not decode.
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<T, JsonError>;
+}
+
+/// Floats that may be `+∞`, written as the string `"inf"`: uplink budgets,
+/// the max-min α and the guard's backlog limit.
+#[derive(Debug)]
+pub(crate) struct Inf;
+
+impl Form<f64> for Inf {
+    fn encode(x: &f64, name: &str) -> Result<JsonValue, JsonError> {
+        num_or_inf_checked(name, *x)
+    }
+
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<f64, JsonError> {
+        obj.req(key)?.as_f64_or_inf()
+    }
+}
+
+impl Form<Vec<f64>> for Inf {
+    fn encode(xs: &Vec<f64>, name: &str) -> Result<JsonValue, JsonError> {
+        let items = xs.iter().map(|x| num_or_inf_checked(name, *x));
+        Ok(JsonValue::arr(items.collect::<Result<_, _>>()?))
+    }
+
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<Vec<f64>, JsonError> {
+        let items = obj.req(key)?.as_array()?;
+        items.iter().map(JsonValue::as_f64_or_inf).collect()
+    }
+}
+
+/// A count whose zero is written by omission (churn's `max_joins`).
+#[derive(Debug)]
+pub(crate) struct ZeroAbsent;
+
+impl Form<u64> for ZeroAbsent {
+    fn encode(x: &u64, name: &str) -> Result<JsonValue, JsonError> {
+        match x {
+            0 => Ok(JsonValue::null()),
+            n => n.encode(name),
+        }
+    }
+
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<u64, JsonError> {
+        obj.opt(key).map_or(Ok(0), JsonValue::as_u64)
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+        finite_num(name, *self)
+    }
+
+    fn decode(v: &JsonValue) -> Result<f64, JsonError> {
+        v.as_f64()
+    }
+}
+
+impl Codec for u64 {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::int(*self))
+    }
+
+    fn decode(v: &JsonValue) -> Result<u64, JsonError> {
+        v.as_u64()
+    }
+}
+
+impl Codec for usize {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::int(*self as u64))
+    }
+
+    fn decode(v: &JsonValue) -> Result<usize, JsonError> {
+        v.as_usize()
+    }
+}
+
+impl Codec for u8 {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::int(*self))
+    }
+
+    fn decode(v: &JsonValue) -> Result<u8, JsonError> {
+        v.as_u8()
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::bool(*self))
+    }
+
+    fn decode(v: &JsonValue) -> Result<bool, JsonError> {
+        v.as_bool()
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::str(self.as_str()))
+    }
+
+    fn decode(v: &JsonValue) -> Result<String, JsonError> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+        let items = self.iter().map(|x| x.encode(name));
+        Ok(JsonValue::arr(items.collect::<Result<_, _>>()?))
+    }
+
+    fn decode(v: &JsonValue) -> Result<Vec<T>, JsonError> {
+        v.as_array()?.iter().map(T::decode).collect()
+    }
+}
+
+/// An optional member: `None` encodes as `null`, which an object omits,
+/// and reads back from an absent or `null` member.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+        match self {
+            Some(x) => x.encode(name),
+            None => Ok(JsonValue::null()),
+        }
+    }
+
+    fn decode(v: &JsonValue) -> Result<Option<T>, JsonError> {
+        match v.kind {
+            JsonKind::Null => Ok(None),
+            _ => T::decode(v).map(Some),
+        }
+    }
+
+    fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<Option<T>, JsonError> {
+        obj.opt(key).map(T::decode).transpose()
+    }
+}
+
+/// Appends one encoded member to an object under construction; a `null`
+/// value (an unset optional field) is omitted.
+///
+/// # Errors
+///
+/// Propagates the member's encode error.
+pub(crate) fn put(
+    members: &mut Vec<(&'static str, JsonValue)>,
+    key: &'static str,
+    value: Result<JsonValue, JsonError>,
+) -> Result<(), JsonError> {
+    let value = value?;
+    if !matches!(value.kind, JsonKind::Null) {
+        members.push((key, value));
+    }
+    Ok(())
+}
+
+/// `"a or b"`, `"a, b, or c"`: the expected tags of an unknown-tag error.
+pub(crate) fn one_of(tags: &[&str]) -> String {
+    match tags {
+        [] => String::new(),
+        [a, b] => format!("{a} or {b}"),
+        [init @ .., last] => format!("{}, or {last}", init.join(", ")),
+    }
+}
+
+/// Generates a type's [`Codec`] impl from its field table.
+///
+/// - `Type { a, b: Form, ... }` — a struct as an object whose members are
+///   the fields, in table order;
+/// - `Type as "what" { Variant "tag" { a, b }, Variant "tag" (key),
+///   Variant "tag", ... }` — an enum as an object tagged by `"type"`, with
+///   a struct variant's fields or a one-field tuple variant's value under
+///   `key`; a tag outside the table is an `unknown {what}` error;
+/// - `Type as "what" = Variant "tag" | ...` — a fieldless enum as a
+///   string, with a generated `name()`.
+///
+/// Each key is `stringify!(field)`. A field is encoded by its type's own
+/// [`Codec`] (an `Option` field is omitted when `None`) or by the [`Form`]
+/// named after it. Emission destructures `Self` with no `..` and decoding
+/// ends in a full struct literal, so a field without an entry, or an
+/// entry without a field, does not compile. A trailing `check` makes
+/// decoding run the type's rule walk (`fn check(&self) -> Rules`), whose
+/// broken rule becomes a positioned error ([`Broken::at`]). An enum's
+/// trailing `else` clause handles a variant with no file form: its encode
+/// error, and the message for its rejected tag.
+macro_rules! codec {
+    (@put $members:ident $field:ident) => {
+        $crate::json::put(
+            &mut $members,
+            stringify!($field),
+            $crate::json::Codec::encode($field, stringify!($field)),
+        )?
+    };
+    (@put $members:ident $field:ident $form:ident) => {
+        $crate::json::put(
+            &mut $members,
+            stringify!($field),
+            <$crate::json::$form as $crate::json::Form<_>>::encode($field, stringify!($field)),
+        )?
+    };
+    (@take $obj:ident $field:ident) => {
+        $crate::json::Codec::member(&mut $obj, stringify!($field))?
+    };
+    (@take $obj:ident $field:ident $form:ident) => {
+        <$crate::json::$form as $crate::json::Form<_>>::member(&mut $obj, stringify!($field))?
+    };
+    (@check $value:ident $node:ident) => {};
+    (@check $value:ident $node:ident check) => {
+        $value.check().map_err(|broken| broken.at($node))?
+    };
+
+    ($ty:ident { $($field:ident $(: $form:ident)?),* $(,)? } $($check:ident)?) => {
+        impl $crate::json::Codec for $ty {
+            fn encode(
+                &self,
+                _name: &str,
+            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
+                let $ty { $($field),* } = self;
+                let mut members = Vec::with_capacity(8);
+                $($crate::json::codec!(@put members $field $($form)?);)*
+                Ok($crate::json::JsonValue::obj(members))
+            }
+
+            fn decode(
+                v: &$crate::json::JsonValue,
+            ) -> Result<$ty, $crate::json::JsonError> {
+                let mut obj = v.as_obj()?;
+                let value = $ty {
+                    $($field: $crate::json::codec!(@take obj $field $($form)?),)*
+                };
+                obj.finish()?;
+                $crate::json::codec!(@check value v $($check)?);
+                Ok(value)
+            }
+        }
+    };
+
+    ($ty:ident as $what:literal {
+        $($var:ident $tag:literal
+            $({ $($field:ident $(: $form:ident)?),* $(,)? })?
+            $(($key:ident $(: $kform:ident)?))?
+        ),* $(,)?
+    } $($check:ident)? $(else $ev:ident(..) => $enc:expr, $etag:literal => $emsg:expr)?) => {
+        impl $crate::json::Codec for $ty {
+            fn encode(
+                &self,
+                _name: &str,
+            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
+                let mut members = Vec::with_capacity(8);
+                match self {
+                    $(Self::$var $({ $($field),* })? $(($key))? => {
+                        members.push(("type", $crate::json::JsonValue::str($tag)));
+                        $($($crate::json::codec!(@put members $field $($form)?);)*)?
+                        $($crate::json::codec!(@put members $key $($kform)?);)?
+                    })*
+                    $(Self::$ev(..) => return $enc,)?
+                }
+                Ok($crate::json::JsonValue::obj(members))
+            }
+
+            fn decode(
+                v: &$crate::json::JsonValue,
+            ) -> Result<$ty, $crate::json::JsonError> {
+                let mut obj = v.as_obj()?;
+                let tag = obj.req("type")?;
+                let value = match tag.as_str()? {
+                    $($tag => Self::$var
+                        $({ $($field: $crate::json::codec!(@take obj $field $($form)?),)* })?
+                        $(($crate::json::codec!(@take obj $key $($kform)?)))?,)*
+                    $($etag => return Err($crate::json::JsonError::at(tag.pos, $emsg)),)?
+                    other => {
+                        return Err($crate::json::JsonError::at(
+                            tag.pos,
+                            format!(
+                                "unknown {} \"{other}\" (expected {})",
+                                $what,
+                                $crate::json::one_of(&[$($tag),*])
+                            ),
+                        ))
+                    }
+                };
+                obj.finish()?;
+                $crate::json::codec!(@check value v $($check)?);
+                Ok(value)
+            }
+        }
+    };
+
+    ($ty:ident as $what:literal = $($var:ident $tag:literal)|+) => {
+        impl $ty {
+            /// The value's name: its file form and CSV/log label.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Self::$var => $tag,)+
+                }
+            }
+        }
+
+        impl $crate::json::Codec for $ty {
+            fn encode(
+                &self,
+                _name: &str,
+            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
+                Ok($crate::json::JsonValue::str(self.name()))
+            }
+
+            fn decode(
+                v: &$crate::json::JsonValue,
+            ) -> Result<$ty, $crate::json::JsonError> {
+                match v.as_str()? {
+                    $($tag => Ok(Self::$var),)+
+                    other => Err($crate::json::JsonError::at(
+                        v.pos,
+                        format!(
+                            "unknown {} \"{other}\" (expected {})",
+                            $what,
+                            $crate::json::one_of(&[$($tag),+])
+                        ),
+                    )),
+                }
+            }
+        }
+    };
+}
+pub(crate) use codec;
+
+// ---------------------------------------------------------------------------
+// Rule walks
+// ---------------------------------------------------------------------------
+
+/// A rule a value breaks: the member it concerns, as a path from the
+/// value's own node (`"amplitude"`, `"steps[1].start"`, `"events[3]"`, or
+/// `""` for the value itself), and the message both routes report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Broken {
+    /// Path of the offending member, relative to the checked value.
+    pub(crate) path: String,
+    /// What is wrong.
+    pub(crate) msg: String,
+}
+
+/// The outcome of a type's rule walk (`fn check(&self) -> Rules`): the
+/// first broken rule, if any. `validate()` turns it into a panic
+/// ([`enforce`]), decoding into a positioned error ([`Broken::at`]).
+pub(crate) type Rules = Result<(), Broken>;
+
+/// `Ok` when `ok` holds; otherwise the rule broken at `path`, with the
+/// message `msg` builds.
+///
+/// # Errors
+///
+/// Errors when `ok` is false.
+pub(crate) fn ensure(ok: bool, path: &str, msg: impl FnOnce() -> String) -> Rules {
+    if ok {
+        Ok(())
+    } else {
+        Err(Broken {
+            path: path.to_string(),
+            msg: msg(),
+        })
+    }
+}
+
+impl Broken {
+    /// The same rule seen from the parent value, which holds this one at
+    /// `step` (a member key, or `[i]` for an array element).
+    pub(crate) fn under(self, step: &str) -> Broken {
+        let path = if self.path.is_empty() {
+            step.to_string()
+        } else if self.path.starts_with('[') {
+            format!("{step}{}", self.path)
+        } else {
+            format!("{step}.{}", self.path)
+        };
+        Broken { path, ..self }
+    }
+
+    /// The decoding route: an error at the position of the offending
+    /// member in `node`, the checked value's own JSON (or of the deepest
+    /// node on the path that exists, when the member is absent).
+    pub(crate) fn at(self, node: &JsonValue) -> JsonError {
+        let mut here = node;
+        for step in self.path.split(['.', '[']).filter(|s| !s.is_empty()) {
+            let next = match (&here.kind, step.strip_suffix(']')) {
+                (JsonKind::Arr(items), Some(i)) => i.parse().ok().and_then(|i: usize| items.get(i)),
+                (JsonKind::Obj(members), None) => {
+                    members.iter().find(|m| m.key == step).map(|m| &m.value)
+                }
+                _ => None,
+            };
+            match next {
+                Some(next) => here = next,
+                None => break,
+            }
+        }
+        JsonError::at(here.pos, self.msg)
+    }
+}
+
+/// The `validate()` route of a rule walk: panics with the broken rule's
+/// message.
+///
+/// # Panics
+///
+/// Panics when `rules` holds a broken rule.
+#[track_caller]
+pub(crate) fn enforce(rules: Rules) {
+    if let Err(broken) = rules {
+        // arvis-lint: allow(panic-free-codecs, "the documented panicking route of validate(); decoding turns the same rule into a positioned error")
+        panic!("{}", broken.msg);
     }
 }
 

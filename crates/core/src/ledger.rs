@@ -52,7 +52,7 @@
 //! assert!(stored.diff(&replay).unwrap().is_empty(), "bit-identical replay");
 //! ```
 
-use crate::json::{finite_num, num_or_inf_checked, JsonError, JsonKind, JsonValue};
+use crate::json::{self, Codec, JsonError, JsonKind, JsonValue};
 use crate::scenario::Scenario;
 use crate::session::SessionBatch;
 use crate::telemetry::SessionSummary;
@@ -135,30 +135,7 @@ impl RunRecord {
     /// is not; the only lawfully infinite field is the uplink's
     /// `mean_budget`, which encodes as the string `"inf"`.
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mut sessions = Vec::with_capacity(self.sessions.len());
-        for (i, s) in self.sessions.iter().enumerate() {
-            sessions.push(
-                session_to_json(s)
-                    .map_err(|e| JsonError::new(format!("session {i}: {}", e.msg)))?,
-            );
-        }
-        let mut members = vec![
-            ("scenario", JsonValue::str(self.scenario.as_str())),
-            ("scenario_hash", JsonValue::str(self.scenario_hash.as_str())),
-            ("scenario_schema", JsonValue::int(self.scenario_schema)),
-            ("code_version", JsonValue::str(self.code_version.as_str())),
-            ("sessions", JsonValue::arr(sessions)),
-        ];
-        if let Some(uplink) = &self.uplink {
-            members.push(("uplink", uplink_to_json(uplink)?));
-        }
-        if let Some(downtime) = &self.downtime {
-            members.push((
-                "downtime",
-                JsonValue::arr(downtime.iter().map(|&d| JsonValue::int(d)).collect()),
-            ));
-        }
-        Ok(JsonValue::obj(members))
+        self.encode("record")
     }
 
     /// Decodes one record, rejecting unknown keys at every level.
@@ -168,42 +145,8 @@ impl RunRecord {
     /// Errors with the offending position on missing/unknown keys and
     /// wrong types.
     pub fn from_json(v: &JsonValue) -> Result<RunRecord, JsonError> {
-        let mut obj = v.as_obj()?;
-        let scenario = obj.req("scenario")?.as_str()?.to_string();
-        let scenario_hash = obj.req("scenario_hash")?.as_str()?.to_string();
-        let scenario_schema = obj.req("scenario_schema")?.as_u64()?;
-        let code_version = obj.req("code_version")?.as_str()?.to_string();
-        let sessions = obj
-            .req("sessions")?
-            .as_array()?
-            .iter()
-            .map(session_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let uplink = match obj.opt("uplink") {
-            Some(node) => Some(uplink_from_json(node)?),
-            None => None,
-        };
-        let downtime = match obj.opt("downtime") {
-            Some(node) => Some(
-                node.as_array()?
-                    .iter()
-                    .map(JsonValue::as_u64)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            None => None,
-        };
-        obj.finish()?;
-        Ok(RunRecord {
-            scenario,
-            scenario_hash,
-            scenario_schema,
-            code_version,
-            sessions,
-            uplink,
-            downtime,
-        })
+        RunRecord::decode(v)
     }
-
     /// Field-level bitwise diff of this (committed) record against a
     /// `replay` recomputation: one line per mismatching field, e.g.
     /// `sessions[3].mean_quality: ledger 0.86… != replay 0.85…`. Floats
@@ -223,6 +166,16 @@ impl RunRecord {
         Ok(out)
     }
 }
+
+json::codec!(RunRecord {
+    scenario,
+    scenario_hash,
+    scenario_schema,
+    code_version,
+    sessions,
+    uplink,
+    downtime,
+});
 
 /// The committed record collection behind `results/ledger.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -270,14 +223,10 @@ impl Ledger {
     ///
     /// Propagates record encode errors (see [`RunRecord::to_json`]).
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let records = self
-            .records
-            .iter()
-            .map(RunRecord::to_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let Ledger { records } = self;
         Ok(JsonValue::obj(vec![
             ("schema", JsonValue::int(LEDGER_SCHEMA_VERSION)),
-            ("records", JsonValue::arr(records)),
+            ("records", records.encode("records")?),
         ]))
     }
 
@@ -301,16 +250,10 @@ impl Ledger {
                 ),
             ));
         }
-        let records = obj
-            .req("records")?
-            .as_array()?
-            .iter()
-            .map(RunRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let records = Codec::member(&mut obj, "records")?;
         obj.finish()?;
         Ok(Ledger { records })
     }
-
     /// Renders the canonical file form: the [`Ledger::to_json`] tree
     /// pretty-printed with a trailing newline. `emit → parse → emit` is
     /// byte-identical (pinned by `tests/regression_ledger.rs`).
@@ -336,139 +279,37 @@ impl Ledger {
     }
 }
 
-/// Encodes a [`SessionSummary`] with members in struct order;
-/// `littles_delay` is omitted when `None` (nothing served).
-fn session_to_json(s: &SessionSummary) -> Result<JsonValue, JsonError> {
-    let mut members = vec![
-        ("slots", JsonValue::int(s.slots)),
-        ("mean_quality", finite_num("mean_quality", s.mean_quality)?),
-        ("mean_backlog", finite_num("mean_backlog", s.mean_backlog)?),
-        ("backlog_p95", finite_num("backlog_p95", s.backlog_p95)?),
-        ("backlog_p99", finite_num("backlog_p99", s.backlog_p99)?),
-        ("frames_completed", JsonValue::int(s.frames_completed)),
-        (
-            "frame_latency_mean",
-            finite_num("frame_latency_mean", s.frame_latency_mean)?,
-        ),
-        (
-            "frame_latency_p95",
-            finite_num("frame_latency_p95", s.frame_latency_p95)?,
-        ),
-        (
-            "frame_latency_p99",
-            finite_num("frame_latency_p99", s.frame_latency_p99)?,
-        ),
-    ];
-    if let Some(delay) = s.littles_delay {
-        members.push(("littles_delay", finite_num("littles_delay", delay)?));
-    }
-    members.push((
-        "dropped_total",
-        finite_num("dropped_total", s.dropped_total)?,
-    ));
-    members.push((
-        "depth_switch_rate",
-        finite_num("depth_switch_rate", s.depth_switch_rate)?,
-    ));
-    members.push(("stable", JsonValue::bool(s.stable)));
-    Ok(JsonValue::obj(members))
-}
+json::codec!(SessionSummary {
+    slots,
+    mean_quality,
+    mean_backlog,
+    backlog_p95,
+    backlog_p99,
+    frames_completed,
+    frame_latency_mean,
+    frame_latency_p95,
+    frame_latency_p99,
+    littles_delay,
+    dropped_total,
+    depth_switch_rate,
+    stable,
+});
 
-/// Decodes a [`SessionSummary`], rejecting unknown keys.
-fn session_from_json(v: &JsonValue) -> Result<SessionSummary, JsonError> {
-    let mut obj = v.as_obj()?;
-    let slots = obj.req("slots")?.as_u64()?;
-    let mean_quality = obj.req("mean_quality")?.as_f64()?;
-    let mean_backlog = obj.req("mean_backlog")?.as_f64()?;
-    let backlog_p95 = obj.req("backlog_p95")?.as_f64()?;
-    let backlog_p99 = obj.req("backlog_p99")?.as_f64()?;
-    let frames_completed = obj.req("frames_completed")?.as_u64()?;
-    let frame_latency_mean = obj.req("frame_latency_mean")?.as_f64()?;
-    let frame_latency_p95 = obj.req("frame_latency_p95")?.as_f64()?;
-    let frame_latency_p99 = obj.req("frame_latency_p99")?.as_f64()?;
-    let littles_delay = match obj.opt("littles_delay") {
-        Some(node) => Some(node.as_f64()?),
-        None => None,
-    };
-    let dropped_total = obj.req("dropped_total")?.as_f64()?;
-    let depth_switch_rate = obj.req("depth_switch_rate")?.as_f64()?;
-    let stable = obj.req("stable")?.as_bool()?;
-    obj.finish()?;
-    Ok(SessionSummary {
-        slots,
-        mean_quality,
-        mean_backlog,
-        backlog_p95,
-        backlog_p99,
-        frames_completed,
-        frame_latency_mean,
-        frame_latency_p95,
-        frame_latency_p99,
-        littles_delay,
-        dropped_total,
-        depth_switch_rate,
-        stable,
-    })
-}
-
-/// Encodes an [`UplinkSummary`] with members in struct order; the mean
-/// budget may lawfully be infinite (unconstrained uplink) and encodes as
-/// the string `"inf"`.
-fn uplink_to_json(u: &UplinkSummary) -> Result<JsonValue, JsonError> {
-    Ok(JsonValue::obj(vec![
-        ("slots", JsonValue::int(u.slots)),
-        (
-            "mean_budget",
-            num_or_inf_checked("mean_budget", u.mean_budget)?,
-        ),
-        ("contended_slots", JsonValue::int(u.contended_slots)),
-        ("mean_demand", finite_num("mean_demand", u.mean_demand)?),
-        ("mean_granted", finite_num("mean_granted", u.mean_granted)?),
-        ("mean_backlog", finite_num("mean_backlog", u.mean_backlog)?),
-        ("peak_backlog", finite_num("peak_backlog", u.peak_backlog)?),
-        ("shed_slots", JsonValue::int(u.shed_slots)),
-        (
-            "deferred_session_slots",
-            JsonValue::int(u.deferred_session_slots),
-        ),
-        ("lost_total", finite_num("lost_total", u.lost_total)?),
-        ("outage_slots", JsonValue::int(u.outage_slots)),
-        ("down_session_slots", JsonValue::int(u.down_session_slots)),
-    ]))
-}
-
-/// Decodes an [`UplinkSummary`], rejecting unknown keys.
-fn uplink_from_json(v: &JsonValue) -> Result<UplinkSummary, JsonError> {
-    let mut obj = v.as_obj()?;
-    let slots = obj.req("slots")?.as_u64()?;
-    let mean_budget = obj.req("mean_budget")?.as_f64_or_inf()?;
-    let contended_slots = obj.req("contended_slots")?.as_u64()?;
-    let mean_demand = obj.req("mean_demand")?.as_f64()?;
-    let mean_granted = obj.req("mean_granted")?.as_f64()?;
-    let mean_backlog = obj.req("mean_backlog")?.as_f64()?;
-    let peak_backlog = obj.req("peak_backlog")?.as_f64()?;
-    let shed_slots = obj.req("shed_slots")?.as_u64()?;
-    let deferred_session_slots = obj.req("deferred_session_slots")?.as_u64()?;
-    let lost_total = obj.req("lost_total")?.as_f64()?;
-    let outage_slots = obj.req("outage_slots")?.as_u64()?;
-    let down_session_slots = obj.req("down_session_slots")?.as_u64()?;
-    obj.finish()?;
-    Ok(UplinkSummary {
-        slots,
-        mean_budget,
-        contended_slots,
-        mean_demand,
-        mean_granted,
-        mean_backlog,
-        peak_backlog,
-        shed_slots,
-        deferred_session_slots,
-        lost_total,
-        outage_slots,
-        down_session_slots,
-    })
-}
-
+// The mean budget may lawfully be infinite (an unconstrained uplink).
+json::codec!(UplinkSummary {
+    slots,
+    mean_budget: Inf,
+    contended_slots,
+    mean_demand,
+    mean_granted,
+    mean_backlog,
+    peak_backlog,
+    shed_slots,
+    deferred_session_slots,
+    lost_total,
+    outage_slots,
+    down_session_slots,
+});
 /// Renders one scalar node for diff messages (objects/arrays never reach
 /// this: [`diff_value`] recurses into them).
 fn scalar_repr(v: &JsonValue) -> String {

@@ -21,8 +21,9 @@
 //!   [`scenario::ControllerSpec`]), storable as JSON scenario files
 //!   (see below);
 //! - [`json`]: the self-contained JSON layer behind scenario files — a
-//!   strict parser with line/column errors and a canonical pretty-printer
-//!   with exact `f64`/`u64` round-trips;
+//!   strict parser with line/column errors, a canonical pretty-printer
+//!   with exact `f64`/`u64` round-trips, and the [`json::Codec`] each
+//!   scenario-file and ledger type derives from one field table;
 //! - [`hash`]: dependency-free SHA-256 (FIPS 180-4) content-addressing the
 //!   canonical scenario bytes ([`Scenario::content_hash`]);
 //! - [`ledger`]: the append-only regression ledger — bit-exact
@@ -55,7 +56,6 @@
 //!   bit-identically, and bitwise invariant to compaction on/off;
 //! - [`telemetry`]: pluggable [`telemetry::TelemetrySink`]s (full trace,
 //!   streaming summary-only, CSV) and the shared CSV helpers;
-//! - [`device`]: mobile-device rendering capacity models;
 //! - [`stream`]: AR frame sources feeding per-slot depth profiles;
 //! - [`experiment`]: the legacy run-to-completion closed loop, now a thin
 //!   bit-identical layer over [`session`];
@@ -256,7 +256,6 @@
 
 pub mod churn;
 pub mod controller;
-pub mod device;
 pub mod distributed;
 pub mod energy;
 pub mod experiment;

@@ -9,7 +9,6 @@
 //! work as well as points — and (b) the codec path is lossless at every
 //! depth the controller selects.
 
-use std::collections::HashMap;
 use std::ops::RangeInclusive;
 
 use arvis_octree::attr::{frames_equivalent, EncodedFrame};
@@ -158,18 +157,14 @@ pub fn run_encoded_pipeline(
     let mut bytes_encoded = 0u64;
     let mut frames_verified = 0usize;
     let mut all_lossless = true;
-    // Encoded frames are cached per (frame, depth): a real system encodes
-    // once per content segment, not per transmission.
-    let mut cache: HashMap<(usize, u8), EncodedFrame> = HashMap::new();
 
     for slot in 0..slots {
         let profile = sequence.byte_profile(slot);
         let d = controller.select_depth(slot, queue.backlog(), profile);
-        let frame_idx = (slot as usize) % sequence.len();
         let tree = sequence.tree(slot);
-        let frame = cache
-            .entry((frame_idx, d))
-            .or_insert_with(|| EncodedFrame::encode(tree, d));
+        // Encoding is two slice copies of the tree's columns, so each slot
+        // encodes its frame afresh.
+        let frame = EncodedFrame::encode(tree, d);
         let size = frame.byte_size() as f64;
         bytes_encoded += frame.byte_size() as u64;
         queue.step(size, bytes_per_slot);

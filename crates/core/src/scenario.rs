@@ -20,14 +20,17 @@ use serde::{Deserialize, Serialize};
 
 use arvis_sim::rng::child_seed;
 
+use crate::churn::ChurnSpec;
 use crate::controller::{
     AdaptiveDpp, DepthController, FixedDepth, MaxDepth, MinDepth, ProposedDpp, QueueThreshold,
     RandomDepth,
 };
 use crate::distributed::FleetSpec;
 use crate::experiment::{ExperimentConfig, ServiceSpec};
-use crate::json::{self, JsonError, JsonValue};
+use crate::fault::{FaultEvent, FaultPlan};
+use crate::json::{self, ensure, Codec, JsonError, JsonValue, Rules};
 use crate::stream::ArStream;
+use crate::uplink::{UplinkPolicy, UplinkSpec};
 
 /// The newest scenario-file schema version this build reads and writes
 /// (the required top-level `"schema"` field). Bump on any
@@ -175,151 +178,64 @@ impl ControllerSpec {
     ///
     /// Errors on [`ControllerSpec::Extern`]: a trait-object factory has no
     /// file form, so extern controllers must be attached programmatically
-    /// after loading — exactly the limitation the old `#[serde(skip)]`
-    /// annotation expressed, now surfaced as a clear error.
+    /// after loading.
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(match self {
-            ControllerSpec::Proposed { v } => JsonValue::obj(vec![
-                ("type", JsonValue::str("proposed")),
-                ("v", json::finite_num("v", *v)?),
-            ]),
-            ControllerSpec::OnlyMax => JsonValue::obj(vec![("type", JsonValue::str("only_max"))]),
-            ControllerSpec::OnlyMin => JsonValue::obj(vec![("type", JsonValue::str("only_min"))]),
-            ControllerSpec::Fixed { depth } => JsonValue::obj(vec![
-                ("type", JsonValue::str("fixed")),
-                ("depth", JsonValue::int(*depth)),
-            ]),
-            ControllerSpec::Random { seed } => JsonValue::obj(vec![
-                ("type", JsonValue::str("random")),
-                ("seed", JsonValue::int(*seed)),
-            ]),
-            ControllerSpec::Threshold { thresholds } => JsonValue::obj(vec![
-                ("type", JsonValue::str("threshold")),
-                (
+        self.encode("controller")
+    }
+
+    /// The spec's rule walk: the controller constructors' invariants
+    /// (non-negative `v`, positive adaptive targets, non-empty
+    /// strictly-ascending thresholds).
+    pub(crate) fn check(&self) -> Rules {
+        match self {
+            ControllerSpec::Proposed { v } => {
+                ensure(*v >= 0.0, "v", || format!("v must be >= 0, got {v}"))
+            }
+            ControllerSpec::Threshold { thresholds } => {
+                ensure(!thresholds.is_empty(), "thresholds", || {
+                    "need at least one threshold".to_string()
+                })?;
+                ensure(
+                    thresholds.windows(2).all(|w| w[0] < w[1]),
                     "thresholds",
-                    JsonValue::arr(
-                        thresholds
-                            .iter()
-                            .map(|&t| json::finite_num("threshold", t))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                ),
-            ]),
+                    || "thresholds must be strictly ascending".to_string(),
+                )
+            }
             ControllerSpec::AdaptiveV {
                 initial_v,
                 target_backlog,
-            } => JsonValue::obj(vec![
-                ("type", JsonValue::str("adaptive_v")),
-                ("initial_v", json::finite_num("initial_v", *initial_v)?),
-                (
-                    "target_backlog",
-                    json::finite_num("target_backlog", *target_backlog)?,
-                ),
-            ]),
-            ControllerSpec::Extern(_) => {
-                return Err(JsonError::new(
-                    "extern controllers cannot be encoded in a scenario file; \
-                     attach them programmatically after loading",
-                ))
+            } => {
+                ensure(*initial_v > 0.0, "initial_v", || {
+                    format!("initial V must be > 0, got {initial_v}")
+                })?;
+                ensure(*target_backlog > 0.0, "target_backlog", || {
+                    format!("target backlog must be > 0, got {target_backlog}")
+                })
             }
-        })
-    }
-
-    /// Decodes a spec from its scenario-file form, enforcing the
-    /// controller constructors' invariants (non-negative `v`, positive
-    /// adaptive targets, non-empty strictly-ascending thresholds) as
-    /// errors instead of panics. The `extern` tag is rejected explicitly:
-    /// scenario files can describe every built-in policy, never a
-    /// user-defined one.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, and invalid parameters.
-    pub fn from_json(v: &JsonValue) -> Result<ControllerSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let tag = obj.req("type")?;
-        let spec = match tag.as_str()? {
-            "proposed" => {
-                let v_node = obj.req("v")?;
-                let v = v_node.as_f64()?;
-                if v < 0.0 {
-                    return Err(JsonError::at(
-                        v_node.pos,
-                        format!("v must be >= 0, got {v}"),
-                    ));
-                }
-                ControllerSpec::Proposed { v }
-            }
-            "only_max" => ControllerSpec::OnlyMax,
-            "only_min" => ControllerSpec::OnlyMin,
-            "fixed" => ControllerSpec::Fixed {
-                depth: obj.req("depth")?.as_u8()?,
-            },
-            "random" => ControllerSpec::Random {
-                seed: obj.req("seed")?.as_u64()?,
-            },
-            "threshold" => {
-                let node = obj.req("thresholds")?;
-                let items = node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(node.pos, "need at least one threshold"));
-                }
-                let thresholds = items
-                    .iter()
-                    .map(JsonValue::as_f64)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if !thresholds.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(JsonError::at(
-                        node.pos,
-                        "thresholds must be strictly ascending",
-                    ));
-                }
-                ControllerSpec::Threshold { thresholds }
-            }
-            "adaptive_v" => {
-                let v_node = obj.req("initial_v")?;
-                let initial_v = v_node.as_f64()?;
-                if initial_v <= 0.0 {
-                    return Err(JsonError::at(
-                        v_node.pos,
-                        format!("initial V must be > 0, got {initial_v}"),
-                    ));
-                }
-                let t_node = obj.req("target_backlog")?;
-                let target_backlog = t_node.as_f64()?;
-                if target_backlog <= 0.0 {
-                    return Err(JsonError::at(
-                        t_node.pos,
-                        format!("target backlog must be > 0, got {target_backlog}"),
-                    ));
-                }
-                ControllerSpec::AdaptiveV {
-                    initial_v,
-                    target_backlog,
-                }
-            }
-            "extern" => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    "extern controllers cannot be described in a scenario file; \
-                     use a built-in controller type and attach externs programmatically",
-                ))
-            }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!(
-                        "unknown controller type \"{other}\" (expected proposed, only_max, \
-                         only_min, fixed, random, threshold, or adaptive_v)"
-                    ),
-                ))
-            }
-        };
-        obj.finish()?;
-        Ok(spec)
+            ControllerSpec::OnlyMax
+            | ControllerSpec::OnlyMin
+            | ControllerSpec::Fixed { .. }
+            | ControllerSpec::Random { .. }
+            | ControllerSpec::Extern(_) => Ok(()),
+        }
     }
 }
+
+// The extern variant has no file form: a trait-object factory cannot be
+// written down, so externs are attached programmatically after loading.
+json::codec!(ControllerSpec as "controller type" {
+    Proposed "proposed" { v },
+    OnlyMax "only_max",
+    OnlyMin "only_min",
+    Fixed "fixed" { depth },
+    Random "random" { seed },
+    Threshold "threshold" { thresholds },
+    AdaptiveV "adaptive_v" { initial_v, target_backlog },
+} check else Extern(..) => Err(JsonError::new(
+    "extern controllers cannot be encoded in a scenario file; \
+     attach them programmatically after loading",
+)), "extern" => "extern controllers cannot be described in a scenario file; \
+                 use a built-in controller type and attach externs programmatically");
 
 /// Runnable controller state: the closed enum the session hot loop
 /// dispatches with a `match` (plus the boxed escape hatch for externs).
@@ -458,116 +374,49 @@ impl SessionSpec {
         }
     }
 
-    /// Encodes the spec for a scenario file (see [`crate::json`]).
-    /// Optional fields (`queue_capacity`, `frame_cap`, `uplink_v_adapt`)
-    /// are emitted only when set, so files stay minimal and diffs stay
-    /// focused.
-    ///
-    /// # Errors
-    ///
-    /// Errors on an [`ControllerSpec::Extern`] controller (no file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mut members = vec![
-            ("stream", self.stream.to_json()?),
-            ("service", self.service.to_json()?),
-            ("controller", self.controller.to_json()?),
-            ("seed", JsonValue::int(self.seed)),
-            ("warmup", JsonValue::int(self.warmup)),
-        ];
+    /// The spec's rule walk: its stream's, service's and controller's own
+    /// rules, a non-negative queue capacity, a positive `frame_cap`, and a
+    /// valid `uplink_v_adapt` knob with a `proposed` controller of `v > 0`
+    /// to scale.
+    pub(crate) fn check(&self) -> Rules {
+        self.stream.check().map_err(|b| b.under("stream"))?;
+        self.service.check().map_err(|b| b.under("service"))?;
+        self.controller.check().map_err(|b| b.under("controller"))?;
         if let Some(capacity) = self.queue_capacity {
-            members.push((
-                "queue_capacity",
-                json::finite_num("queue_capacity", capacity)?,
-            ));
+            ensure(capacity >= 0.0, "queue_capacity", || {
+                format!("queue_capacity must be >= 0, got {capacity}")
+            })?;
         }
-        if let Some(cap) = self.frame_cap {
-            members.push(("frame_cap", JsonValue::int(cap as u64)));
-        }
+        ensure(self.frame_cap != Some(0), "frame_cap", || {
+            "frame_cap must be positive".to_string()
+        })?;
         if let Some(adapt) = &self.uplink_v_adapt {
-            members.push(("uplink_v_adapt", adapt.to_json()?));
+            adapt.check().map_err(|b| b.under("uplink_v_adapt"))?;
+            match self.controller.proposed_v() {
+                Some(v) => ensure(v > 0.0, "uplink_v_adapt", || {
+                    format!("uplink_v_adapt requires v > 0 on the proposed controller, got {v}")
+                })?,
+                None => ensure(false, "uplink_v_adapt", || {
+                    "uplink_v_adapt requires a proposed controller \
+                     (the adaptation scales its V)"
+                        .to_string()
+                })?,
+            }
         }
-        Ok(JsonValue::obj(members))
-    }
-
-    /// Decodes a spec from its scenario-file form. Optional fields may be
-    /// absent or `null`. Cross-field constraints are enforced here with
-    /// specific errors: `uplink_v_adapt` requires a `proposed` controller
-    /// with `v > 0` (the adaptation scales that controller's `V`), the
-    /// queue capacity must be finite and non-negative, and `frame_cap`
-    /// must be at least 1.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown or missing keys,
-    /// wrong types, and invalid or inconsistent parameters.
-    pub fn from_json(v: &JsonValue) -> Result<SessionSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let stream = ArStream::from_json(obj.req("stream")?)?;
-        let service = ServiceSpec::from_json(obj.req("service")?)?;
-        let controller = ControllerSpec::from_json(obj.req("controller")?)?;
-        let seed = obj.req("seed")?.as_u64()?;
-        let warmup = obj.req("warmup")?.as_u64()?;
-        let queue_capacity = match obj.opt("queue_capacity") {
-            Some(node) => {
-                let capacity = node.as_f64()?;
-                if capacity < 0.0 {
-                    return Err(JsonError::at(
-                        node.pos,
-                        format!("queue_capacity must be >= 0, got {capacity}"),
-                    ));
-                }
-                Some(capacity)
-            }
-            None => None,
-        };
-        let frame_cap = match obj.opt("frame_cap") {
-            Some(node) => {
-                let cap = node.as_usize()?;
-                if cap == 0 {
-                    return Err(JsonError::at(node.pos, "frame_cap must be positive"));
-                }
-                Some(cap)
-            }
-            None => None,
-        };
-        let uplink_v_adapt = match obj.opt("uplink_v_adapt") {
-            Some(node) => {
-                let adapt = crate::uplink::UplinkVAdaptSpec::from_json(node)?;
-                match controller.proposed_v() {
-                    Some(v) if v > 0.0 => {}
-                    Some(v) => {
-                        return Err(JsonError::at(
-                            node.pos,
-                            format!(
-                                "uplink_v_adapt requires v > 0 on the proposed controller, got {v}"
-                            ),
-                        ))
-                    }
-                    None => {
-                        return Err(JsonError::at(
-                            node.pos,
-                            "uplink_v_adapt requires a proposed controller \
-                             (the adaptation scales its V)",
-                        ))
-                    }
-                }
-                Some(adapt)
-            }
-            None => None,
-        };
-        obj.finish()?;
-        Ok(SessionSpec {
-            stream,
-            service,
-            controller,
-            seed,
-            queue_capacity,
-            warmup,
-            frame_cap,
-            uplink_v_adapt,
-        })
+        Ok(())
     }
 }
+
+json::codec!(SessionSpec {
+    stream,
+    service,
+    controller,
+    seed,
+    warmup,
+    queue_capacity,
+    frame_cap,
+    uplink_v_adapt,
+} check);
 
 /// A declarative multi-session workload: N session specs sharing one slot
 /// horizon, optionally coupled through a shared uplink.
@@ -649,46 +498,63 @@ impl Scenario {
     /// combined with `session_crash` fault events (the two would race for
     /// the same sessions' liveness).
     #[must_use]
-    pub fn with_churn(mut self, churn: crate::churn::ChurnSpec) -> Scenario {
+    pub fn with_churn(mut self, churn: ChurnSpec) -> Scenario {
         churn.validate();
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking builder; from_json routes the same checks into positioned errors")
-        self.check_churn(&churn, &mut |msg| panic!("{msg}"));
+        json::enforce(self.check_churn(&churn));
         self.churn = Some(churn);
         self
     }
 
-    /// The scenario-level churn cross-checks shared by
-    /// [`Scenario::with_churn`] (panicking) and [`Scenario::from_json`]
-    /// (positioned errors): weight/policy pairing and the
-    /// lifetime/`session_crash` exclusion.
-    fn check_churn(&self, churn: &crate::churn::ChurnSpec, fail: &mut dyn FnMut(String)) {
+    /// The scenario's own rule walk, over what no single member sees: a
+    /// `weighted_max_weight` uplink carries exactly one weight per session,
+    /// and the churn cross-checks ([`Scenario::check_churn`]).
+    fn check(&self) -> Rules {
+        if let Some(UplinkSpec {
+            policy: UplinkPolicy::WeightedMaxWeight { weights },
+            ..
+        }) = &self.uplink
+        {
+            ensure(weights.len() == self.sessions.len(), "uplink", || {
+                format!(
+                    "weighted_max_weight declares {} weights for {} sessions \
+                     (need exactly one per session)",
+                    weights.len(),
+                    self.sessions.len()
+                )
+            })?;
+        }
+        match &self.churn {
+            Some(churn) => self.check_churn(churn),
+            None => Ok(()),
+        }
+    }
+
+    /// The scenario-level churn cross-checks, shared by
+    /// [`Scenario::with_churn`] and [`Scenario::from_json`]: weight/policy
+    /// pairing and the lifetime/`session_crash` exclusion.
+    fn check_churn(&self, churn: &ChurnSpec) -> Rules {
         let weighted = matches!(
             self.uplink.as_ref().map(|u| &u.policy),
-            Some(crate::uplink::UplinkPolicy::WeightedMaxWeight { .. })
+            Some(UplinkPolicy::WeightedMaxWeight { .. })
         );
         if churn.arrivals.is_some() {
-            if weighted && churn.weight.is_none() {
-                fail(
-                    "a weighted_max_weight uplink requires a churn weight for joiners".to_string(),
-                );
-            }
-            if !weighted && churn.weight.is_some() {
-                fail("a churn weight requires a weighted_max_weight uplink".to_string());
-            }
+            ensure(!weighted || churn.weight.is_some(), "churn", || {
+                "a weighted_max_weight uplink requires a churn weight for joiners".to_string()
+            })?;
+            ensure(weighted || churn.weight.is_none(), "churn", || {
+                "a churn weight requires a weighted_max_weight uplink".to_string()
+            })?;
         }
-        if churn.lifetime.is_some()
-            && self.fault.as_ref().is_some_and(|plan| {
-                plan.events
-                    .iter()
-                    .any(|e| matches!(e, crate::fault::FaultEvent::SessionCrash { .. }))
-            })
-        {
-            fail(
-                "churn lifetimes cannot be combined with session_crash fault events \
-                 (both drive session liveness)"
-                    .to_string(),
-            );
-        }
+        let crashes = self.fault.as_ref().is_some_and(|plan| {
+            plan.events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::SessionCrash { .. }))
+        });
+        ensure(churn.lifetime.is_none() || !crashes, "churn", || {
+            "churn lifetimes cannot be combined with session_crash fault events \
+             (both drive session liveness)"
+                .to_string()
+        })
     }
 
     /// A single-session scenario from a legacy config and a policy.
@@ -794,35 +660,35 @@ impl Scenario {
     /// Errors when any session's controller is [`ControllerSpec::Extern`]
     /// (no file form), naming the offending session index.
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let mut sessions = Vec::with_capacity(self.sessions.len());
-        for (i, spec) in self.sessions.iter().enumerate() {
-            sessions.push(
-                spec.to_json()
+        let Scenario {
+            slots,
+            sessions,
+            uplink,
+            fault,
+            churn,
+        } = self;
+        let mut encoded = Vec::with_capacity(sessions.len());
+        for (i, spec) in sessions.iter().enumerate() {
+            encoded.push(
+                spec.encode("session")
                     .map_err(|e| JsonError::new(format!("session {i}: {}", e.msg)))?,
             );
         }
         let mut members = vec![
             ("schema", JsonValue::int(self.schema_version())),
-            ("slots", JsonValue::int(self.slots)),
-            ("sessions", JsonValue::arr(sessions)),
+            ("slots", JsonValue::int(*slots)),
+            ("sessions", JsonValue::arr(encoded)),
         ];
-        if let Some(uplink) = &self.uplink {
-            members.push(("uplink", uplink.to_json()?));
-        }
-        if let Some(fault) = &self.fault {
-            members.push(("fault", fault.to_json()?));
-        }
-        if let Some(churn) = &self.churn {
-            members.push(("churn", churn.to_json()?));
-        }
+        json::put(&mut members, "uplink", uplink.encode("uplink"))?;
+        json::put(&mut members, "fault", fault.encode("fault"))?;
+        json::put(&mut members, "churn", churn.encode("churn"))?;
         Ok(JsonValue::obj(members))
     }
 
-    /// Decodes a scenario from a JSON tree, checking the schema version,
-    /// rejecting unknown keys at every level, and enforcing the one
-    /// cross-object constraint a single spec cannot see: a
-    /// `weighted_max_weight` uplink must carry exactly one weight per
-    /// session.
+    /// Decodes a scenario from a JSON tree, checking the schema version
+    /// (a `fault` member needs version 2, a `churn` member version 3),
+    /// rejecting unknown keys at every level, validating the fault plan
+    /// against the fleet, and running the scenario's own rule walk.
     ///
     /// # Errors
     ///
@@ -842,81 +708,31 @@ impl Scenario {
                 ),
             ));
         }
-        let slots = obj.req("slots")?.as_u64()?;
-        let sessions_node = obj.req("sessions")?;
-        let sessions = sessions_node
-            .as_array()?
-            .iter()
-            .map(SessionSpec::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let uplink = match obj.opt("uplink") {
-            Some(node) => {
-                let spec = crate::uplink::UplinkSpec::from_json(node)?;
-                if let crate::uplink::UplinkPolicy::WeightedMaxWeight { weights } = &spec.policy {
-                    if weights.len() != sessions.len() {
-                        return Err(JsonError::at(
-                            node.pos,
-                            format!(
-                                "weighted_max_weight declares {} weights for {} sessions \
-                                 (need exactly one per session)",
-                                weights.len(),
-                                sessions.len()
-                            ),
-                        ));
-                    }
-                }
-                Some(spec)
-            }
+        let slots = Codec::member(&mut obj, "slots")?;
+        let sessions: Vec<SessionSpec> = Codec::member(&mut obj, "sessions")?;
+        let uplink = Codec::member(&mut obj, "uplink")?;
+        let mut since = |key: &str, version: u64| match obj.opt(key) {
+            Some(node) if schema < version => Err(JsonError::at(
+                node.pos,
+                format!("\"{key}\" requires schema version {version} (file declares {schema})"),
+            )),
+            node => Ok(node),
+        };
+        let fault = match since("fault", 2)? {
+            Some(node) => Some(FaultPlan::from_json(node, sessions.len())?),
             None => None,
         };
-        let fault = match obj.opt("fault") {
-            Some(node) => {
-                if schema < 2 {
-                    return Err(JsonError::at(
-                        node.pos,
-                        format!("\"fault\" requires schema version 2 (file declares {schema})"),
-                    ));
-                }
-                Some(crate::fault::FaultPlan::from_json(node, sessions.len())?)
-            }
-            None => None,
-        };
-        let churn = match obj.opt("churn") {
-            Some(node) => {
-                if schema < 3 {
-                    return Err(JsonError::at(
-                        node.pos,
-                        format!("\"churn\" requires schema version 3 (file declares {schema})"),
-                    ));
-                }
-                Some((crate::churn::ChurnSpec::from_json(node)?, node.pos))
-            }
-            None => None,
-        };
+        let churn = since("churn", 3)?.map(ChurnSpec::decode).transpose()?;
         obj.finish()?;
         let scenario = Scenario {
             slots,
             sessions,
             uplink,
             fault,
-            churn: None,
+            churn,
         };
-        let churn = match churn {
-            Some((spec, pos)) => {
-                let mut first: Option<JsonError> = None;
-                scenario.check_churn(&spec, &mut |msg| {
-                    if first.is_none() {
-                        first = Some(JsonError::at(pos, msg));
-                    }
-                });
-                if let Some(err) = first {
-                    return Err(err);
-                }
-                Some(spec)
-            }
-            None => None,
-        };
-        Ok(Scenario { churn, ..scenario })
+        scenario.check().map_err(|broken| broken.at(v))?;
+        Ok(scenario)
     }
 
     /// Renders the scenario in the canonical file form: the

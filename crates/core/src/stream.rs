@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use arvis_pointcloud::synth::FrameSequence;
 use arvis_quality::profile::{DepthProfile, ProfileError, QualityMetric};
 
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, ensure, Broken, Codec, JsonError, JsonValue, Rules};
 
 /// A source of per-slot depth profiles.
 #[derive(Debug, Clone)]
@@ -51,15 +51,11 @@ impl ArStream {
     /// Panics when `profiles` is empty or the frames disagree on the depth
     /// range.
     pub fn cycle(profiles: Vec<DepthProfile>) -> ArStream {
-        assert!(!profiles.is_empty(), "need at least one frame profile");
-        let r = profiles[0].depths();
-        assert!(
-            profiles.iter().all(|p| p.depths() == r),
-            "all frame profiles must share the same depth range"
-        );
-        ArStream {
+        let stream = ArStream {
             kind: StreamKind::Cycle(profiles),
-        }
+        };
+        json::enforce(stream.check());
+        stream
     }
 
     /// The base profile with arrivals scaled by
@@ -70,18 +66,15 @@ impl ArStream {
     ///
     /// Panics when `amplitude ∉ [0, 1)` or `period_slots <= 0`.
     pub fn modulated(base: DepthProfile, amplitude: f64, period_slots: f64) -> ArStream {
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0, 1)"
-        );
-        assert!(period_slots > 0.0, "period must be positive");
-        ArStream {
+        let stream = ArStream {
             kind: StreamKind::Modulated {
                 base,
                 amplitude,
                 period_slots,
             },
-        }
+        };
+        json::enforce(stream.check());
+        stream
     }
 
     /// Measures per-frame profiles of a synthetic [`FrameSequence`] and
@@ -166,184 +159,123 @@ impl ArStream {
         }
     }
 
-    /// Encodes the stream for a scenario file (see [`crate::json`]):
-    /// a `"type"`-tagged object (`constant` / `cycle` / `modulated`)
-    /// whose profiles are `{min_depth, arrivals, quality}` tables.
-    ///
-    /// # Errors
-    ///
-    /// Errors when a profile value is non-finite (nothing non-finite has a
-    /// scenario-file form here).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(match &self.kind {
-            StreamKind::Constant(p) => JsonValue::obj(vec![
-                ("type", JsonValue::str("constant")),
-                ("profile", profile_to_json(p)?),
-            ]),
-            StreamKind::Cycle(ps) => JsonValue::obj(vec![
-                ("type", JsonValue::str("cycle")),
-                (
-                    "profiles",
-                    JsonValue::arr(
-                        ps.iter()
-                            .map(profile_to_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                ),
-            ]),
+    /// The stream's rule walk: a cycle has frames that share one depth
+    /// range, a modulation has `amplitude ∈ [0, 1)` and a positive period.
+    /// Each profile's own rules are [`profile_rules`].
+    pub(crate) fn check(&self) -> Rules {
+        match &self.kind {
+            StreamKind::Constant(_) => Ok(()),
+            StreamKind::Cycle(profiles) => {
+                ensure(!profiles.is_empty(), "profiles", || {
+                    "need at least one frame profile".to_string()
+                })?;
+                match profiles
+                    .iter()
+                    .position(|p| p.depths() != profiles[0].depths())
+                {
+                    Some(i) => Err(Broken {
+                        path: format!("profiles[{i}]"),
+                        msg: "all frame profiles must share the same depth range".to_string(),
+                    }),
+                    None => Ok(()),
+                }
+            }
             StreamKind::Modulated {
-                base,
+                base: _,
                 amplitude,
                 period_slots,
-            } => JsonValue::obj(vec![
-                ("type", JsonValue::str("modulated")),
-                ("base", profile_to_json(base)?),
-                ("amplitude", json::finite_num("amplitude", *amplitude)?),
-                (
-                    "period_slots",
-                    json::finite_num("period_slots", *period_slots)?,
-                ),
-            ]),
-        })
+            } => {
+                ensure((0.0..1.0).contains(amplitude), "amplitude", || {
+                    format!("amplitude must be in [0, 1), got {amplitude}")
+                })?;
+                ensure(*period_slots > 0.0, "period_slots", || {
+                    format!("period_slots must be positive, got {period_slots}")
+                })
+            }
+        }
+    }
+}
+
+/// A stream's file form is its kind's: a `"type"`-tagged object whose
+/// profiles are `{min_depth, arrivals, quality}` tables.
+impl Codec for ArStream {
+    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+        let ArStream { kind } = self;
+        kind.encode(name)
     }
 
-    /// Decodes a stream from its scenario-file form, enforcing every
-    /// constructor invariant as an error (never a panic): non-empty
-    /// cycles with matching depth ranges, `amplitude ∈ [0, 1)`,
-    /// `period_slots > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, and invalid parameters.
-    pub fn from_json(v: &JsonValue) -> Result<ArStream, JsonError> {
-        let mut obj = v.as_obj()?;
-        let tag = obj.req("type")?;
-        let stream = match tag.as_str()? {
-            "constant" => ArStream::constant(profile_from_json(obj.req("profile")?)?),
-            "cycle" => {
-                let node = obj.req("profiles")?;
-                let items = node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(node.pos, "need at least one frame profile"));
-                }
-                let profiles = items
-                    .iter()
-                    .map(profile_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let r = profiles[0].depths();
-                if let Some(i) = profiles.iter().position(|p| p.depths() != r) {
-                    return Err(JsonError::at(
-                        items[i].pos,
-                        "all frame profiles must share the same depth range",
-                    ));
-                }
-                ArStream::cycle(profiles)
-            }
-            "modulated" => {
-                let base = profile_from_json(obj.req("base")?)?;
-                let amplitude_node = obj.req("amplitude")?;
-                let amplitude = amplitude_node.as_f64()?;
-                if !(0.0..1.0).contains(&amplitude) {
-                    return Err(JsonError::at(
-                        amplitude_node.pos,
-                        format!("amplitude must be in [0, 1), got {amplitude}"),
-                    ));
-                }
-                let period_node = obj.req("period_slots")?;
-                let period_slots = period_node.as_f64()?;
-                if period_slots <= 0.0 {
-                    return Err(JsonError::at(
-                        period_node.pos,
-                        format!("period_slots must be positive, got {period_slots}"),
-                    ));
-                }
-                ArStream::modulated(base, amplitude, period_slots)
-            }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!(
-                        "unknown stream type \"{other}\" \
-                         (expected constant, cycle, or modulated)"
-                    ),
-                ))
-            }
+    fn decode(v: &JsonValue) -> Result<ArStream, JsonError> {
+        let stream = ArStream {
+            kind: StreamKind::decode(v)?,
         };
-        obj.finish()?;
+        stream.check().map_err(|broken| broken.at(v))?;
         Ok(stream)
     }
 }
 
-/// Encodes a [`DepthProfile`] as its `{min_depth, arrivals, quality}`
-/// table (the exact `from_parts` surface; PSNR columns are measurement
-/// artifacts and never serialized).
-fn profile_to_json(p: &DepthProfile) -> Result<JsonValue, JsonError> {
-    Ok(JsonValue::obj(vec![
-        ("min_depth", JsonValue::int(p.min_depth())),
-        (
-            "arrivals",
-            JsonValue::arr(
-                p.depths()
-                    .map(|d| json::finite_num("arrival", p.arrival(d)))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        ),
-        (
-            "quality",
-            JsonValue::arr(
-                p.depths()
-                    .map(|d| json::finite_num("quality", p.quality(d)))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        ),
-    ]))
+json::codec!(StreamKind as "stream type" {
+    Constant "constant" (profile),
+    Cycle "cycle" (profiles),
+    Modulated "modulated" { base, amplitude, period_slots },
+});
+
+/// A [`DepthProfile`]'s file form is its `{min_depth, arrivals, quality}`
+/// table, the exact `from_parts` surface (PSNR columns are measurement
+/// artifacts and never serialized). The type is foreign, so this glue is
+/// written by hand, and decoding checks `profile_rules` before
+/// `from_parts`, which panics on the same conditions.
+impl Codec for DepthProfile {
+    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
+        let arrivals: Vec<f64> = self.depths().map(|d| self.arrival(d)).collect();
+        let quality: Vec<f64> = self.depths().map(|d| self.quality(d)).collect();
+        Ok(JsonValue::obj(vec![
+            ("min_depth", JsonValue::int(self.min_depth())),
+            ("arrivals", arrivals.encode("arrival")?),
+            ("quality", quality.encode("quality")?),
+        ]))
+    }
+
+    fn decode(v: &JsonValue) -> Result<DepthProfile, JsonError> {
+        let mut obj = v.as_obj()?;
+        let min_depth = Codec::member(&mut obj, "min_depth")?;
+        let arrivals: Vec<f64> = Codec::member(&mut obj, "arrivals")?;
+        let quality: Vec<f64> = Codec::member(&mut obj, "quality")?;
+        obj.finish()?;
+        profile_rules(min_depth, &arrivals, &quality).map_err(|broken| broken.at(v))?;
+        Ok(DepthProfile::from_parts(min_depth, arrivals, quality))
+    }
 }
 
-/// Decodes a depth profile, turning every `DepthProfile::from_parts` panic
-/// condition into a positioned error.
-fn profile_from_json(v: &JsonValue) -> Result<DepthProfile, JsonError> {
-    let mut obj = v.as_obj()?;
-    let min_depth = obj.req("min_depth")?.as_u8()?;
-    let arrivals_node = obj.req("arrivals")?;
-    let arrivals = finite_f64_array(arrivals_node)?;
-    if arrivals.len() < 2 {
-        return Err(JsonError::at(arrivals_node.pos, "need at least two depths"));
-    }
-    if arrivals.len() - 1 > usize::from(u8::MAX - min_depth) {
-        return Err(JsonError::at(
-            arrivals_node.pos,
+/// A profile's rule walk, over its parts: at least two depths that fit in
+/// a `u8` above `min_depth`, positive arrivals, and one quality per
+/// arrival.
+fn profile_rules(min_depth: u8, arrivals: &[f64], quality: &[f64]) -> Rules {
+    ensure(arrivals.len() >= 2, "arrivals", || {
+        "need at least two depths".to_string()
+    })?;
+    ensure(
+        arrivals.len() - 1 <= usize::from(u8::MAX - min_depth),
+        "arrivals",
+        || {
             format!(
                 "depth range overflows u8: min_depth {min_depth} + {} levels",
                 arrivals.len()
-            ),
-        ));
-    }
+            )
+        },
+    )?;
     if let Some(i) = arrivals.iter().position(|&a| a <= 0.0) {
-        return Err(JsonError::at(
-            arrivals_node.as_array()?[i].pos,
-            format!("arrivals must be positive, got {}", arrivals[i]),
-        ));
+        return Err(Broken {
+            path: format!("arrivals[{i}]"),
+            msg: format!("arrivals must be positive, got {}", arrivals[i]),
+        });
     }
-    let quality_node = obj.req("quality")?;
-    let quality = finite_f64_array(quality_node)?;
-    if quality.len() != arrivals.len() {
-        return Err(JsonError::at(
-            quality_node.pos,
-            format!(
-                "quality has {} entries but arrivals has {}",
-                quality.len(),
-                arrivals.len()
-            ),
-        ));
-    }
-    obj.finish()?;
-    Ok(DepthProfile::from_parts(min_depth, arrivals, quality))
-}
-
-/// Decodes an array of finite floats (the common profile-table shape).
-pub(crate) fn finite_f64_array(v: &JsonValue) -> Result<Vec<f64>, JsonError> {
-    v.as_array()?.iter().map(JsonValue::as_f64).collect()
+    ensure(quality.len() == arrivals.len(), "quality", || {
+        format!(
+            "quality has {} entries but arrivals has {}",
+            quality.len(),
+            arrivals.len()
+        )
+    })
 }
 
 #[cfg(test)]

@@ -101,7 +101,7 @@ use serde::{Deserialize, Serialize};
 
 use arvis_lyapunov::adaptive::GrantRatioV;
 
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, ensure, Broken, Rules};
 use crate::scenario::Scenario;
 use crate::session::SessionBatch;
 use crate::telemetry::{CsvRow, SessionSummary, TelemetrySink};
@@ -183,181 +183,64 @@ impl BudgetProfile {
         }
     }
 
-    /// Encodes the profile for a scenario file (see [`crate::json`]): a
-    /// `"type"`-tagged object; infinite budgets encode as the string
-    /// `"inf"`.
-    ///
-    /// # Errors
-    ///
-    /// Errors on NaN or `-∞` values (nothing non-finite besides `+∞`
-    /// budgets has a file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(match self {
-            BudgetProfile::Constant(b) => JsonValue::obj(vec![
-                ("type", JsonValue::str("constant")),
-                ("budget", json::num_or_inf_checked("budget", *b)?),
-            ]),
+    /// The profile's rule walk: every budget non-negative and not NaN, a
+    /// `Diurnal` swing that stays non-negative (`amplitude ≤ mean`) with a
+    /// positive `period` and a finite phase, a `PiecewiseSteps` schedule
+    /// that is non-empty, starts at slot 0 and ascends strictly, and a
+    /// non-empty `Trace` (a trace with no entries has no slot-0 budget).
+    pub(crate) fn check(&self) -> Rules {
+        // `b >= 0.0` is false for NaN: one comparison rejects both.
+        let budget = |b: f64, path: &str| ensure(b >= 0.0, path, || format!("bad budget {b}"));
+        match self {
+            BudgetProfile::Constant(b) => budget(*b, "budget"),
             BudgetProfile::Diurnal {
                 mean,
                 amplitude,
                 period,
                 phase,
-            } => JsonValue::obj(vec![
-                ("type", JsonValue::str("diurnal")),
-                ("mean", json::finite_num("mean", *mean)?),
-                ("amplitude", json::finite_num("amplitude", *amplitude)?),
-                ("period", JsonValue::int(*period)),
-                ("phase", json::finite_num("phase", *phase)?),
-            ]),
-            BudgetProfile::PiecewiseSteps(steps) => JsonValue::obj(vec![
-                ("type", JsonValue::str("piecewise_steps")),
-                (
-                    "steps",
-                    JsonValue::arr(
-                        steps
-                            .iter()
-                            .map(|s| {
-                                Ok(JsonValue::obj(vec![
-                                    ("start", JsonValue::int(s.start)),
-                                    ("budget", json::num_or_inf_checked("budget", s.budget)?),
-                                ]))
-                            })
-                            .collect::<Result<Vec<_>, JsonError>>()?,
-                    ),
-                ),
-            ]),
-            BudgetProfile::Trace(budgets) => JsonValue::obj(vec![
-                ("type", JsonValue::str("trace")),
-                (
-                    "budgets",
-                    JsonValue::arr(
-                        budgets
-                            .iter()
-                            .map(|&b| json::num_or_inf_checked("budget", b))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                ),
-            ]),
-        })
-    }
-
-    /// Decodes a profile from its scenario-file form, enforcing every
-    /// [`BudgetProfile::validate`] condition as an error instead of a
-    /// panic — including the empty-`Trace` case, whose pinned behavior is
-    /// rejection at spec-validation time (a trace with no entries has no
-    /// slot-0 budget to evaluate).
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, negative/NaN budgets,
-    /// `amplitude > mean`, zero periods, unsorted or slot-0-less step
-    /// schedules, and empty traces.
-    pub fn from_json(v: &JsonValue) -> Result<BudgetProfile, JsonError> {
-        let budget_value = |node: &JsonValue| {
-            let b = node.as_f64_or_inf()?;
-            if b < 0.0 {
-                return Err(JsonError::at(node.pos, format!("bad budget {b}")));
+            } => {
+                ensure(mean.is_finite() && *mean >= 0.0, "mean", || {
+                    format!("bad diurnal mean {mean}")
+                })?;
+                ensure(*amplitude >= 0.0 && amplitude <= mean, "amplitude", || {
+                    format!("diurnal amplitude must be in [0, mean], got {amplitude}")
+                })?;
+                ensure(*period > 0, "period", || {
+                    "diurnal period must be positive".to_string()
+                })?;
+                ensure(phase.is_finite(), "phase", || {
+                    format!("bad diurnal phase {phase}")
+                })
             }
-            Ok(b)
-        };
-        let mut obj = v.as_obj()?;
-        let tag = obj.req("type")?;
-        let profile = match tag.as_str()? {
-            "constant" => BudgetProfile::Constant(budget_value(obj.req("budget")?)?),
-            "diurnal" => {
-                let mean_node = obj.req("mean")?;
-                let mean = mean_node.as_f64()?;
-                if mean < 0.0 {
-                    return Err(JsonError::at(
-                        mean_node.pos,
-                        format!("bad diurnal mean {mean}"),
-                    ));
-                }
-                let amplitude_node = obj.req("amplitude")?;
-                let amplitude = amplitude_node.as_f64()?;
-                if !(0.0..=mean).contains(&amplitude) {
-                    return Err(JsonError::at(
-                        amplitude_node.pos,
-                        format!("diurnal amplitude must be in [0, mean], got {amplitude}"),
-                    ));
-                }
-                let period_node = obj.req("period")?;
-                let period = period_node.as_u64()?;
-                if period == 0 {
-                    return Err(JsonError::at(
-                        period_node.pos,
-                        "diurnal period must be positive",
-                    ));
-                }
-                let phase = obj.req("phase")?.as_f64()?;
-                BudgetProfile::Diurnal {
-                    mean,
-                    amplitude,
-                    period,
-                    phase,
-                }
-            }
-            "piecewise_steps" => {
-                let steps_node = obj.req("steps")?;
-                let items = steps_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(
-                        steps_node.pos,
-                        "need at least one budget step",
-                    ));
-                }
-                let mut steps: Vec<BudgetStep> = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let mut step = item.as_obj()?;
-                    let start_node = step.req("start")?;
-                    let start = start_node.as_u64()?;
-                    if i == 0 && start != 0 {
-                        return Err(JsonError::at(
-                            start_node.pos,
-                            "first budget step must start at slot 0",
-                        ));
+            BudgetProfile::PiecewiseSteps(steps) => {
+                ensure(!steps.is_empty(), "steps", || {
+                    "need at least one budget step".to_string()
+                })?;
+                for (i, step) in steps.iter().enumerate() {
+                    let start = |msg: &str| Broken {
+                        path: format!("steps[{i}].start"),
+                        msg: msg.to_string(),
+                    };
+                    if i == 0 && step.start != 0 {
+                        return Err(start("first budget step must start at slot 0"));
                     }
-                    if i > 0 && start <= steps[i - 1].start {
-                        return Err(JsonError::at(
-                            start_node.pos,
-                            "budget steps must have strictly ascending starts",
-                        ));
+                    if i > 0 && step.start <= steps[i - 1].start {
+                        return Err(start("budget steps must have strictly ascending starts"));
                     }
-                    let budget = budget_value(step.req("budget")?)?;
-                    step.finish()?;
-                    steps.push(BudgetStep { start, budget });
+                    budget(step.budget, &format!("steps[{i}].budget"))?;
                 }
-                BudgetProfile::PiecewiseSteps(steps)
+                Ok(())
             }
-            "trace" => {
-                let budgets_node = obj.req("budgets")?;
-                let items = budgets_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(
-                        budgets_node.pos,
-                        "need at least one traced budget",
-                    ));
+            BudgetProfile::Trace(budgets) => {
+                ensure(!budgets.is_empty(), "budgets", || {
+                    "need at least one traced budget".to_string()
+                })?;
+                match budgets.iter().position(|b| b.is_nan() || *b < 0.0) {
+                    Some(i) => budget(budgets[i], &format!("budgets[{i}]")),
+                    None => Ok(()),
                 }
-                BudgetProfile::Trace(
-                    items
-                        .iter()
-                        .map(budget_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
             }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!(
-                        "unknown budget profile type \"{other}\" \
-                         (expected constant, diurnal, piecewise_steps, or trace)"
-                    ),
-                ))
-            }
-        };
-        obj.finish()?;
-        Ok(profile)
+        }
     }
 
     /// Validates the profile's parameters.
@@ -369,39 +252,18 @@ impl BudgetProfile {
     /// `PiecewiseSteps` schedule is empty / unsorted / does not start at
     /// slot 0, or a `Trace` is empty.
     pub fn validate(&self) {
-        let check = |b: f64| assert!(!b.is_nan() && b >= 0.0, "bad budget {b}");
-        match self {
-            BudgetProfile::Constant(b) => check(*b),
-            BudgetProfile::Diurnal {
-                mean,
-                amplitude,
-                period,
-                phase,
-            } => {
-                assert!(mean.is_finite() && *mean >= 0.0, "bad diurnal mean {mean}");
-                assert!(
-                    amplitude.is_finite() && *amplitude >= 0.0 && amplitude <= mean,
-                    "diurnal amplitude must be in [0, mean], got {amplitude}"
-                );
-                assert!(*period > 0, "diurnal period must be positive");
-                assert!(phase.is_finite(), "bad diurnal phase {phase}");
-            }
-            BudgetProfile::PiecewiseSteps(steps) => {
-                assert!(!steps.is_empty(), "need at least one budget step");
-                assert_eq!(steps[0].start, 0, "first budget step must start at slot 0");
-                assert!(
-                    steps.windows(2).all(|w| w[0].start < w[1].start),
-                    "budget steps must have strictly ascending starts"
-                );
-                steps.iter().for_each(|s| check(s.budget));
-            }
-            BudgetProfile::Trace(budgets) => {
-                assert!(!budgets.is_empty(), "need at least one traced budget");
-                budgets.iter().copied().for_each(check);
-            }
-        }
+        json::enforce(self.check());
     }
 }
+
+json::codec!(BudgetProfile as "budget profile type" {
+    Constant "constant" (budget: Inf),
+    Diurnal "diurnal" { mean, amplitude, period, phase },
+    PiecewiseSteps "piecewise_steps" (steps),
+    Trace "trace" (budgets: Inf),
+} check);
+
+json::codec!(BudgetStep { start, budget: Inf });
 
 /// Caller-owned scratch for the allocation hot path (sorted-sum buffer,
 /// priority order, per-session keys).
@@ -472,128 +334,43 @@ impl UplinkPolicy {
         }
     }
 
-    /// Encodes the policy for a scenario file (see [`crate::json`]): a
-    /// `"type"`-tagged object whose tag matches [`UplinkPolicy::name`];
-    /// the max-min `α = ∞` encodes as the string `"inf"`.
-    ///
-    /// # Errors
-    ///
-    /// Errors on non-finite weights or a NaN/`-∞` alpha (values
-    /// [`UplinkPolicy::validate`] rejects too, so nothing non-finite
-    /// besides the max-min α has a file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(match self {
+    /// The policy's rule walk (session-count-independent; weight-length
+    /// mismatches surface in [`UplinkPolicy::allocate`] and at the scenario
+    /// level): positive finite weights, `α ≥ 1`.
+    pub(crate) fn check(&self) -> Rules {
+        match self {
+            UplinkPolicy::WeightedMaxWeight { weights } => {
+                ensure(!weights.is_empty(), "weights", || {
+                    "need at least one weight".to_string()
+                })?;
+                match weights.iter().position(|w| !(w.is_finite() && *w > 0.0)) {
+                    Some(i) => Err(Broken {
+                        path: format!("weights[{i}]"),
+                        msg: format!(
+                            "bad max-weight weight {} (must be finite and positive)",
+                            weights[i]
+                        ),
+                    }),
+                    None => Ok(()),
+                }
+            }
+            UplinkPolicy::AlphaFair { alpha } => ensure(*alpha >= 1.0, "alpha", || {
+                format!("alpha must be >= 1 (inf = max-min), got {alpha}")
+            }),
             UplinkPolicy::Unconstrained
             | UplinkPolicy::ProportionalShare
-            | UplinkPolicy::MaxWeightBacklog => {
-                JsonValue::obj(vec![("type", JsonValue::str(self.name()))])
-            }
-            UplinkPolicy::WeightedMaxWeight { weights } => JsonValue::obj(vec![
-                ("type", JsonValue::str(self.name())),
-                (
-                    "weights",
-                    JsonValue::arr(
-                        weights
-                            .iter()
-                            .map(|&w| json::finite_num("weight", w))
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                ),
-            ]),
-            UplinkPolicy::AlphaFair { alpha } => JsonValue::obj(vec![
-                ("type", JsonValue::str(self.name())),
-                ("alpha", json::num_or_inf_checked("alpha", *alpha)?),
-            ]),
-        })
+            | UplinkPolicy::MaxWeightBacklog => Ok(()),
+        }
     }
 
-    /// Decodes a policy from its scenario-file form, enforcing every
-    /// [`UplinkPolicy::validate`] condition as an error instead of a
-    /// panic (positive finite weights, `α ≥ 1`). The weight-count ↔
-    /// session-count match is checked at the scenario level, where both
-    /// are known.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, empty/non-positive/non-finite
-    /// weight vectors, and `α < 1`.
-    pub fn from_json(v: &JsonValue) -> Result<UplinkPolicy, JsonError> {
-        let mut obj = v.as_obj()?;
-        let tag = obj.req("type")?;
-        let policy = match tag.as_str()? {
-            "unconstrained" => UplinkPolicy::Unconstrained,
-            "proportional_share" => UplinkPolicy::ProportionalShare,
-            "max_weight_backlog" => UplinkPolicy::MaxWeightBacklog,
-            "weighted_max_weight" => {
-                let weights_node = obj.req("weights")?;
-                let items = weights_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(weights_node.pos, "need at least one weight"));
-                }
-                let mut weights = Vec::with_capacity(items.len());
-                for item in items {
-                    let w = item.as_f64()?;
-                    if w <= 0.0 {
-                        return Err(JsonError::at(
-                            item.pos,
-                            format!("bad max-weight weight {w} (must be finite and positive)"),
-                        ));
-                    }
-                    weights.push(w);
-                }
-                UplinkPolicy::WeightedMaxWeight { weights }
-            }
-            "alpha_fair" => {
-                let alpha_node = obj.req("alpha")?;
-                let alpha = alpha_node.as_f64_or_inf()?;
-                if alpha < 1.0 {
-                    return Err(JsonError::at(
-                        alpha_node.pos,
-                        format!("alpha must be >= 1 (inf = max-min), got {alpha}"),
-                    ));
-                }
-                UplinkPolicy::AlphaFair { alpha }
-            }
-            other => {
-                return Err(JsonError::at(
-                    tag.pos,
-                    format!(
-                        "unknown uplink policy type \"{other}\" (expected unconstrained, \
-                         proportional_share, max_weight_backlog, weighted_max_weight, \
-                         or alpha_fair)"
-                    ),
-                ))
-            }
-        };
-        obj.finish()?;
-        Ok(policy)
-    }
-
-    /// Validates the policy's own parameters (session-count-independent
-    /// checks; weight-length mismatches surface in
-    /// [`UplinkPolicy::allocate`]).
+    /// Validates the policy's own parameters.
     ///
     /// # Panics
     ///
     /// Panics when a `WeightedMaxWeight` weight is non-finite or
     /// non-positive, or an `AlphaFair` exponent is NaN or below 1.
     pub fn validate(&self) {
-        match self {
-            UplinkPolicy::WeightedMaxWeight { weights } => {
-                assert!(!weights.is_empty(), "need at least one weight");
-                for &w in weights {
-                    assert!(w.is_finite() && w > 0.0, "bad max-weight weight {w}");
-                }
-            }
-            UplinkPolicy::AlphaFair { alpha } => {
-                assert!(
-                    !alpha.is_nan() && *alpha >= 1.0,
-                    "alpha must be >= 1 (inf = max-min), got {alpha}"
-                );
-            }
-            _ => {}
-        }
+        json::enforce(self.check());
     }
 
     /// Computes per-session grants for one slot into `grants` (resized to
@@ -702,6 +479,14 @@ impl UplinkPolicy {
         }
     }
 }
+
+json::codec!(UplinkPolicy as "uplink policy type" {
+    Unconstrained "unconstrained",
+    ProportionalShare "proportional_share",
+    MaxWeightBacklog "max_weight_backlog",
+    WeightedMaxWeight "weighted_max_weight" { weights },
+    AlphaFair "alpha_fair" { alpha: Inf },
+} check);
 
 /// Water-fills `budget` over sessions in descending `priority` order:
 /// whole equal-priority groups are served at full demand while the budget
@@ -862,34 +647,9 @@ impl UplinkSpec {
             policy: UplinkPolicy::Unconstrained,
         }
     }
-
-    /// Encodes the spec for a scenario file: `{"budget": …, "policy": …}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the budget/policy encode errors (non-finite values with
-    /// no file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::obj(vec![
-            ("budget", self.budget.to_json()?),
-            ("policy", self.policy.to_json()?),
-        ]))
-    }
-
-    /// Decodes a spec from its scenario-file form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BudgetProfile::from_json`] / [`UplinkPolicy::from_json`]
-    /// errors and rejects unknown keys.
-    pub fn from_json(v: &JsonValue) -> Result<UplinkSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let budget = BudgetProfile::from_json(obj.req("budget")?)?;
-        let policy = UplinkPolicy::from_json(obj.req("policy")?)?;
-        obj.finish()?;
-        Ok(UplinkSpec { budget, policy })
-    }
 }
+
+json::codec!(UplinkSpec { budget, policy });
 
 /// Per-session uplink-aware `V` adaptation (see
 /// [`arvis_lyapunov::adaptive::GrantRatioV`]): the session observes its
@@ -936,69 +696,26 @@ impl Default for UplinkVAdaptSpec {
 }
 
 impl UplinkVAdaptSpec {
-    /// Encodes the adaptation knob for a scenario file:
-    /// `{"low": …, "high": …, "step": …, "min_v_scale": …}`.
-    ///
-    /// # Errors
-    ///
-    /// Errors when a field is non-finite (the [`UplinkVAdaptSpec::build`]
-    /// invariants reject those values too).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::obj(vec![
-            ("low", json::finite_num("low", self.low)?),
-            ("high", json::finite_num("high", self.high)?),
-            ("step", json::finite_num("step", self.step)?),
-            (
-                "min_v_scale",
-                json::finite_num("min_v_scale", self.min_v_scale)?,
-            ),
-        ]))
-    }
-
-    /// Decodes the knob from its scenario-file form, enforcing the
-    /// [`UplinkVAdaptSpec::build`] / `GrantRatioV` constructor invariants
-    /// (`0 < low ≤ high ≤ 1`, `step ∈ (0, 1)`, `min_v_scale ∈ (0, 1]`) as
-    /// errors instead of panics.
-    ///
-    /// # Errors
-    ///
-    /// Errors (with the offending position) on unknown or missing keys,
-    /// wrong types, and out-of-range parameters.
-    pub fn from_json(v: &JsonValue) -> Result<UplinkVAdaptSpec, JsonError> {
-        let mut obj = v.as_obj()?;
-        let low_node = obj.req("low")?;
-        let low = low_node.as_f64()?;
-        let high_node = obj.req("high")?;
-        let high = high_node.as_f64()?;
-        if !(low > 0.0 && low <= high && high <= 1.0) {
-            return Err(JsonError::at(
-                low_node.pos,
-                format!("need 0 < low <= high <= 1, got [{low}, {high}]"),
-            ));
-        }
-        let step_node = obj.req("step")?;
-        let step = step_node.as_f64()?;
-        if !(step > 0.0 && step < 1.0) {
-            return Err(JsonError::at(
-                step_node.pos,
-                format!("step must be in (0, 1), got {step}"),
-            ));
-        }
-        let scale_node = obj.req("min_v_scale")?;
-        let min_v_scale = scale_node.as_f64()?;
-        if !(min_v_scale > 0.0 && min_v_scale <= 1.0) {
-            return Err(JsonError::at(
-                scale_node.pos,
-                format!("min_v_scale must be in (0, 1], got {min_v_scale}"),
-            ));
-        }
-        obj.finish()?;
-        Ok(UplinkVAdaptSpec {
+    /// The knob's rule walk: the `GrantRatioV` constructor invariants
+    /// (`0 < low ≤ high ≤ 1`, `step ∈ (0, 1)`) and `min_v_scale ∈ (0, 1]`.
+    pub(crate) fn check(&self) -> Rules {
+        let UplinkVAdaptSpec {
             low,
             high,
             step,
             min_v_scale,
-        })
+        } = *self;
+        ensure(low > 0.0 && low <= high && high <= 1.0, "low", || {
+            format!("need 0 < low <= high <= 1, got [{low}, {high}]")
+        })?;
+        ensure(step > 0.0 && step < 1.0, "step", || {
+            format!("step must be in (0, 1), got {step}")
+        })?;
+        ensure(
+            min_v_scale > 0.0 && min_v_scale <= 1.0,
+            "min_v_scale",
+            || format!("min_v_scale must be in (0, 1], got {min_v_scale}"),
+        )
     }
 
     /// Builds the runnable adapter state around a controller's starting
@@ -1009,15 +726,13 @@ impl UplinkVAdaptSpec {
     /// Propagates the [`GrantRatioV`] constructor panics (bad band, step
     /// outside `(0, 1)`, non-positive scales).
     pub fn build(&self, base_v: f64) -> GrantRatioV {
-        assert!(
-            self.min_v_scale > 0.0 && self.min_v_scale <= 1.0,
-            "min_v_scale must be in (0, 1], got {}",
-            self.min_v_scale
-        );
+        json::enforce(self.check());
         GrantRatioV::new(base_v, self.low, self.high, self.step)
             .with_bounds(base_v * self.min_v_scale, base_v)
     }
 }
+
+json::codec!(UplinkVAdaptSpec { low, high, step, min_v_scale } check);
 
 /// One slot's aggregate uplink observations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -2,11 +2,10 @@
 //!
 //! Turns one file's token stream into the items the workspace passes need:
 //! `fn` items (with spans, body token ranges, enclosing module path and
-//! impl type), `struct`/`enum` declarations (with field names), `use`
-//! trees (alias → full path), and `cfg` scopes. Together with the file's
-//! root-relative path this yields a workspace-wide item graph — the input
-//! of the call-graph/taint stage ([`crate::callgraph`], [`crate::taint`])
-//! and the codec-coverage stage ([`crate::coverage`]).
+//! impl type), `use` trees (alias → full path), and `cfg` scopes. Together
+//! with the file's root-relative path this yields a workspace-wide item
+//! graph — the input of the call-graph/taint stage ([`crate::callgraph`],
+//! [`crate::taint`]).
 //!
 //! Like the lexer, this is deliberately *not* a full parser: it recognizes
 //! item heads and brace-matches their bodies. Items nested inside function
@@ -180,21 +179,6 @@ impl FnItem {
     }
 }
 
-/// One `struct` or `enum` declaration with its named fields (for enums:
-/// the union of every variant's named fields — the file-format surface a
-/// codec must cover).
-#[derive(Debug)]
-pub struct TypeItem {
-    /// Type name.
-    pub name: String,
-    /// Declared named fields, in declaration order, deduplicated.
-    pub fields: Vec<String>,
-    /// True for `enum` declarations.
-    pub is_enum: bool,
-    /// 1-based line of the name token.
-    pub line: u32,
-}
-
 /// The parse of one file: its token stream plus the extracted items.
 #[derive(Debug)]
 pub struct FileItems {
@@ -206,8 +190,6 @@ pub struct FileItems {
     pub comments: Vec<Comment>,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Every `struct`/`enum` declaration, in source order.
-    pub types: Vec<TypeItem>,
     /// `use` aliases: local name → full path segments
     /// (`Instant` → `["std", "time", "Instant"]`).
     pub uses: Vec<(String, Vec<String>)>,
@@ -225,7 +207,6 @@ impl FileItems {
             toks: lexed.toks,
             comments: lexed.comments,
             fns: Vec::new(),
-            types: Vec::new(),
             uses: Vec::new(),
             test_regions: Vec::new(),
         };
@@ -381,7 +362,7 @@ impl<'a> Parser<'a> {
                     attrs.clear();
                 }
                 "struct" | "enum" if t.is_kw(&t.text.clone()) => {
-                    i = self.parse_type(i, end, t.text == "enum");
+                    i = self.skip_type(i, end);
                     attrs.clear();
                 }
                 "use" if t.is_kw("use") => {
@@ -693,122 +674,21 @@ impl<'a> Parser<'a> {
         close
     }
 
-    fn parse_type(&mut self, i: usize, end: usize, is_enum: bool) -> usize {
-        let Some(name) = self.toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-            return i + 1;
-        };
-        let (name_text, name_line) = (name.text.clone(), name.line);
-        let mut j = i + 2;
-        if j < end && self.toks[j].is_punct('<') {
-            j = self.match_angles(j, end);
-        }
-        // Unit struct / tuple struct: no named fields.
-        while j < end
-            && !self.toks[j].is_punct('{')
-            && !self.toks[j].is_punct(';')
-            && !self.toks[j].is_punct('(')
-        {
+    /// Skips a `struct`/`enum` declaration (unit, tuple, or braced).
+    fn skip_type(&self, i: usize, end: usize) -> usize {
+        let mut j = i + 1;
+        while j < end && !self.toks[j].is_punct('{') && !self.toks[j].is_punct(';') {
+            if self.toks[j].is_punct('(') {
+                j = self.match_group(j, end, '(', ')');
+                continue;
+            }
             j += 1;
         }
-        if j >= end || self.toks[j].is_punct(';') {
-            self.push_type(name_text, Vec::new(), is_enum, name_line);
-            return (j + 1).min(end);
-        }
-        if self.toks[j].is_punct('(') {
-            let close = self.match_group(j, end, '(', ')');
-            self.push_type(name_text, Vec::new(), is_enum, name_line);
-            // Skip the trailing `;` of a tuple struct.
-            return if close < end && self.toks[close].is_punct(';') {
-                close + 1
-            } else {
-                close
-            };
-        }
-        let close = self.match_group(j, end, '{', '}');
-        let fields = if is_enum {
-            self.enum_fields(j + 1, close - 1)
+        if j < end && self.toks[j].is_punct('{') {
+            self.match_group(j, end, '{', '}')
         } else {
-            self.struct_fields(j + 1, close - 1)
-        };
-        self.push_type(name_text, fields, is_enum, name_line);
-        close
-    }
-
-    fn push_type(&mut self, name: String, fields: Vec<String>, is_enum: bool, line: u32) {
-        self.out.types.push(TypeItem {
-            name,
-            fields,
-            is_enum,
-            line,
-        });
-    }
-
-    /// Field names of a struct body: `name :` pairs at brace depth 0
-    /// within the body, skipping attributes and `pub(…)` qualifiers.
-    fn struct_fields(&self, start: usize, end: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut i = start;
-        while i < end {
-            let t = &self.toks[i];
-            if t.is_punct('#') {
-                // Field attribute.
-                let j = i + 1;
-                if j < end && self.toks[j].is_punct('[') {
-                    i = self.match_group(j, end, '[', ']');
-                    continue;
-                }
-            }
-            if t.kind == TokKind::Ident
-                && !t.is_kw("pub")
-                && i + 1 < end
-                && self.toks[i + 1].is_punct(':')
-                && !self.toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            {
-                if !out.contains(&t.text) {
-                    out.push(t.text.clone());
-                }
-                // Skip the type expression to the next depth-0 comma.
-                let mut depth = 0i32;
-                let mut j = i + 2;
-                while j < end {
-                    let tt = &self.toks[j];
-                    if tt.is_punct('<') || tt.is_punct('(') || tt.is_punct('[') {
-                        depth += 1;
-                    } else if tt.is_punct('>') || tt.is_punct(')') || tt.is_punct(']') {
-                        depth -= 1;
-                    } else if depth <= 0 && tt.is_punct(',') {
-                        break;
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-            i = self.skip_token(i, end);
+            (j + 1).min(end)
         }
-        out
-    }
-
-    /// The union of named fields across an enum body's variants: fields
-    /// live inside each variant's `{…}` group.
-    fn enum_fields(&self, start: usize, end: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut i = start;
-        while i < end {
-            let t = &self.toks[i];
-            if t.is_punct('{') {
-                let close = self.match_group(i, end, '{', '}');
-                for f in self.struct_fields(i + 1, close - 1) {
-                    if !out.contains(&f) {
-                        out.push(f);
-                    }
-                }
-                i = close;
-                continue;
-            }
-            i = self.skip_token(i, end);
-        }
-        out
     }
 
     /// `use a::b::{c, d as e, f::g};` → aliases for every leaf.
@@ -928,29 +808,6 @@ mod tests {
     fn trait_impl_for_binds_the_type_not_the_trait() {
         let f = parse("impl fmt::Debug for Widget { fn fmt(&self) -> R { helper() } }");
         assert_eq!(f.fns[0].impl_type.as_deref(), Some("Widget"));
-    }
-
-    #[test]
-    fn struct_and_enum_fields() {
-        let f = parse(
-            "pub struct Spec {\n\
-                 pub alpha: f64,\n\
-                 pub mode: Mode,\n\
-                 inner: Vec<(u64, f64)>,\n\
-             }\n\
-             pub enum Ev {\n\
-                 A { start: u64, slots: u64 },\n\
-                 B { start: u64, factor: f64 },\n\
-                 C,\n\
-                 D(u64),\n\
-             }\n\
-             pub struct Unit;\n\
-             pub struct Tuple(u64, f64);\n",
-        );
-        assert_eq!(f.types[0].fields, vec!["alpha", "mode", "inner"]);
-        assert!(f.types[1].is_enum);
-        assert_eq!(f.types[1].fields, vec!["start", "slots", "factor"]);
-        assert!(f.types[2].fields.is_empty() && f.types[3].fields.is_empty());
     }
 
     #[test]

@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod coverage;
 pub mod items;
 pub mod lexer;
 pub mod report;
@@ -88,8 +87,20 @@ pub struct LintConfig {
     pub allow_unsafe: Vec<String>,
     /// File names subject to the panic-free codec rule.
     pub codec_files: Vec<String>,
-    /// File names whose codec pairs get the field-coverage pass.
-    pub coverage_files: Vec<String>,
+}
+
+/// The strict-JSON codec files, which must stay panic-free.
+fn codec_files() -> Vec<String> {
+    [
+        "json.rs",
+        "scenario.rs",
+        "fault.rs",
+        "churn.rs",
+        "ledger.rs",
+        "hash.rs",
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 impl LintConfig {
@@ -108,20 +119,7 @@ impl LintConfig {
             ],
             allow_time: vec!["crates/bench".into()],
             allow_unsafe: vec!["crates/par".into()],
-            codec_files: vec![
-                "json.rs".into(),
-                "scenario.rs".into(),
-                "fault.rs".into(),
-                "churn.rs".into(),
-                "ledger.rs".into(),
-                "hash.rs".into(),
-            ],
-            coverage_files: vec![
-                "scenario.rs".into(),
-                "fault.rs".into(),
-                "churn.rs".into(),
-                "ledger.rs".into(),
-            ],
+            codec_files: codec_files(),
         }
     }
 
@@ -135,20 +133,7 @@ impl LintConfig {
             exclude: Vec::new(),
             allow_time: Vec::new(),
             allow_unsafe: Vec::new(),
-            codec_files: vec![
-                "json.rs".into(),
-                "scenario.rs".into(),
-                "fault.rs".into(),
-                "churn.rs".into(),
-                "ledger.rs".into(),
-                "hash.rs".into(),
-            ],
-            coverage_files: vec![
-                "scenario.rs".into(),
-                "fault.rs".into(),
-                "churn.rs".into(),
-                "ledger.rs".into(),
-            ],
+            codec_files: codec_files(),
         }
     }
 
@@ -159,7 +144,6 @@ impl LintConfig {
             allow_time: has_prefix(&self.allow_time),
             allow_unsafe: has_prefix(&self.allow_unsafe),
             is_codec: self.codec_files.iter().any(|c| c == file_name),
-            is_coverage: self.coverage_files.iter().any(|c| c == file_name),
         }
     }
 }
@@ -176,9 +160,9 @@ pub fn workspace_root() -> PathBuf {
 
 /// Lints every `.rs` file under `config.root` (excluding
 /// `config.exclude`), in sorted path order: the per-file rules, then the
-/// workspace call-graph taint pass, then the codec field-coverage pass,
-/// with pragma resolution shared across all three (so a pragma that only
-/// contains interprocedural taint still counts as used).
+/// workspace call-graph taint pass, with pragma resolution shared across
+/// both (so a pragma that only contains interprocedural taint still counts
+/// as used).
 ///
 /// # Errors
 ///
@@ -210,21 +194,7 @@ pub fn lint_workspace(config: &LintConfig) -> Result<Report, String> {
     // consulted — and marked used — inside the pass).
     let graph = callgraph::CallGraph::build(&files);
     findings.extend(taint::run(&files, &graph, &policies, &pragmas));
-    // Stage 3: codec field-coverage, pragma-suppressible like any rule.
-    let mut cov = coverage::run(&files, &policies);
-    let index_of: std::collections::BTreeMap<&str, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.rel.as_str(), i))
-        .collect();
-    cov.retain(|f| {
-        let Some(&fi) = index_of.get(f.file.as_str()) else {
-            return true;
-        };
-        !rules::pragma_covers(&pragmas[fi], &files[fi], f.rule, f.line)
-    });
-    findings.extend(cov);
-    // A pragma that suppressed nothing across all three stages self-flags.
+    // A pragma that suppressed nothing across both stages self-flags.
     for (fi, file) in files.iter().enumerate() {
         rules::flag_unused_pragmas(&file.rel, &pragmas[fi], &mut findings);
     }

@@ -53,8 +53,6 @@ pub mod names {
     pub const FLOAT_REDUCTION_ORDER: &str = "float-reduction-order";
     /// Malformed or useless `arvis-lint` pragmas.
     pub const LINT_PRAGMA: &str = "lint-pragma";
-    /// Codec emit/parse key sets must cover the declared fields.
-    pub const CODEC_COVERAGE: &str = "codec-coverage";
 }
 
 /// Name + one-line description of every rule, for `--list-rules` and docs.
@@ -86,10 +84,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         names::LINT_PRAGMA,
         "arvis-lint pragmas must name a known rule, carry a justification, and suppress something",
-    ),
-    (
-        names::CODEC_COVERAGE,
-        "hand-written to_json/from_json pairs must emit and parse every declared field",
     ),
 ];
 
@@ -154,15 +148,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              whole item (function-scoped containment). Unused pragmas are themselves findings, \
              so stale allowances cannot linger."
         }
-        "codec-coverage" => {
-            "Every struct/enum with a hand-written `to_json`/`from_json` pair must emit and \
-             parse exactly its declared fields: a dropped field round-trips \"cleanly\" while \
-             silently forking the scenario-hash semantics the ledger keys on. The pass \
-             cross-checks declared fields against the key strings the emit side writes \
-             (`(\"key\", …)` tuples) and the parse side reads (`.req(\"key\")`/`.opt(\"key\")`). \
-             Keys present on both sides but not declared (schema envelopes, `type` tags) are \
-             fine; one-sided keys and uncovered fields are findings."
-        }
         _ => return None,
     };
     Some(text)
@@ -178,8 +163,6 @@ pub struct FilePolicy {
     pub allow_unsafe: bool,
     /// File is a codec (panic-free) file.
     pub is_codec: bool,
-    /// File's codec pairs are subject to the field-coverage pass.
-    pub is_coverage: bool,
 }
 
 /// A parsed `// arvis-lint: allow(rule, "justification")` pragma.

@@ -20,7 +20,6 @@ fn strict() -> FilePolicy {
         allow_time: false,
         allow_unsafe: false,
         is_codec: false,
-        is_coverage: false,
     }
 }
 
@@ -158,8 +157,8 @@ fn bad_pragmas_are_themselves_findings() {
 #[test]
 fn strict_walk_covers_every_rule() {
     let report = lint_workspace(&LintConfig::strict_at(fixtures_root())).expect("walk fixtures");
-    assert_eq!(report.files_scanned, 25, "fixture corpus size drifted");
-    assert_eq!(report.findings.len(), 37, "\n{}", report.render_text());
+    assert_eq!(report.files_scanned, 24, "fixture corpus size drifted");
+    assert_eq!(report.findings.len(), 33, "\n{}", report.render_text());
     for (rule, _) in arvis_lint::RULES {
         assert!(
             !report.by_rule(rule).is_empty(),
@@ -261,32 +260,6 @@ fn raw_ident_paths_resolve_and_carry_taint() {
     );
     assert_eq!(found[2].chain.len(), 4);
     assert_eq!(found[2].chain[0], "lexer_edge::raw_path::call_raw");
-}
-
-/// The codec-coverage pass: a field dropped from both halves is reported
-/// on each, and one-sided undeclared keys are reported on their side.
-#[test]
-fn codec_coverage_exact_positions() {
-    let found = walk_findings("codec_coverage/scenario.rs");
-    let triples: Vec<_> = found.iter().map(|f| (f.line, f.col, f.rule)).collect();
-    assert_eq!(
-        triples,
-        [
-            (12, 12, "codec-coverage"), // to_json: drops `label`
-            (12, 12, "codec-coverage"), // to_json: emit-only `legacy_mark`
-            (20, 12, "codec-coverage"), // from_json: drops `label`
-            (20, 12, "codec-coverage"), // from_json: parse-only `retries`
-        ],
-        "{found:?}"
-    );
-    assert!(found[0]
-        .message
-        .contains("never emits declared field `label`"));
-    assert!(found[1].message.contains("emits key \"legacy_mark\""));
-    assert!(found[2]
-        .message
-        .contains("never parses declared field `label`"));
-    assert!(found[3].message.contains("parses key \"retries\""));
 }
 
 /// Lexer hardening: a shebang line and a UTF-8 BOM shift neither lines

@@ -1,8 +1,8 @@
 //! A kd-tree over point positions for nearest-neighbor queries.
 //!
-//! Geometry quality metrics (point-to-point PSNR, Hausdorff distance) need
-//! fast nearest-neighbor lookups between the reference cloud and a degraded
-//! LoD cloud. This is a static, balanced kd-tree built once per cloud.
+//! The geometry quality metric (point-to-point PSNR) needs fast
+//! nearest-neighbor lookups between the reference cloud and a degraded LoD
+//! cloud. This is a static, balanced kd-tree built once per cloud.
 //!
 //! Construction parallelizes the independent subranges after each median
 //! split; [`KdTree::nearest_many`] batches queries in Morton order with a
@@ -290,50 +290,6 @@ impl KdTree {
     pub fn nearest_distance_squared(&self, query: Vec3) -> Option<f64> {
         self.nearest(query).map(|(_, d2)| d2)
     }
-
-    /// Collects the original indices of all points within `radius` of
-    /// `query` (inclusive).
-    pub fn within_radius(&self, query: Vec3, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        if radius >= 0.0 && !self.nodes.is_empty() {
-            self.radius_in(&self.nodes, 0, query, radius * radius, &mut out);
-        }
-        out
-    }
-
-    fn radius_in(
-        &self,
-        nodes: &[(Vec3, usize)],
-        axis: usize,
-        query: Vec3,
-        r2: f64,
-        out: &mut Vec<usize>,
-    ) {
-        if nodes.len() <= LEAF_SIZE {
-            for &(pos, idx) in nodes {
-                if pos.distance_squared(query) <= r2 {
-                    out.push(idx);
-                }
-            }
-            return;
-        }
-        let mid = nodes.len() / 2;
-        let (pos, idx) = nodes[mid];
-        if pos.distance_squared(query) <= r2 {
-            out.push(idx);
-        }
-        let delta = query[axis] - pos[axis];
-        let next = (axis + 1) % 3;
-        let (near, far) = if delta < 0.0 {
-            (&nodes[..mid], &nodes[mid + 1..])
-        } else {
-            (&nodes[mid + 1..], &nodes[..mid])
-        };
-        self.radius_in(near, next, query, r2, out);
-        if delta * delta <= r2 {
-            self.radius_in(far, next, query, r2, out);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +326,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert!(t.nearest(Vec3::ZERO).is_none());
-        assert!(t.within_radius(Vec3::ZERO, 1.0).is_empty());
     }
 
     #[test]
@@ -406,31 +361,6 @@ mod tests {
             assert!(d2 <= 1e-18);
             // idx may differ if two random points coincide (probability 0).
             assert_eq!(idx, i);
-        }
-    }
-
-    #[test]
-    fn within_radius_matches_brute_force() {
-        let pts = random_points(300, 11);
-        let tree = KdTree::build(pts.iter().copied());
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..50 {
-            let q = Vec3::new(
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-            );
-            let r = rng.gen_range(0.0..0.8);
-            let mut expected: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.distance_squared(q) <= r * r)
-                .map(|(i, _)| i)
-                .collect();
-            let mut got = tree.within_radius(q, r);
-            expected.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(expected, got);
         }
     }
 
@@ -502,17 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn negative_radius_is_empty() {
-        let tree = KdTree::build([Vec3::ZERO]);
-        assert!(tree.within_radius(Vec3::ZERO, -1.0).is_empty());
-    }
-
-    #[test]
     fn duplicate_points_are_handled() {
         let pts = vec![Vec3::ONE; 10];
         let tree = KdTree::build(pts.iter().copied());
         assert_eq!(tree.len(), 10);
-        let hits = tree.within_radius(Vec3::ONE, 0.0);
-        assert_eq!(hits.len(), 10);
+        assert_eq!(tree.nearest_distance_squared(Vec3::ONE), Some(0.0));
     }
 }

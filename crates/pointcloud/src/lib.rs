@@ -31,7 +31,6 @@ pub mod error;
 pub mod kdtree;
 pub mod math;
 pub mod morton;
-pub mod normals;
 pub mod ply;
 pub mod point;
 pub mod sampling;

@@ -27,20 +27,6 @@ pub(crate) fn sum_by<T: Sync>(items: &[T], f: impl Fn(usize, &T) -> f64 + Sync) 
     .sum()
 }
 
-/// Maximum of `f` over all items (exact: max is association-free).
-pub(crate) fn max_by<T: Sync>(items: &[T], f: impl Fn(usize, &T) -> f64 + Sync) -> f64 {
-    par::map_chunks(items, REDUCE_CHUNK, |ci, chunk| {
-        let base = ci * REDUCE_CHUNK;
-        let mut acc = f64::NEG_INFINITY;
-        for (j, item) in chunk.iter().enumerate() {
-            acc = acc.max(f(base + j, item));
-        }
-        acc
-    })
-    .into_iter()
-    .fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,14 +40,5 @@ mod tests {
         let serial = arvis_par::serial_scope(|| sum_by(&items, |_, &x| x));
         assert_eq!(total, serial);
         assert!((total - items.iter().sum::<f64>()).abs() < 1e-6 * total.abs());
-    }
-
-    #[test]
-    fn max_is_exact() {
-        let items: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 9973) as f64).collect();
-        assert_eq!(
-            max_by(&items, |_, &x| x),
-            items.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        );
     }
 }

@@ -3,9 +3,8 @@
 //! The paper's objective is the time-average of a quality function
 //! `p_a(d(τ))` over the chosen octree depths. This crate provides:
 //!
-//! - objective geometry metrics between a reference cloud and a degraded LoD
-//!   cloud: point-to-point (D1) [`psnr`], [`hausdorff`] and chamfer
-//!   distances, and [`coverage`] statistics;
+//! - the objective geometry metric between a reference cloud and a
+//!   degraded LoD cloud: point-to-point (D1) [`psnr`];
 //! - parametric quality models `p_a(d)` ([`model`]) — the scalar the
 //!   scheduler maximizes;
 //! - [`profile::DepthProfile`]: the measured per-depth table (occupied
@@ -30,9 +29,6 @@
 #![forbid(unsafe_code)]
 
 mod batch;
-pub mod coverage;
-pub mod d2;
-pub mod hausdorff;
 pub mod model;
 pub mod profile;
 pub mod psnr;
