@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::json::{self, ensure, Broken, Codec, JsonError, JsonValue, Rules};
-use crate::session::SessionBatch;
+use crate::session::{RowIds, SessionBatch};
 use crate::telemetry::TelemetrySink;
 use crate::uplink::invariant_sum;
 
@@ -445,20 +445,39 @@ struct CrashEntry {
     policy: CrashPolicy,
 }
 
+/// Counts one more session id of `weight` in `levels`: the distinct
+/// weight values ascending by `total_cmp`, each with its number of ids.
+/// The degradation guard reads its threshold and shed count from these
+/// counts, so it never walks the ids themselves.
+pub(crate) fn count_weight(levels: &mut Vec<(f64, u64)>, weight: f64) {
+    match levels.binary_search_by(|&(w, _)| w.total_cmp(&weight)) {
+        Ok(i) => levels[i].1 += 1,
+        Err(i) => levels.insert(i, (weight, 1)),
+    }
+}
+
 /// The degradation guard's live state.
 #[derive(Debug)]
 struct GuardState {
     spec: DegradationGuardSpec,
     ema: f64,
     engaged: bool,
-    levels: Vec<f64>,
 }
 
 impl GuardState {
     /// Updates the engage/release hysteresis for this slot and, when
-    /// engaged, sheds every session at or below the threshold weight (see
-    /// [`DegradationGuardSpec::shed_fraction`]). Returns the number shed.
-    fn shed(&mut self, backlog: f64, demands: &mut [f64], weights: Option<&[f64]>) -> u64 {
+    /// engaged, sheds every row whose session's weight is at or below the
+    /// threshold (see [`DegradationGuardSpec::shed_fraction`]). `levels`
+    /// counts the ids per weight value (see [`count_weight`]), and the
+    /// threshold and the returned count come from it: they cover every id
+    /// ever issued, ids without a row included.
+    fn shed(
+        &mut self,
+        backlog: f64,
+        demands: &mut [f64],
+        levels: &[(f64, u64)],
+        weight: impl Fn(usize) -> f64,
+    ) -> u64 {
         let spec = self.spec;
         let over = self.ema >= spec.engage_above || backlog >= spec.backlog_limit;
         let under = self.ema <= spec.release_below && backlog < spec.backlog_limit;
@@ -469,29 +488,29 @@ impl GuardState {
         } else if over {
             self.engaged = true;
         }
-        if !self.engaged || demands.is_empty() {
+        let n: u64 = levels.iter().map(|&(_, ids)| ids).sum();
+        if !self.engaged || n == 0 {
             return 0;
         }
-        let n = demands.len();
-        let target = ((spec.shed_fraction * n as f64).ceil() as usize).clamp(1, n);
-        // The threshold is a weight *value*, so the shed set permutes with
-        // the sessions.
-        let weight = |i: usize| weights.map_or(1.0, |w| w[i]);
-        let levels = &mut self.levels;
-        levels.clear();
-        levels.extend((0..n).map(weight));
-        let threshold = *levels.select_nth_unstable_by(target - 1, f64::total_cmp).1;
-        let mut count = 0u64;
-        for (i, demand) in demands.iter_mut().enumerate() {
-            if weight(i).total_cmp(&threshold).is_le() {
+        let target = ((spec.shed_fraction * n as f64).ceil() as u64).clamp(1, n);
+        // The threshold is the target-th smallest weight *value*, so the
+        // shed set permutes with the sessions; `covered` ends as the number
+        // of ids at or below it. The levels hold n >= target ids.
+        let (mut covered, mut level) = (0, 0);
+        while covered < target {
+            covered += levels[level].1;
+            level += 1;
+        }
+        let threshold = levels[level - 1].0;
+        for (row, demand) in demands.iter_mut().enumerate() {
+            if weight(row).total_cmp(&threshold).is_le() {
                 match spec.mode {
                     ShedMode::Defer => *demand = 0.0,
                     ShedMode::Clamp { factor } => *demand *= factor,
                 }
-                count += 1;
             }
         }
-        count
+        covered
     }
 
     fn observe(&mut self, contended: bool) {
@@ -583,7 +602,6 @@ impl FaultPlane {
                 spec,
                 ema: 0.0,
                 engaged: false,
-                levels: Vec::new(),
             }),
             loss_scratch: Vec::new(),
             sum_scratch: Vec::new(),
@@ -642,12 +660,45 @@ impl FaultPlane {
     /// Runs the degradation guard for this slot (no-op without one): updates
     /// the hysteresis from the smoothed contended fraction and the aggregate
     /// backlog, and sheds what [`DegradationGuardSpec::shed_fraction`]
-    /// selects. Returns the number of sessions shed.
+    /// selects among the `demands.len()` sessions, whose weights are
+    /// `weights` (uniform when `None`). Returns the number of sessions
+    /// shed. The contended slot runs the same guard over its rows.
     pub fn shed(&mut self, backlog: f64, demands: &mut [f64], weights: Option<&[f64]>) -> u64 {
+        if self.guard.is_none() {
+            return 0;
+        }
+        let n = demands.len();
+        let mut levels = Vec::new();
+        match weights {
+            Some(w) => {
+                for &weight in &w[..n] {
+                    count_weight(&mut levels, weight);
+                }
+            }
+            None => levels.push((1.0, n as u64)),
+        }
+        self.shed_rows(backlog, demands, &levels, weights, RowIds::Identity(n))
+    }
+
+    /// The guard over one slot's per-row `demands`: row `p` belongs to
+    /// session `rows.id(p)`, whose weight is read from the id-indexed
+    /// `weights` (uniform when `None`), and `levels` counts every issued
+    /// id per weight value (see [`count_weight`]). Returns the number of
+    /// ids at or below the threshold weight, ids without a row included.
+    pub(crate) fn shed_rows(
+        &mut self,
+        backlog: f64,
+        demands: &mut [f64],
+        levels: &[(f64, u64)],
+        weights: Option<&[f64]>,
+        rows: RowIds<'_>,
+    ) -> u64 {
         let Some(guard) = self.guard.as_mut() else {
             return 0;
         };
-        let count = guard.shed(backlog, demands, weights);
+        let count = guard.shed(backlog, demands, levels, |row| {
+            weights.map_or(1.0, |w| w[rows.id(row)])
+        });
         if count > 0 {
             self.shed_slots += 1;
             self.deferred_session_slots += count;
@@ -659,19 +710,27 @@ impl FaultPlane {
     /// Bernoulli draw per event, whatever the grants or liveness, so
     /// composing faults never shifts the draws. A hit zeroes the
     /// session's grant. Returns the slot's (permutation-invariant) lost
-    /// total.
+    /// total. The contended slot runs the same loss over its rows.
     pub fn apply_loss(&mut self, grants: &mut [f64]) -> f64 {
+        self.apply_loss_rows(grants, RowIds::Identity(grants.len()))
+    }
+
+    /// [`FaultPlane::apply_loss`] over one slot's per-row `grants`: an
+    /// event's session is found by [`RowIds::row`], and a session without
+    /// a row loses nothing (its grant is `+0.0`), though its draw is still
+    /// taken.
+    pub(crate) fn apply_loss_rows(&mut self, grants: &mut [f64], rows: RowIds<'_>) -> f64 {
         if self.losses.is_empty() {
             return 0.0;
         }
         self.loss_scratch.clear();
         for loss in self.losses.iter_mut() {
             let hit = loss.rng.gen::<f64>() < loss.p;
-            if hit {
-                let lost = grants[loss.session];
+            if let (true, Some(row)) = (hit, rows.row(loss.session)) {
+                let lost = grants[row];
                 if lost > 0.0 {
                     self.loss_scratch.push(lost);
-                    grants[loss.session] = 0.0;
+                    grants[row] = 0.0;
                 }
             }
         }

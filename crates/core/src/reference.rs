@@ -9,13 +9,23 @@
 //! oracles share the fast paths' two zero rules — sums fold from `+0.0`,
 //! and a zero budget allocates as `+0.0` — so a difference here can only
 //! come from what the fast paths skip.
+//!
+//! The last test steps whole churned cells two ways: through
+//! `SharedUplink::step_slot`, which walks the batch's physical rows, and
+//! through the id-indexed public calls, whose vectors hold every id ever
+//! issued. Both must give the same bits.
 
+use arvis_quality::DepthProfile;
 use arvis_sim::rng::seeded;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::fault::{DegradationGuardSpec, FaultPlan, FaultPlane, ShedMode};
-use crate::uplink::UplinkPolicy;
+use crate::churn::{ChurnArrivalSpec, ChurnPlane, ChurnSpec, LifetimeSpec};
+use crate::experiment::{ExperimentConfig, ServiceSpec};
+use crate::fault::{DegradationGuardSpec, FaultEvent, FaultPlan, FaultPlane, ShedMode};
+use crate::scenario::{ControllerSpec, Scenario, SessionSpec};
+use crate::session::SessionBatch;
+use crate::uplink::{SharedUplink, UplinkPolicy, UplinkSpec};
 
 /// Every operand, sorted by `total_cmp`, folded from `+0.0`.
 fn invariant_sum(values: &[f64]) -> f64 {
@@ -291,4 +301,200 @@ fn guard_selection_matches_the_level_rescan_bitwise() {
             assert!(same_bits(&fast, &want), "{what}");
         }
     }
+}
+
+/// A small churned cell for case `case`: jittered tenants behind one
+/// uplink that binds, Poisson joins and geometric lifetimes short enough
+/// that most ids depart, an outage, a grant loss on every initial tenant
+/// and a guard that engages. The case picks the policy (`case % 5`), the
+/// guard's mode (`case % 2`) and compaction (`case / 10 % 2`), so every
+/// policy meets both modes with compaction on and off.
+fn churned_cell(rng: &mut StdRng, case: usize) -> Scenario {
+    let profile = DepthProfile::from_parts(
+        5,
+        vec![100.0, 400.0, 1600.0, 6400.0, 25600.0, 102400.0],
+        vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+    );
+    let slots = rng.gen_range(120..240);
+    let cfg = ExperimentConfig::new(profile, 2_000.0, slots).with_controller_v(1e7);
+    let session = |rng: &mut StdRng| {
+        let mut spec = SessionSpec::from_config(&cfg, ControllerSpec::Proposed { v: 1e7 });
+        spec.service = ServiceSpec::Jittered {
+            rate: rng.gen_range(1_000.0..3_000.0),
+            sigma: 0.15,
+        };
+        spec.seed = rng.gen();
+        spec
+    };
+    let tenants = rng.gen_range(3..9);
+    let mut scenario = Scenario::new(slots);
+    for _ in 0..tenants {
+        scenario.sessions.push(session(rng));
+    }
+    let mut weight = || [1.0, 2.0, 3.0, 4.0][rng.gen_range(0..4usize)];
+    let policy = match case % 5 {
+        0 => UplinkPolicy::MaxWeightBacklog,
+        1 => UplinkPolicy::WeightedMaxWeight {
+            weights: (0..tenants).map(|_| weight()).collect(),
+        },
+        2 => UplinkPolicy::ProportionalShare,
+        3 => UplinkPolicy::AlphaFair { alpha: 2.0 },
+        _ => UplinkPolicy::AlphaFair {
+            alpha: f64::INFINITY,
+        },
+    };
+    let joiner_weight = matches!(policy, UplinkPolicy::WeightedMaxWeight { .. }).then(weight);
+    let budget = rng.gen_range(0.3..0.9) * 2_000.0 * tenants as f64;
+    let mode = match case % 2 {
+        0 => ShedMode::Defer,
+        _ => ShedMode::Clamp {
+            factor: rng.gen_range(0.0..0.9),
+        },
+    };
+    let mut plan = FaultPlan::new()
+        .with_event(FaultEvent::Outage {
+            start: slots / 3,
+            slots: 4,
+        })
+        .with_guard(DegradationGuardSpec {
+            ema_alpha: 0.2,
+            engage_above: 0.6,
+            release_below: 0.3,
+            backlog_limit: f64::INFINITY,
+            shed_fraction: rng.gen_range(0.1..0.6),
+            mode,
+        });
+    for tenant in 0..tenants {
+        plan = plan.with_event(FaultEvent::GrantLoss {
+            session: tenant,
+            p: rng.gen_range(0.05..0.5),
+            seed: rng.gen(),
+        });
+    }
+    let arrivals = ChurnArrivalSpec::Poisson {
+        lambda: rng.gen_range(0.1..0.4),
+        seed: rng.gen(),
+    };
+    let mut churn = ChurnSpec::new()
+        .with_arrivals(arrivals, session(rng), 200)
+        .with_lifetime(LifetimeSpec::Geometric {
+            mean: rng.gen_range(5.0..40.0),
+            seed: rng.gen(),
+        })
+        .with_compaction((case / 10).is_multiple_of(2));
+    if let Some(w) = joiner_weight {
+        churn = churn.with_weight(w);
+    }
+    scenario
+        .with_uplink(UplinkSpec::new(budget, policy))
+        .with_fault(plan)
+        .with_churn(churn)
+}
+
+#[test]
+fn row_walk_matches_the_id_indexed_calls_bitwise() {
+    let mut rng = seeded(0x5eed_0004);
+    // Slots on which the cells reach what only the id-indexed outputs
+    // tell apart from a walk that forgets departed ids.
+    let (mut same_step, mut loss_rowless, mut shed_rowless) = (0, 0, 0);
+    for case in 0..50 {
+        let scenario = churned_cell(&mut rng, case);
+        let spec = scenario.uplink.clone().unwrap();
+        let plan = scenario.fault.clone().unwrap();
+        let churn = scenario.churn.clone().unwrap();
+        let tenants = scenario.sessions.len();
+
+        // Rows: the path `run_contended` takes.
+        let mut batch = SessionBatch::summary_only(&scenario);
+        let mut uplink = SharedUplink::with_fault(spec.clone(), &plan, tenants);
+        let mut plane = ChurnPlane::new(&churn, &scenario);
+
+        // Ids: the churn plane grows `joined`'s weights; it never steps.
+        let mut id_batch = SessionBatch::summary_only(&scenario);
+        let mut joined = SharedUplink::new(spec.clone());
+        let mut id_plane = ChurnPlane::new(&churn, &scenario);
+        let mut fault = FaultPlane::new(&plan, tenants);
+        let (mut backlogs, mut demands, mut grants, mut sums) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+
+        while !batch.is_done() {
+            let slot = batch.slot();
+            let compacted = plane.compacted_rows();
+            plane.step_summary(&mut batch, &mut uplink);
+            let departed_now = plane
+                .departure_schedule()
+                .iter()
+                .any(|&(at, id)| at == slot && uplink.last_grants().get(id as usize) > Some(&0.0));
+            if departed_now && plane.compacted_rows() > compacted {
+                same_step += 1;
+            }
+            let stats = uplink.step_slot(&mut batch);
+            let rows = batch.row_ids();
+            loss_rowless += (0..tenants).filter(|&t| rows.row(t).is_none()).count();
+            shed_rowless += usize::from(stats.shed_sessions > batch.len() as u64);
+
+            id_plane.step_summary(&mut id_batch, &mut joined);
+            let budget = fault.effective_budget(slot, spec.budget.budget_at(slot));
+            fault.apply_crashes(slot, &mut id_batch);
+            id_batch.fill_backlogs(&mut backlogs);
+            id_batch.fill_demands(&mut demands);
+            let backlog = crate::uplink::invariant_sum(backlogs.iter().copied(), &mut sums);
+            let offered = crate::uplink::invariant_sum(demands.iter().copied(), &mut sums);
+            let policy = &joined.spec().policy;
+            let weights = match policy {
+                UplinkPolicy::WeightedMaxWeight { weights } => Some(weights.as_slice()),
+                _ => None,
+            };
+            let shed = fault.shed(backlog, &mut demands, weights);
+            policy.allocate(budget, &backlogs, &demands, &mut grants);
+            let lost = fault.apply_loss(&mut grants);
+            id_batch.step_slot_granted(&grants);
+            let granted = crate::uplink::invariant_sum(grants.iter().copied(), &mut sums);
+            let contended = offered > budget;
+            fault.observe_contention(contended);
+
+            let what = format!("case {case} slot {slot}");
+            let bits = |x: f64| x.to_bits();
+            assert_eq!(stats.slot, slot, "{what}");
+            assert_eq!(bits(stats.budget), bits(budget), "{what}: budget");
+            assert_eq!(bits(stats.demand), bits(offered), "{what}: demand");
+            assert_eq!(bits(stats.granted), bits(granted), "{what}: granted");
+            assert_eq!(bits(stats.backlog), bits(backlog), "{what}: backlog");
+            assert_eq!(stats.contended, contended, "{what}: contended");
+            assert_eq!(stats.shed_sessions, shed, "{what}: shed_sessions");
+            assert_eq!(bits(stats.lost), bits(lost), "{what}: lost");
+            assert_eq!(
+                stats.down_sessions,
+                id_batch.down_sessions(),
+                "{what}: down"
+            );
+            assert!(
+                same_bits(uplink.last_grants(), &grants),
+                "{what}: last_grants"
+            );
+        }
+        let summary = uplink.summary();
+        assert_eq!(summary.shed_slots, fault.shed_slots(), "case {case}");
+        assert_eq!(
+            summary.deferred_session_slots,
+            fault.deferred_session_slots(),
+            "case {case}"
+        );
+        assert_eq!(summary.lost_total.to_bits(), fault.lost_total().to_bits());
+        assert_eq!(
+            batch.downtime(),
+            id_batch.downtime(),
+            "case {case}: downtime"
+        );
+        assert_eq!(
+            format!("{:?}", batch.into_summaries()),
+            format!("{:?}", id_batch.into_summaries()),
+            "case {case}: summaries"
+        );
+    }
+    assert!(
+        same_step > 0 && loss_rowless > 0 && shed_rowless > 0,
+        "coverage: {same_step} granted departures compacted in their churn step, \
+         {loss_rowless} loss draws without a row, {shed_rowless} sheds counting rowless ids"
+    );
 }

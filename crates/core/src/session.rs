@@ -414,6 +414,51 @@ struct Retired<S> {
     retire_slot: u64,
 }
 
+/// The stable ids behind one slot's per-row vectors: entry `p` of a
+/// backlog, demand or grant vector belongs to session `id(p)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowIds<'a> {
+    /// Entry `i` is session `i` of `n`: the id-indexed vectors the public
+    /// calls take.
+    Identity(usize),
+    /// A batch's physical rows: entry `p` is session `ids[p]`, one of
+    /// `issued` ids. Ids ascend; an id whose row was compacted away has
+    /// no entry.
+    Batch {
+        /// Row → stable id.
+        ids: &'a [u64],
+        /// Every id ever issued ([`SessionBatch::logical_len`]).
+        issued: usize,
+    },
+}
+
+impl RowIds<'_> {
+    /// The number of ids ever issued: the length of an id-indexed vector.
+    pub(crate) fn issued(self) -> usize {
+        match self {
+            RowIds::Identity(n) => n,
+            RowIds::Batch { issued, .. } => issued,
+        }
+    }
+
+    /// The stable id of entry `row`.
+    pub(crate) fn id(self, row: usize) -> usize {
+        match self {
+            RowIds::Identity(_) => row,
+            RowIds::Batch { ids, .. } => ids[row] as usize,
+        }
+    }
+
+    /// The entry of session `id`, or `None` when it has no row (binary
+    /// search: ids ascend).
+    pub(crate) fn row(self, id: usize) -> Option<usize> {
+        match self {
+            RowIds::Identity(_) => Some(id),
+            RowIds::Batch { ids, .. } => ids.binary_search(&(id as u64)).ok(),
+        }
+    }
+}
+
 /// N sessions stepped in lock-step, state stored as struct-of-arrays.
 ///
 /// One `Vec` per component (streams, controllers, service processes,
@@ -429,16 +474,27 @@ struct Retired<S> {
 /// the initial fleet, then [`SessionBatch::spawn_at`] order. Without churn,
 /// ids and physical row indices coincide and everything below reduces to
 /// the fixed-N behavior bit-for-bit. With churn, [`SessionBatch::compact`]
-/// may physically evict [`Liveness::Dead`] rows, so the uplink-facing
-/// surface is *id-indexed* ("logical"): [`SessionBatch::fill_backlogs`] /
-/// [`SessionBatch::fill_demands`] scatter by id into vectors of
-/// [`SessionBatch::logical_len`] entries (retired ids contribute the same
-/// `0.0` a dead row would), [`SessionBatch::step_slot_granted`] gathers
-/// grants by id, and [`SessionBatch::downtime`] /
-/// [`SessionBatch::into_summaries`] assemble per-id outputs from live and
-/// retired sessions alike. Compaction is therefore bitwise invisible to
-/// every admission policy, aggregate, and telemetry row — the churn
-/// plane's differential suite (`tests/session_churn.rs`) pins this.
+/// may physically evict [`Liveness::Dead`] rows. Rows keep ascending ids,
+/// so a row is found from its id by binary search.
+///
+/// The public uplink-facing surface is *id-indexed* ("logical"):
+/// [`SessionBatch::fill_backlogs`] / [`SessionBatch::fill_demands`]
+/// scatter by id into vectors of [`SessionBatch::logical_len`] entries
+/// (retired ids contribute the same `0.0` a dead row would),
+/// [`SessionBatch::step_slot_granted`] gathers grants by id, and
+/// [`SessionBatch::downtime`] / [`SessionBatch::into_summaries`] assemble
+/// per-id outputs from live and retired sessions alike. Compaction is
+/// therefore bitwise invisible to every admission policy, aggregate, and
+/// telemetry row — the churn plane's differential suite
+/// (`tests/session_churn.rs`) pins this.
+///
+/// The contended slot ([`crate::uplink::SharedUplink::step_slot`]) never
+/// builds the logical view: it polls, admits and grants per physical row,
+/// so its cost follows the rows (live, down and not-yet-compacted
+/// sessions), not every id ever issued. The id-indexed calls above are
+/// thin scatter/gather adapters over that same row code. An id without a
+/// row backlogs, demands and is granted exactly `+0.0`, which every sum
+/// skips and every policy grants back, so both views give the same bits.
 #[derive(Debug)]
 pub struct SessionBatch<S: TelemetrySink> {
     streams: Vec<ArStream>,
@@ -449,7 +505,7 @@ pub struct SessionBatch<S: TelemetrySink> {
     warmups: Vec<u64>,
     sinks: Vec<S>,
     /// Per-session uplink-aware `V` adapters (`None` for sessions without
-    /// the knob). Driven only by [`SessionBatch::step_slot_granted`].
+    /// the knob). Driven only by the granted step.
     adapters: Vec<Option<GrantRatioV>>,
     /// The demands drawn by the most recent
     /// [`SessionBatch::fill_demands`] — kept so the granted step can
@@ -476,9 +532,6 @@ pub struct SessionBatch<S: TelemetrySink> {
     /// Sessions evicted by [`SessionBatch::compact`], still reporting
     /// under their stable ids.
     retired: Vec<Retired<S>>,
-    /// Scratch: per-physical-row grants gathered from the logical grant
-    /// vector by [`SessionBatch::step_slot_granted`].
-    phys_grants: Vec<f64>,
     /// Physical [`Liveness::Dead`] rows not yet evicted (compaction's
     /// trigger input).
     dead_rows: usize,
@@ -523,7 +576,6 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
             ids: (0..n as u64).collect(),
             next_id: n as u64,
             retired: Vec::new(),
-            phys_grants: Vec::new(),
             dead_rows: 0,
             slot: 0,
             horizon: scenario.slots,
@@ -644,23 +696,47 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
         .sum()
     }
 
+    /// The batch's physical rows and the stable id of each.
+    pub(crate) fn row_ids(&self) -> RowIds<'_> {
+        RowIds::Batch {
+            ids: &self.ids,
+            issued: self.logical_len(),
+        }
+    }
+
+    /// Writes per-row values into the id-indexed (logical) view: `out` is
+    /// resized to [`SessionBatch::logical_len`], and ids without a row
+    /// read `+0.0`.
+    fn scatter(&self, rows: impl Iterator<Item = f64>, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.logical_len(), 0.0);
+        for (&id, value) in self.ids.iter().zip(rows) {
+            out[id as usize] = value;
+        }
+    }
+
     /// Writes every session's live backlog `Q_i(τ)` into `out` (stable-id
     /// order, resized to [`SessionBatch::logical_len`]) — the per-session
     /// observation a cross-session admission policy acts on. Retired ids
     /// report `0.0`, exactly what their dead row would (a permanent crash
     /// rebuilds an empty queue), so compaction cannot change the vector.
+    /// This scatters the per-row backlogs the contended slot reads.
     pub fn fill_backlogs(&self, out: &mut Vec<f64>) {
+        self.scatter(self.queues.iter().map(WorkQueue::backlog), out);
+    }
+
+    /// Writes every physical row's live backlog into `out` (row order; see
+    /// [`SessionBatch::row_ids`]).
+    pub(crate) fn backlog_rows(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.resize(self.logical_len(), 0.0);
-        for (p, queue) in self.queues.iter().enumerate() {
-            out[self.ids[p] as usize] = queue.backlog();
-        }
+        out.extend(self.queues.iter().map(WorkQueue::backlog));
     }
 
     /// Draws every session's nominal service capacity for the *next* slot
     /// into `out` (stable-id order, resized to
     /// [`SessionBatch::logical_len`]; retired ids demand `0.0` like any
-    /// dead row), advancing each service process by exactly one slot.
+    /// dead row), advancing each service process by exactly one slot. This
+    /// scatters the per-row draws the contended slot reads.
     ///
     /// This is phase one of a contended slot: poll demands, admit them
     /// against a shared budget, then complete the slot with
@@ -675,6 +751,20 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
     /// Panics when called twice for the same slot (demands already drawn)
     /// or when the batch is already past its horizon.
     pub fn fill_demands(&mut self, out: &mut Vec<f64>) {
+        self.draw_demands();
+        self.scatter(self.last_demands.iter().copied(), out);
+    }
+
+    /// [`SessionBatch::fill_demands`] per physical row: the slot's demands
+    /// in row order, with the same draws and panics.
+    pub(crate) fn demand_rows(&mut self, out: &mut Vec<f64>) {
+        self.draw_demands();
+        out.clear();
+        out.extend_from_slice(&self.last_demands);
+    }
+
+    /// Draws the slot's demands into `last_demands`, one per physical row.
+    fn draw_demands(&mut self) {
         assert!(
             !self.demands_drawn,
             "fill_demands called twice for slot {}",
@@ -688,7 +778,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
         self.demands_drawn = true;
         let slot = self.slot;
         // Draw per physical row (the service processes live there), keeping
-        // the draws so step_slot_granted can feed each session's
+        // the draws so the granted step can feed each session's
         // grant/demand ratio to its uplink-aware V adapter.
         self.last_demands.clear();
         self.last_demands.resize(self.services.len(), 0.0);
@@ -714,13 +804,6 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
                 };
             }
         });
-        // Scatter to the logical (stable-id) view the admission policies
-        // act on; retired ids stay 0.0, bitwise what a dead row writes.
-        out.clear();
-        out.resize(self.logical_len(), 0.0);
-        for (p, &demand) in self.last_demands.iter().enumerate() {
-            out[self.ids[p] as usize] = demand;
-        }
     }
 
     /// Phase two of a contended slot: advances every session by one slot
@@ -729,6 +812,8 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
     /// service processes (already drawn by [`SessionBatch::fill_demands`]).
     /// Grants addressed to retired ids are ignored — they are `0.0` for
     /// any work-conserving policy, since a retired id demands nothing.
+    /// This gathers the grants onto the physical rows and steps them as
+    /// the contended slot does.
     ///
     /// # Panics
     ///
@@ -742,6 +827,14 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
             self.logical_len(),
             "granted-service vector length must match the logical session count"
         );
+        let rows: Vec<f64> = self.ids.iter().map(|&id| granted[id as usize]).collect();
+        self.step_rows_granted(&rows);
+    }
+
+    /// [`SessionBatch::step_slot_granted`] with one grant per physical row
+    /// (row order; see [`SessionBatch::row_ids`]), with the same panics.
+    pub(crate) fn step_rows_granted(&mut self, granted: &[f64]) {
+        assert_eq!(granted.len(), self.len(), "one grant per physical row");
         assert!(
             self.demands_drawn,
             "step_slot_granted without fill_demands for slot {}",
@@ -750,16 +843,11 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
         self.demands_drawn = false;
         let slot = self.slot;
         self.slot += 1;
-        // Gather the logical grant vector onto the physical rows.
-        self.phys_grants.clear();
-        self.phys_grants
-            .extend(self.ids.iter().map(|&id| granted[id as usize]));
         let c = self.chunk;
-        let mut tasks: Vec<GrantedChunkTask<'_, S>> =
-            Vec::with_capacity(self.phys_grants.len().div_ceil(c));
+        let mut tasks: Vec<GrantedChunkTask<'_, S>> = Vec::with_capacity(granted.len().div_ceil(c));
         let mut streams = self.streams.chunks(c);
         let mut controllers = self.controllers.chunks_mut(c);
-        let mut grants = self.phys_grants.chunks(c);
+        let mut grants = granted.chunks(c);
         let mut demands = self.last_demands.chunks(c);
         let mut adapters = self.adapters.chunks_mut(c);
         let mut queues = self.queues.chunks_mut(c);
@@ -844,13 +932,9 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
     /// compaction (scenario validation forbids churn lifetimes combined
     /// with `session_crash` events, so fault plans never hit this).
     pub fn crash_session(&mut self, i: usize, policy: CrashPolicy, restart_at: u64) {
-        let p = self
-            .ids
-            .iter()
-            .position(|&id| id == i as u64)
-            .unwrap_or_else(|| {
-                panic!("session {i} is no longer in the batch (departed and compacted)")
-            });
+        let p = self.row_ids().row(i).unwrap_or_else(|| {
+            panic!("session {i} is no longer in the batch (departed and compacted)")
+        });
         assert!(
             self.liveness[p].is_live(),
             "session {i} is already down or dead"

@@ -42,14 +42,34 @@
 //! Coupling sessions threatens the batch runtime's determinism contract,
 //! so every policy is written to be **order-invariant bit-for-bit**:
 //! aggregate sums add their nonzero operands in ascending value order from
-//! `+0.0` (permutation invariant; zeros change no bit, so dead ids cost no
-//! sort), max-weight water-fills over descending-priority *groups* (ties
-//! share pro rata) instead of picking an arbitrary order within a tie, and
-//! α-fair derives its water level from permutation-invariant sums with
-//! pointwise capping. `tests/shared_uplink.rs` and `tests/uplink_adaptive.rs`
-//! pin the resulting invariants: per-slot conservation under a binding
-//! budget, session-order / chunk-size / serial-vs-parallel invariance for
-//! every policy, and [`UplinkPolicy::Unconstrained`] ≡ the uncoupled batch.
+//! `+0.0` (permutation invariant; zeros change no bit), max-weight
+//! water-fills over descending-priority *groups* (ties share pro rata)
+//! instead of picking an arbitrary order within a tie, and α-fair derives
+//! its water level from permutation-invariant sums with pointwise capping.
+//! `tests/shared_uplink.rs` and `tests/uplink_adaptive.rs` pin the
+//! resulting invariants: per-slot conservation under a binding budget,
+//! session-order / chunk-size / serial-vs-parallel invariance for every
+//! policy, and [`UplinkPolicy::Unconstrained`] ≡ the uncoupled batch.
+//!
+//! ## Rows, not ids
+//!
+//! [`SharedUplink::step_slot`] walks the batch's physical rows (live, down
+//! and not-yet-compacted sessions), never every id ever issued: it polls,
+//! sums, sheds, allocates, loses and grants per row, so a churning cell's
+//! slot cost follows its live fleet, not its join count. This is exact. An
+//! id without a row demands and backlogs `+0.0`, which the sums skip and
+//! every policy grants back as `+0.0`, and every policy's grants permute
+//! with their sessions. Only the outputs take the id-indexed view:
+//! [`SharedUplink::last_grants`], and the degradation guard's shed count,
+//! which still counts every issued id (see
+//! [`crate::fault::DegradationGuardSpec::shed_fraction`]). The public
+//! id-indexed calls ([`SessionBatch::fill_backlogs`],
+//! [`SessionBatch::fill_demands`], [`UplinkPolicy::allocate`],
+//! [`crate::fault::FaultPlane::shed`],
+//! [`crate::fault::FaultPlane::apply_loss`],
+//! [`SessionBatch::step_slot_granted`]) scatter or gather around the same
+//! row code, so a slot re-driven through them reproduces `step_slot` bit
+//! for bit.
 //!
 //! ## Uplink-aware `V` adaptation
 //!
@@ -101,9 +121,10 @@ use serde::{Deserialize, Serialize};
 
 use arvis_lyapunov::adaptive::GrantRatioV;
 
+use crate::fault::count_weight;
 use crate::json::{self, ensure, Broken, Rules};
 use crate::scenario::Scenario;
-use crate::session::SessionBatch;
+use crate::session::{RowIds, SessionBatch};
 use crate::telemetry::{CsvRow, SessionSummary, TelemetrySink};
 
 /// Sums the nonzero `values` in ascending value order from `+0.0` (scratch
@@ -383,38 +404,44 @@ impl UplinkPolicy {
     /// performs one global scale, one scale per priority group, or one
     /// water-level multiply per session, so the accumulated error is a few
     /// ulps). A zero budget of either sign yields exactly `+0.0` grants.
+    /// This is the id-indexed form of the allocation
+    /// [`SharedUplink::step_slot`] runs over the batch's rows.
     ///
     /// # Contract
     ///
-    /// Backlogs and demands must be finite and non-negative — checked with
-    /// debug assertions only, so the release hot path stays branch-light.
-    /// A NaN backlog would otherwise sort above every finite queue in the
-    /// max-weight order and capture the whole budget, and one infinite
-    /// demand would zero `ProportionalShare`'s scale and produce
-    /// `inf · 0 = NaN` grants; both are programming errors upstream, not
-    /// allocator states.
+    /// Backlogs and demands must be finite and non-negative, and are
+    /// checked in every build. A NaN backlog would otherwise sort above
+    /// every finite queue in the max-weight order and capture the whole
+    /// budget, and one infinite demand would zero `ProportionalShare`'s
+    /// scale and produce `inf · 0 = NaN` grants; both are programming
+    /// errors upstream, not allocator states.
     ///
     /// # Panics
     ///
     /// Panics when `backlogs` and `demands` disagree in length, when
     /// `budget` is NaN or negative (`f64::INFINITY` is allowed and never
-    /// binds), when a `WeightedMaxWeight` weight vector does not match the
-    /// session count, or when [`UplinkPolicy::validate`] rejects the
-    /// policy parameters. With debug assertions on, also panics on
-    /// non-finite or negative backlogs/demands.
+    /// binds), when a backlog or demand is non-finite or negative, when a
+    /// `WeightedMaxWeight` weight vector does not match the session count,
+    /// or when [`UplinkPolicy::validate`] rejects the policy parameters.
     pub fn allocate(&self, budget: f64, backlogs: &[f64], demands: &[f64], grants: &mut Vec<f64>) {
         self.validate();
         let mut scratch = AllocScratch::default();
         let total = invariant_sum(demands.iter().copied(), &mut scratch.sums);
-        self.allocate_with(budget, backlogs, demands, total, grants, &mut scratch);
+        let rows = RowIds::Identity(demands.len());
+        self.allocate_with(budget, rows, backlogs, demands, total, grants, &mut scratch);
     }
 
-    /// [`UplinkPolicy::allocate`] with caller-owned scratch buffers and
-    /// the (permutation-invariant) aggregate demand `total` already
-    /// computed — the allocation-free per-slot path of [`SharedUplink`].
+    /// [`UplinkPolicy::allocate`] over one slot's per-row vectors, with
+    /// caller-owned scratch buffers and the (permutation-invariant)
+    /// aggregate demand `total` already computed — the allocation-free
+    /// per-slot path of [`SharedUplink`]. Row `p` belongs to session
+    /// `rows.id(p)`, whose weight a weighted policy reads from its
+    /// id-indexed weight vector.
+    #[allow(clippy::too_many_arguments)] // one slot's inputs, outputs and scratch
     fn allocate_with(
         &self,
         budget: f64,
+        rows: RowIds<'_>,
         backlogs: &[f64],
         demands: &[f64],
         total: f64,
@@ -429,11 +456,11 @@ impl UplinkPolicy {
         assert!(!budget.is_nan() && budget >= 0.0, "bad budget {budget}");
         // −0.0 + 0.0 = +0.0: no scale or water level below can be −0.0.
         let budget = budget + 0.0;
-        debug_assert!(
+        assert!(
             backlogs.iter().all(|q| q.is_finite() && *q >= 0.0),
             "backlogs must be finite and non-negative: {backlogs:?}"
         );
-        debug_assert!(
+        assert!(
             demands.iter().all(|d| d.is_finite() && *d >= 0.0),
             "demands must be finite and non-negative: {demands:?}"
         );
@@ -445,7 +472,7 @@ impl UplinkPolicy {
         if let UplinkPolicy::WeightedMaxWeight { weights } = self {
             assert_eq!(
                 weights.len(),
-                demands.len(),
+                rows.issued(),
                 "need one max-weight weight per session"
             );
         }
@@ -470,7 +497,12 @@ impl UplinkPolicy {
                 // Priority = w_i · Q_i; uniform w = 1 gives bit-identical
                 // keys (1.0 · Q == Q), hence bit-identical grants.
                 keys.clear();
-                keys.extend(backlogs.iter().zip(weights).map(|(&q, &w)| w * q));
+                keys.extend(
+                    backlogs
+                        .iter()
+                        .enumerate()
+                        .map(|(row, &q)| weights[rows.id(row)] * q),
+                );
                 max_weight_fill(keys, demands, budget, grants, sums, order);
             }
             UplinkPolicy::AlphaFair { alpha } => {
@@ -753,8 +785,13 @@ pub struct UplinkSlotStats {
     /// the degradation guard shed anything — so the signal reflects real
     /// pressure, not the guard's own relief.
     pub contended: bool,
-    /// Sessions whose demand the degradation guard shed this slot
-    /// (0 without a guard — see [`crate::fault`]).
+    /// Session ids at or below the degradation guard's threshold weight
+    /// this slot (0 without a guard or while it is released — see
+    /// [`crate::fault`]). The count covers every id ever issued, departed
+    /// and crashed ones included, as the threshold does (see
+    /// [`crate::fault::DegradationGuardSpec::shed_fraction`]), so under
+    /// churn it can exceed the live sessions: it reads as the ids the guard
+    /// selects, not the demands it actually cut.
     pub shed_sessions: u64,
     /// Granted capacity destroyed by grant-loss faults this slot (`+0.0` if none).
     pub lost: f64,
@@ -783,7 +820,9 @@ pub struct UplinkSummary {
     /// Slots on which the degradation guard shed at least one session
     /// (0 on fault-free runs — see [`crate::fault`]).
     pub shed_slots: u64,
-    /// Total session-slots the guard deferred or clamped.
+    /// The sum of [`UplinkSlotStats::shed_sessions`] over the run: ids the
+    /// guard selected per slot, departed and crashed ids included (see
+    /// [`crate::fault::DegradationGuardSpec::shed_fraction`]).
     pub deferred_session_slots: u64,
     /// Total granted capacity destroyed by grant-loss faults.
     pub lost_total: f64,
@@ -828,9 +867,21 @@ impl UplinkSummary {
 #[derive(Debug)]
 pub struct SharedUplink {
     spec: UplinkSpec,
+    /// This slot's backlogs, demands and grants, one per physical row of
+    /// the batch ([`SessionBatch::row_ids`]).
     backlogs: Vec<f64>,
     demands: Vec<f64>,
+    row_grants: Vec<f64>,
+    /// The last slot's grants by stable id ([`SharedUplink::last_grants`]).
     grants: Vec<f64>,
+    /// The ids the last slot granted to: their entries in `grants` are
+    /// reset to `+0.0` before the next slot writes its rows, so an id
+    /// whose row has since been compacted away reads `+0.0`.
+    granted_ids: Vec<usize>,
+    /// A weighted policy's ids per weight value (see
+    /// [`crate::fault::count_weight`]), kept by
+    /// [`SharedUplink::register_join`] for the degradation guard.
+    weight_levels: Vec<(f64, u64)>,
     scratch: AllocScratch,
     /// The fault plane, when the scenario declares a (non-empty) fault
     /// plan. `None` is *the* fault-free path — not a plane of no-op
@@ -856,11 +907,20 @@ impl SharedUplink {
     pub fn new(spec: UplinkSpec) -> SharedUplink {
         spec.budget.validate();
         spec.policy.validate();
+        let mut weight_levels = Vec::new();
+        if let UplinkPolicy::WeightedMaxWeight { weights } = &spec.policy {
+            for &w in weights {
+                count_weight(&mut weight_levels, w);
+            }
+        }
         SharedUplink {
             spec,
             backlogs: Vec::new(),
             demands: Vec::new(),
+            row_grants: Vec::new(),
             grants: Vec::new(),
+            granted_ids: Vec::new(),
+            weight_levels,
             scratch: AllocScratch::default(),
             fault: None,
             slots: 0,
@@ -899,8 +959,12 @@ impl SharedUplink {
         &self.spec
     }
 
-    /// The grants of the most recent slot (stable-id order; empty before
-    /// the first step).
+    /// The grants of the most recent slot (stable-id order, one per
+    /// [`SessionBatch::logical_len`] id; empty before the first step). An
+    /// id without a row reads `+0.0`, as a dead row's grant does. The slot
+    /// grants per row; this view is kept in O(rows) per slot: it grows
+    /// with joins, takes the slot's row grants, and resets to `+0.0` the
+    /// ids whose rows were compacted away since the last slot.
     pub fn last_grants(&self) -> &[f64] {
         &self.grants
     }
@@ -908,7 +972,7 @@ impl SharedUplink {
     /// Registers a mid-run session join (the churn plane calls this once
     /// per [`SessionBatch::spawn_at`]): a weighted policy appends the
     /// joiner's weight so its weight vector tracks the logical session
-    /// count — and with it the degradation guard's weight groups.
+    /// count, and counts it in the degradation guard's weight groups.
     ///
     /// # Panics
     ///
@@ -923,6 +987,7 @@ impl SharedUplink {
                 "joiner weight must be finite and positive, got {w}"
             );
             weights.push(w);
+            count_weight(&mut self.weight_levels, w);
         }
     }
 
@@ -931,7 +996,8 @@ impl SharedUplink {
     ///
     /// All aggregates are permutation-invariant sums, so the returned
     /// stats — like the per-session results — are bit-identical under
-    /// session reordering.
+    /// session reordering. Every pass walks the batch's physical rows (see
+    /// the module docs): the cost follows the rows, not the ids issued.
     pub fn step_slot<S: TelemetrySink + Send>(
         &mut self,
         batch: &mut SessionBatch<S>,
@@ -942,8 +1008,9 @@ impl SharedUplink {
             budget = fault.effective_budget(slot, budget);
             fault.apply_crashes(slot, batch);
         }
-        batch.fill_backlogs(&mut self.backlogs);
-        batch.fill_demands(&mut self.demands);
+        batch.backlog_rows(&mut self.backlogs);
+        batch.demand_rows(&mut self.demands);
+        let rows = batch.row_ids();
         let backlog = invariant_sum(self.backlogs.iter().copied(), &mut self.scratch.sums);
         // The offered demand — what the sessions polled, before the
         // degradation guard sheds anything. Contention is judged on it.
@@ -951,30 +1018,35 @@ impl SharedUplink {
         let mut demand = offered;
         let mut shed_sessions = 0;
         if let Some(fault) = self.fault.as_mut() {
-            let weights = match &self.spec.policy {
-                UplinkPolicy::WeightedMaxWeight { weights } => Some(weights.as_slice()),
-                _ => None,
+            let uniform = [(1.0, rows.issued() as u64)];
+            let (weights, levels) = match &self.spec.policy {
+                UplinkPolicy::WeightedMaxWeight { weights } => {
+                    (Some(weights.as_slice()), self.weight_levels.as_slice())
+                }
+                _ => (None, uniform.as_slice()),
             };
-            shed_sessions = fault.shed(backlog, &mut self.demands, weights);
+            shed_sessions = fault.shed_rows(backlog, &mut self.demands, levels, weights, rows);
             if shed_sessions > 0 {
                 demand = invariant_sum(self.demands.iter().copied(), &mut self.scratch.sums);
             }
         }
         self.spec.policy.allocate_with(
             budget,
+            rows,
             &self.backlogs,
             &self.demands,
             demand,
-            &mut self.grants,
+            &mut self.row_grants,
             &mut self.scratch,
         );
         let mut lost = 0.0;
         if let Some(fault) = self.fault.as_mut() {
-            lost = fault.apply_loss(&mut self.grants);
+            lost = fault.apply_loss_rows(&mut self.row_grants, rows);
         }
-        batch.step_slot_granted(&self.grants);
+        self.record_grants(rows);
+        batch.step_rows_granted(&self.row_grants);
 
-        let granted = invariant_sum(self.grants.iter().copied(), &mut self.scratch.sums);
+        let granted = invariant_sum(self.row_grants.iter().copied(), &mut self.scratch.sums);
         let contended = offered > budget;
         if let Some(fault) = self.fault.as_mut() {
             fault.observe_contention(contended);
@@ -1001,6 +1073,23 @@ impl SharedUplink {
             shed_sessions,
             lost,
             down_sessions,
+        }
+    }
+
+    /// Writes the slot's row grants into the id-indexed
+    /// [`SharedUplink::last_grants`]: the last slot's ids go back to `+0.0`
+    /// first, so an id whose row has left (a departure compacted before
+    /// its row ever saw a zero-demand slot) does not keep its last grant.
+    fn record_grants(&mut self, rows: RowIds<'_>) {
+        for &id in &self.granted_ids {
+            self.grants[id] = 0.0;
+        }
+        self.grants.resize(rows.issued(), 0.0);
+        self.granted_ids.clear();
+        for (row, &grant) in self.row_grants.iter().enumerate() {
+            let id = rows.id(row);
+            self.grants[id] = grant;
+            self.granted_ids.push(id);
         }
     }
 
@@ -1391,10 +1480,9 @@ mod tests {
         );
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "demands must be finite")]
-    fn infinite_demand_rejected_in_debug() {
+    fn infinite_demand_rejected() {
         let mut grants = Vec::new();
         UplinkPolicy::ProportionalShare.allocate(
             100.0,
@@ -1404,26 +1492,23 @@ mod tests {
         );
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "demands must be finite")]
-    fn nan_demand_rejected_in_debug() {
+    fn nan_demand_rejected() {
         let mut grants = Vec::new();
         UplinkPolicy::MaxWeightBacklog.allocate(100.0, &[0.0, 0.0], &[f64::NAN, 5.0], &mut grants);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "backlogs must be finite")]
-    fn nan_backlog_rejected_in_debug() {
+    fn nan_backlog_rejected() {
         let mut grants = Vec::new();
         UplinkPolicy::MaxWeightBacklog.allocate(100.0, &[f64::NAN, 0.0], &[5.0, 5.0], &mut grants);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "demands must be finite")]
-    fn negative_demand_rejected_in_debug() {
+    fn negative_demand_rejected() {
         let mut grants = Vec::new();
         UplinkPolicy::ProportionalShare.allocate(100.0, &[0.0], &[-1.0], &mut grants);
     }
