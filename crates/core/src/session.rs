@@ -33,7 +33,7 @@ use crate::controller::DepthController;
 use crate::experiment::{ExperimentResult, ServiceSpec};
 use crate::fault::CrashPolicy;
 use crate::scenario::{BuiltController, ControllerSpec, Scenario, SessionSpec};
-use crate::stream::ArStream;
+use crate::stream::StreamState;
 use crate::telemetry::{FullTrace, SummarySink, TelemetrySink};
 use crate::uplink::UplinkVAdaptSpec;
 
@@ -105,7 +105,7 @@ impl ServiceState {
 /// bit-identical to this kernel.
 fn step_kernel<C: DepthController + ?Sized, S: TelemetrySink>(
     slot: u64,
-    stream: &ArStream,
+    stream: &mut StreamState,
     service: &mut ServiceState,
     controller: &mut C,
     queue: &mut WorkQueue,
@@ -121,7 +121,7 @@ fn step_kernel<C: DepthController + ?Sized, S: TelemetrySink>(
 /// shared-uplink admission policy).
 fn step_kernel_granted<C: DepthController + ?Sized, S: TelemetrySink>(
     slot: u64,
-    stream: &ArStream,
+    stream: &mut StreamState,
     b: f64,
     controller: &mut C,
     queue: &mut WorkQueue,
@@ -131,7 +131,7 @@ fn step_kernel_granted<C: DepthController + ?Sized, S: TelemetrySink>(
     let profile = stream.profile_at(slot);
     // Observe Q(t) (paper Algorithm 1 line 4), decide (lines 6–11).
     let q = queue.backlog();
-    let d = controller.select_depth(slot, q, &profile);
+    let d = controller.select_depth(slot, q, profile);
     let a = profile.arrival(d);
     let p = profile.quality(d);
     let step = queue.step(a, b);
@@ -160,7 +160,7 @@ fn step_kernel_granted<C: DepthController + ?Sized, S: TelemetrySink>(
 /// inspected mid-run, and driven past its nominal horizon.
 #[derive(Debug)]
 pub struct Session {
-    stream: ArStream,
+    stream: StreamState,
     service: ServiceState,
     controller: BuiltController,
     queue: WorkQueue,
@@ -178,7 +178,7 @@ impl Session {
             service: ServiceState::build(spec.service, spec.seed),
             controller: spec.controller.build(),
             latency: spec.latency_tracker(),
-            stream: spec.stream,
+            stream: StreamState::new(spec.stream),
             queue: match spec.queue_capacity {
                 Some(c) => WorkQueue::with_capacity(c),
                 None => WorkQueue::new(),
@@ -368,7 +368,7 @@ fn compact_vec<T>(v: &mut Vec<T>, keep: &[bool]) {
 /// including each session's liveness, local-clock offset and downtime
 /// counter (the fault plane's state; all-`Live`, all-zero when no fault).
 type ChunkTask<'a, S> = (
-    &'a [ArStream],
+    &'a mut [StreamState],
     &'a mut [BuiltController],
     &'a mut [ServiceState],
     &'a mut [WorkQueue],
@@ -384,7 +384,7 @@ type ChunkTask<'a, S> = (
 /// (grants), plus the per-session uplink-aware `V` adapters the
 /// grant/demand feedback drives.
 type GrantedChunkTask<'a, S> = (
-    &'a [ArStream],
+    &'a mut [StreamState],
     &'a mut [BuiltController],
     &'a [f64],
     &'a [f64],
@@ -497,7 +497,7 @@ impl RowIds<'_> {
 /// skips and every policy grants back, so both views give the same bits.
 #[derive(Debug)]
 pub struct SessionBatch<S: TelemetrySink> {
-    streams: Vec<ArStream>,
+    streams: Vec<StreamState>,
     controllers: Vec<BuiltController>,
     services: Vec<ServiceState>,
     queues: Vec<WorkQueue>,
@@ -583,7 +583,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
             demands_drawn: false,
         };
         for (i, spec) in scenario.sessions.iter().enumerate() {
-            batch.streams.push(spec.stream.clone());
+            batch.streams.push(StreamState::new(spec.stream.clone()));
             batch.controllers.push(spec.controller.build());
             batch
                 .services
@@ -845,7 +845,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
         self.slot += 1;
         let c = self.chunk;
         let mut tasks: Vec<GrantedChunkTask<'_, S>> = Vec::with_capacity(granted.len().div_ceil(c));
-        let mut streams = self.streams.chunks(c);
+        let mut streams = self.streams.chunks_mut(c);
         let mut controllers = self.controllers.chunks_mut(c);
         let mut grants = granted.chunks(c);
         let mut demands = self.last_demands.chunks(c);
@@ -898,7 +898,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
                 }
                 step_kernel_granted(
                     slot - of[i],
-                    &st[i],
+                    &mut st[i],
                     gr[i],
                     &mut ct[i],
                     &mut qu[i],
@@ -1024,7 +1024,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
         );
         let id = self.next_id;
         self.next_id += 1;
-        self.streams.push(spec.stream.clone());
+        self.streams.push(StreamState::new(spec.stream.clone()));
         self.controllers.push(spec.controller.build());
         self.services
             .push(ServiceState::build(spec.service, spec.seed));
@@ -1143,7 +1143,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
     fn chunk_tasks(&mut self) -> Vec<ChunkTask<'_, S>> {
         let c = self.chunk;
         let mut tasks = Vec::with_capacity(self.queues.len().div_ceil(c));
-        let mut streams = self.streams.chunks(c);
+        let mut streams = self.streams.chunks_mut(c);
         let mut controllers = self.controllers.chunks_mut(c);
         let mut services = self.services.chunks_mut(c);
         let mut queues = self.queues.chunks_mut(c);
@@ -1206,7 +1206,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
                 }
                 step_kernel(
                     slot - of[i],
-                    &st[i],
+                    &mut st[i],
                     &mut sv[i],
                     &mut ct[i],
                     &mut qu[i],
@@ -1245,7 +1245,7 @@ impl<S: TelemetrySink + Send> SessionBatch<S> {
                 for slot in start..horizon {
                     step_kernel(
                         slot - of[i],
-                        &st[i],
+                        &mut st[i],
                         &mut sv[i],
                         &mut ct[i],
                         &mut qu[i],

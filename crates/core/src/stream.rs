@@ -122,18 +122,9 @@ impl ArStream {
                 amplitude,
                 period_slots,
             } => {
-                let phase = std::f64::consts::TAU * slot as f64 / period_slots;
-                let scale = 1.0 + amplitude * phase.sin();
-                let arrivals = base
-                    .depths()
-                    .map(|d| base.arrival(d) * scale)
-                    .collect::<Vec<_>>();
-                let quality = base.depths().map(|d| base.quality(d)).collect();
-                Cow::Owned(DepthProfile::from_parts(
-                    base.min_depth(),
-                    arrivals,
-                    quality,
-                ))
+                let mut profile = unscaled(base);
+                profile.rescale_arrivals(base, modulation(slot, *amplitude, *period_slots));
+                Cow::Owned(profile)
             }
         }
     }
@@ -191,6 +182,67 @@ impl ArStream {
                 ensure(*period_slots > 0.0, "period_slots", || {
                     format!("period_slots must be positive, got {period_slots}")
                 })
+            }
+        }
+    }
+}
+
+/// The arrival scale of a modulated stream at `slot`:
+/// `1 + amplitude · sin(2π · slot / period_slots)`.
+fn modulation(slot: u64, amplitude: f64, period_slots: f64) -> f64 {
+    let phase = std::f64::consts::TAU * slot as f64 / period_slots;
+    1.0 + amplitude * phase.sin()
+}
+
+/// A modulated stream's profile before its scale: the base's arrivals and
+/// quality through `from_parts`, so the PSNR column is NaN.
+fn unscaled(base: &DepthProfile) -> DepthProfile {
+    let arrivals = base.depths().map(|d| base.arrival(d)).collect();
+    let quality = base.depths().map(|d| base.quality(d)).collect();
+    DepthProfile::from_parts(base.min_depth(), arrivals, quality)
+}
+
+/// A session's stream with one scratch profile: a modulated stream
+/// rewrites its arrivals in place each slot, where [`ArStream::profile_at`]
+/// builds a new profile (three columns) per call.
+#[derive(Debug)]
+pub(crate) struct StreamState {
+    stream: ArStream,
+    /// A modulated stream's profile; `None` for the other kinds.
+    scratch: Option<DepthProfile>,
+}
+
+impl StreamState {
+    /// Seeds a modulated stream's scratch with the session's other state,
+    /// not on its first slot: seeded mid-run, the scratch profiles made a
+    /// batch that is built and dropped again and again fault its pages in
+    /// anew each time (perfbench's `tenant_cell` at seed 53 took up to 14×
+    /// the minor faults), likely by changing where the heap ends.
+    pub(crate) fn new(stream: ArStream) -> StreamState {
+        let scratch = match &stream.kind {
+            StreamKind::Modulated { base, .. } => Some(unscaled(base)),
+            StreamKind::Constant(_) | StreamKind::Cycle(_) => None,
+        };
+        StreamState { stream, scratch }
+    }
+
+    /// The profile in effect at `slot`: [`ArStream::profile_at`]'s, bit for
+    /// bit, PSNR column included.
+    pub(crate) fn profile_at(&mut self, slot: u64) -> &DepthProfile {
+        match &self.stream.kind {
+            StreamKind::Constant(p) => p,
+            StreamKind::Cycle(ps) => &ps[(slot as usize) % ps.len()],
+            StreamKind::Modulated {
+                base,
+                amplitude,
+                period_slots,
+            } => {
+                let profile = self
+                    .scratch
+                    .as_mut()
+                    .expect("seeded for a modulated stream");
+                profile.rescale_arrivals(base, modulation(slot, *amplitude, *period_slots));
+                profile
             }
         }
     }
@@ -348,5 +400,61 @@ mod tests {
         assert_ne!(p0.arrival(5), p1.arrival(5));
         // Cycles with period 2.
         assert_eq!(s.profile_at(0).arrival(5), s.profile_at(2).arrival(5));
+    }
+
+    #[test]
+    fn scratch_profile_is_profile_at_bitwise() {
+        // SplitMix64: seeded profiles, modulations and slot sequences.
+        let mut state = 0x0d0c_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let bits = |p: &DepthProfile| -> Vec<[u64; 3]> {
+            p.depths()
+                .map(|d| [p.arrival(d), p.quality(d), p.psnr_db(d)].map(f64::to_bits))
+                .collect()
+        };
+        for case in 0..200 {
+            let min_depth = (unit() * 8.0) as u8;
+            let len = 2 + (unit() * 7.0) as usize;
+            let arrivals = (0..len).map(|_| 1.0 + unit() * 5e4).collect();
+            let quality = (0..len).map(|_| unit()).collect();
+            let base = DepthProfile::from_parts(min_depth, arrivals, quality);
+            // Amplitudes in [0, 1) and periods that are not integers.
+            let (amplitude, period) = (unit(), 0.37 + unit() * 1e3);
+            let stream = ArStream::modulated(base.clone(), amplitude, period);
+            let mut scratch = StreamState::new(stream.clone());
+            // A batch clock from anywhere below 10^6, with jumps and cold
+            // restarts, each of which sets the local clock back to 0.
+            let (mut slot, mut offset) = ((unit() * 1e6) as u64, 0);
+            for _ in 0..60 {
+                match (unit() * 10.0) as u32 {
+                    0 => offset = slot,
+                    1 => slot += (unit() * 1e6) as u64,
+                    _ => slot += 1,
+                }
+                let local = slot - offset;
+                let phase = std::f64::consts::TAU * local as f64 / period;
+                let scale = 1.0 + amplitude * phase.sin();
+                let want: Vec<[u64; 3]> = base
+                    .depths()
+                    .map(|d| [base.arrival(d) * scale, base.quality(d), f64::NAN].map(f64::to_bits))
+                    .collect();
+                assert_eq!(
+                    bits(&stream.profile_at(local)),
+                    want,
+                    "case {case}, slot {local}"
+                );
+                assert_eq!(
+                    bits(scratch.profile_at(local)),
+                    want,
+                    "case {case}, slot {local}"
+                );
+            }
+        }
     }
 }

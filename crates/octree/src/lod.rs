@@ -11,7 +11,7 @@ use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
 use crate::attr::rgb_color;
-use crate::occupancy::{walk_codes, VoxelCentres};
+use crate::occupancy::{walk_cells, VoxelCentres};
 use crate::tree::Octree;
 
 /// Where the representative point of each voxel is placed.
@@ -46,10 +46,10 @@ impl Octree {
     /// midpoint arithmetic of [`arvis_pointcloud::Aabb::octants`], bit for
     /// bit. They are not found by splitting boxes: one breadth-first walk
     /// over the occupancy column, shared with the decoder, yields each
-    /// voxel's Morton code, and the code indexes per-axis tables of the
-    /// level's cell boundaries, each entry the midpoint of its neighbours
-    /// one level up. The decoder reads the same tables, so a decoded frame
-    /// matches its LoD point for point.
+    /// voxel's axis indices packed in one word, and the indices read
+    /// per-axis tables of the level's cell boundaries, each entry the
+    /// midpoint of its neighbours one level up. The decoder reads the same
+    /// tables, so a decoded frame matches its LoD point for point.
     ///
     /// # Panics
     ///
@@ -62,19 +62,15 @@ impl Octree {
         );
         let LodMode::VoxelCenters = mode;
         let occupancy = self.occupancy_above(depth);
-        let mut colors = self.colors_at(depth).chunks_exact(3);
-        let voxels = colors.len();
-        let centres = VoxelCentres::new(self.cube(), depth, voxels);
-        let mut cloud = PointCloud::with_capacity(voxels);
-        let emit = |code| {
-            let rgb = colors.next().expect("one colour per voxel");
-            cloud.push(Point::new(centres.at(code), rgb_color(rgb)));
-        };
-        let Ok(_) = walk_codes(
-            depth,
-            |rows| Ok::<_, Infallible>(&occupancy[rows]),
-            |_| emit,
-        );
+        let Ok((_, leaves)) = walk_cells(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]));
+        let colors = self.colors_at(depth).chunks_exact(3);
+        assert_eq!(colors.len(), leaves.len(), "one colour per voxel");
+        let centres = VoxelCentres::new(self.cube(), depth, leaves.len());
+        let cloud = leaves
+            .iter()
+            .zip(colors)
+            .map(|(&cell, rgb)| Point::new(centres.at(cell), rgb_color(rgb)))
+            .collect();
         LodCloud {
             cloud,
             depth,

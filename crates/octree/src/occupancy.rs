@@ -11,7 +11,6 @@ use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::color::Color;
 use arvis_pointcloud::math::Vec3;
-use arvis_pointcloud::morton;
 use arvis_pointcloud::point::Point;
 use bytes::Bytes;
 
@@ -100,8 +99,11 @@ pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, Decode
 /// the declared depth, in stream order, each coloured by the next call of
 /// `color`. The errors are those of [`decode_occupancy`].
 ///
-/// The cloud and the [`VoxelCentres`] tables are sized by the voxel count
-/// the walk has read and checked, never by a length the stream declares.
+/// The stream is walked by [`walk_cells`], the walk [`Octree::extract_lod`]
+/// runs over the tree's own column; the cloud is collected in one pass over
+/// the leaf cells, and it and the [`VoxelCentres`] tables are sized by the
+/// voxel count the walk has read and checked, never by a length the stream
+/// declares.
 pub(crate) fn decode_stream(
     stream: &[u8],
     cube: &Aabb,
@@ -111,19 +113,16 @@ pub(crate) fn decode_stream(
     if depth == 0 || depth > MAX_SUPPORTED_DEPTH {
         return Err(DecodeError::BadHeader);
     }
-    let cube = cube.bounding_cube();
-    let mut cloud = PointCloud::new();
-    let out = &mut cloud;
-    let leaves = move |voxels| {
-        *out = PointCloud::with_capacity(voxels);
-        let centres = VoxelCentres::new(&cube, depth, voxels);
-        move |code| out.push(Point::new(centres.at(code), color()))
-    };
-    if walk_codes(depth, |range| level_bytes(nodes, range), leaves)? != nodes.len() {
+    let (read, leaves) = walk_cells(depth, |range| level_bytes(nodes, range))?;
+    if read != nodes.len() {
         // Bytes after the declared depth.
         return Err(DecodeError::Truncated);
     }
-    Ok(cloud)
+    let centres = VoxelCentres::new(&cube.bounding_cube(), depth, leaves.len());
+    Ok(leaves
+        .iter()
+        .map(|&cell| Point::new(centres.at(cell), color()))
+        .collect())
 }
 
 /// The node bytes `range` of a stream, or the error of the first one
@@ -142,65 +141,114 @@ fn level_bytes(nodes: &[u8], range: Range<usize>) -> Result<&[u8], DecodeError> 
     Ok(bytes)
 }
 
+/// Bits per axis in a packed cell: one per level, down to
+/// [`MAX_SUPPORTED_DEPTH`].
+const LANE: u32 = 21;
+
+/// The axis indices of a packed cell, `x | y << 21 | z << 42` (see
+/// [`walk_cells`]).
+#[inline]
+fn lanes(cell: u64) -> [usize; 3] {
+    let mask = (1 << LANE) - 1;
+    [cell & mask, (cell >> LANE) & mask, cell >> (2 * LANE)].map(|i| i as usize)
+}
+
+/// Per occupancy byte, its number of occupied octants: one load, where
+/// `count_ones` is a multiply-and-shift sequence on targets without a
+/// `popcnt` instruction, such as baseline x86-64.
+static COUNTS: [u8; 256] = {
+    let mut counts = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        counts[byte] = (byte as u8).count_ones() as u8;
+        byte += 1;
+    }
+    counts
+};
+
+/// Per occupancy byte, its occupied octants in ascending order, each
+/// spread onto the lanes of a packed cell (octant bit 0 is the x bit, 1 the
+/// y bit, 2 the z bit, as [`Aabb::octants`] numbers them). Entries past the
+/// byte's popcount are padding that the walk overwrites.
+static CHILDREN: [[u64; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut octant, mut k) = (0, 0);
+        while octant < 8 {
+            if byte >> octant & 1 == 1 {
+                let o = octant as u64;
+                table[byte][k] = (o & 1) | (o >> 1 & 1) << LANE | (o >> 2 & 1) << (2 * LANE);
+                k += 1;
+            }
+            octant += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
 /// The breadth-first occupancy walk shared by the decoder and
 /// [`Octree::extract_lod`]: expands the root through `levels` levels, where
 /// `level_bytes(range)` is the occupancy bytes `range` in stream order (the
-/// bytes of nodes `range` of a tree), one level at a time. A cell is
-/// carried as its Morton code: a child's code is its parent's shifted up
-/// three bits, with the octant in the low bits.
+/// bytes of nodes `range` of a tree), one level at a time.
 ///
-/// Once the bytes of the level above the last are read, the walk calls
-/// `leaves` with the number of depth-`levels` cells they mark, and then
-/// what `leaves` returns with the code of each, in stream order, which is
-/// ascending; only the levels above the last are stored, so the callers
-/// write their output in one pass. Returns the number of bytes read; stops
-/// at the first error `level_bytes` returns, before `leaves` when that
-/// comes first.
-pub(crate) fn walk_codes<'a, E, F: FnMut(u64)>(
+/// A cell is carried packed, its axis indices at that level as
+/// `x | y << 21 | z << 42`, so a child is its parent shifted up one bit in
+/// every lane, with the octant's bits in the low bit of each; at most
+/// [`MAX_SUPPORTED_DEPTH`] levels keep every lane within its 21 bits.
+/// Returns the number of bytes read and the depth-`levels` cells in stream
+/// order (the order of the attribute stream and of a tree's nodes), or the
+/// first error `level_bytes` returns. Each level is sized by the popcounts
+/// of the bytes already read and checked, never by a length the input
+/// declares.
+pub(crate) fn walk_cells<'a, E>(
     levels: u8,
     mut level_bytes: impl FnMut(Range<usize>) -> Result<&'a [u8], E>,
-    leaves: impl FnOnce(usize) -> F,
-) -> Result<usize, E> {
-    debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a code holds 21 levels");
-    if levels == 0 {
-        leaves(1)(0);
-        return Ok(0);
-    }
+) -> Result<(usize, Vec<u64>), E> {
+    debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a lane holds 21 levels");
     let mut read = 0usize;
     let mut cells = vec![0u64];
     let mut next = Vec::new();
-    for _ in 1..levels {
+    for _ in 0..levels {
         let bytes = level_bytes(read..read + cells.len())?;
         read += cells.len();
-        for (&code, &byte) in cells.iter().zip(bytes) {
-            for_each_child(code, byte, |child| next.push(child));
-        }
+        expand(&cells, bytes, &mut next);
         std::mem::swap(&mut cells, &mut next);
-        next.clear();
     }
-    let bytes = level_bytes(read..read + cells.len())?;
-    read += cells.len();
-    let mut emit = leaves(bytes.iter().map(|b| b.count_ones() as usize).sum());
-    for (&code, &byte) in cells.iter().zip(bytes) {
-        for_each_child(code, byte, &mut emit);
-    }
-    Ok(read)
+    Ok((read, cells))
 }
 
-/// Calls `f` with the code of every child that `byte` marks occupied in the
-/// cell `code`, in octant order.
-#[inline]
-fn for_each_child(code: u64, byte: u8, mut f: impl FnMut(u64)) {
-    let mut bits = byte;
-    while bits != 0 {
-        f((code << 3) | u64::from(bits.trailing_zeros()));
-        bits &= bits - 1;
+/// Writes into `next` the occupied children of `cells`, whose occupancy
+/// bytes are `bytes`: each cell's children in octant order, cell after
+/// cell.
+///
+/// No branch depends on a byte's bits. Every cell writes all eight entries
+/// of its byte's [`CHILDREN`] row and the write position then advances by
+/// the byte's popcount, so the next cell overwrites the padding; the level
+/// is sized from the bytes' popcounts plus eight entries of slack.
+fn expand(cells: &[u64], bytes: &[u8], next: &mut Vec<u64>) {
+    let count = |byte: u8| usize::from(COUNTS[usize::from(byte)]);
+    let children = bytes.iter().map(|&byte| count(byte)).sum::<usize>();
+    next.clear();
+    next.resize(children + 8, 0);
+    let mut at = 0;
+    for (&cell, &byte) in cells.iter().zip(bytes) {
+        let parent = cell << 1;
+        let row = &CHILDREN[usize::from(byte)];
+        let out = &mut next[at..at + 8];
+        for (slot, &octant) in out.iter_mut().zip(row) {
+            *slot = parent | octant;
+        }
+        at += count(byte);
     }
+    next.truncate(children);
 }
 
-/// The centres of one level's voxels in a cube's subdivision, by Morton
-/// code, bit for bit as [`Aabb::octants`] subdivides: a cell splits at
-/// `(min + max) * 0.5` on each axis, and its centre is that midpoint.
+/// The centres of one level's voxels in a cube's subdivision, by packed
+/// cell (see [`walk_cells`]), bit for bit as [`Aabb::octants`] subdivides:
+/// a cell splits at `(min + max) * 0.5` on each axis, and its centre is
+/// that midpoint.
 ///
 /// Each axis splits independently, so along one axis the boundaries of the
 /// level-`h` cells form a table of `2^h + 1` values, each new one the
@@ -208,9 +256,9 @@ fn for_each_child(code: u64, byte: u8, mut f: impl FnMut(u64)) {
 /// from it exactly. The table stops at `h = min(depth, ⌊log2(4·cells)⌋)`
 /// for a level of `cells` voxels, at most four entries per voxel, so it
 /// grows with the output and never with `2^depth`. A centre bisects its
-/// table interval along the bits of its code below `h`, then once more for
-/// the midpoint: the same arithmetic, in the same order, so `cells` sets
-/// the cost and never a centre.
+/// table interval along the bits of its axis index below `h`, then once
+/// more for the midpoint: the same arithmetic, in the same order, so
+/// `cells` sets the cost and never a centre.
 #[derive(Debug)]
 pub(crate) struct VoxelCentres {
     /// Per axis, the level-`h` cell boundaries.
@@ -230,15 +278,15 @@ impl VoxelCentres {
         }
     }
 
-    /// The centre of the voxel with Morton code `code`.
-    pub(crate) fn at(&self, code: u64) -> Vec3 {
-        let (x, y, z) = morton::decode(code);
+    /// The centre of the packed cell `cell`.
+    pub(crate) fn at(&self, cell: u64) -> Vec3 {
+        let [x, y, z] = lanes(cell);
         Vec3::new(self.bisect(0, x), self.bisect(1, y), self.bisect(2, z))
     }
 
-    fn bisect(&self, axis: usize, cell: u64) -> f64 {
+    fn bisect(&self, axis: usize, cell: usize) -> f64 {
         let b = &self.bounds[axis];
-        let i = (cell >> self.below) as usize;
+        let i = cell >> self.below;
         let (mut lo, mut hi) = (b[i], b[i + 1]);
         for bit in (0..self.below).rev() {
             let mid = (lo + hi) * 0.5;
@@ -281,7 +329,21 @@ mod tests {
     use crate::lod::LodMode;
     use crate::reference::decode_occupancy_frontier;
     use crate::tree::OctreeConfig;
+    use arvis_pointcloud::morton;
     use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
+
+    /// The packed cell of the voxel with Morton code `code`.
+    fn packed(code: u64) -> u64 {
+        let (x, y, z) = morton::decode(code);
+        x | y << LANE | z << (2 * LANE)
+    }
+
+    /// The bit patterns of every position of a cloud, in order.
+    fn position_bits(c: &PointCloud) -> Vec<[u64; 3]> {
+        c.positions()
+            .map(|p| p.to_array().map(f64::to_bits))
+            .collect()
+    }
 
     fn body_tree(depth: u8) -> Octree {
         let cloud = SynthBodyConfig::new(SubjectProfile::Loot)
@@ -447,7 +509,7 @@ mod tests {
                     cell = cell.octants()[((code >> (3 * level)) & 7) as usize];
                 }
                 assert_eq!(
-                    centres.at(code).to_array().map(f64::to_bits),
+                    centres.at(packed(code)).to_array().map(f64::to_bits),
                     cell.center().to_array().map(f64::to_bits),
                     "{cube:?} at depth {depth}, code {code:o}"
                 );
@@ -495,16 +557,8 @@ mod tests {
         // Walks a stream as the decoder does, returning its error or the
         // voxel count it sizes the cloud and the tables by.
         let leaves_of = |stream: &[u8]| {
-            let mut sized = None;
-            let walked = walk_codes(
-                stream[0],
-                |range| level_bytes(&stream[1..], range),
-                |voxels| {
-                    sized = Some(voxels);
-                    |_| {}
-                },
-            );
-            walked.map(|_| sized.unwrap())
+            walk_cells(stream[0], |range| level_bytes(&stream[1..], range))
+                .map(|(_, leaves)| leaves.len())
         };
 
         // A zero first node byte followed by 512 KiB: the error comes
@@ -547,5 +601,109 @@ mod tests {
             depth,
         };
         assert_eq!(frame.decode(&cube).unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn every_occupancy_byte_decodes_to_its_octants_in_order() {
+        // A box that is not a cube: the decoder subdivides its bounding
+        // cube.
+        let bbox = Aabb::new(Vec3::new(-1.3, 0.2, 7.0), Vec3::new(0.9, 0.45, 8.1));
+        let cube = bbox.bounding_cube();
+        let centre_bits = |cell: &Aabb| cell.center().to_array().map(f64::to_bits);
+        for byte in 1..=u8::MAX {
+            let octants: Vec<usize> = (0..8).filter(|o| byte >> o & 1 == 1).collect();
+            assert_eq!(octants.len(), byte.count_ones() as usize);
+
+            // Depth 1: the root's byte.
+            let one = decode_occupancy(Bytes::from(vec![1, byte]), &bbox).unwrap();
+            let want: Vec<[u64; 3]> = octants
+                .iter()
+                .map(|&o| centre_bits(&cube.octants()[o]))
+                .collect();
+            assert_eq!(position_bits(&one), want, "byte {byte:#010b} at depth 1");
+
+            // Depth 2: a root that marks all eight octants, each carrying
+            // the byte.
+            let mut stream = vec![2, u8::MAX];
+            stream.extend([byte; 8]);
+            let two = decode_occupancy(Bytes::from(stream), &bbox).unwrap();
+            let want: Vec<[u64; 3]> = cube
+                .octants()
+                .iter()
+                .flat_map(|parent| {
+                    let children = parent.octants();
+                    octants.iter().map(move |&o| centre_bits(&children[o]))
+                })
+                .collect();
+            assert_eq!(position_bits(&two), want, "byte {byte:#010b} at depth 2");
+        }
+    }
+
+    #[test]
+    fn lanes_at_their_top_bit_decode_like_the_lod_and_the_frontier() {
+        let cube = Aabb::new(Vec3::new(-2.7, 0.4, 11.0), Vec3::new(3.1, 4.9, 12.5)).bounding_cube();
+        let (lo, hi) = (cube.min(), cube.max());
+        // The min and max corners, and on each axis' max face the corner
+        // whose other axes are at their min: every lane reaches index
+        // 2^depth - 1 beside lanes at 0.
+        let corners = [
+            lo,
+            hi,
+            Vec3::new(hi.x, lo.y, lo.z),
+            Vec3::new(lo.x, hi.y, lo.z),
+            Vec3::new(lo.x, lo.y, hi.z),
+        ];
+        let cloud: PointCloud = corners
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Point::new(p, Color::new(50 * i as u8, 3, 250)))
+            .collect();
+        for depth in [20, MAX_SUPPORTED_DEPTH] {
+            let config = OctreeConfig::with_max_depth(depth).in_cube(cube);
+            let tree = Octree::build(&cloud, &config).unwrap();
+            assert_eq!(tree.cube(), &cube);
+            let stream = encode_occupancy(&tree, depth);
+            let decoded = decode_occupancy(stream.clone(), tree.cube()).unwrap();
+            let frame = crate::attr::EncodedFrame::encode(&tree, depth);
+            let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+            let frontier = decode_occupancy_frontier(stream, tree.cube()).unwrap();
+            assert_eq!(
+                position_bits(&decoded),
+                position_bits(&lod),
+                "depth {depth}"
+            );
+            assert_eq!(
+                position_bits(&frontier),
+                position_bits(&lod),
+                "depth {depth}"
+            );
+            let framed = frame.decode(tree.cube()).unwrap();
+            assert_eq!(position_bits(&framed), position_bits(&lod), "depth {depth}");
+            assert!(framed
+                .iter()
+                .zip(lod.iter())
+                .all(|(a, b)| a.color == b.color));
+
+            // Each corner's voxel is its octant descent, in Morton order.
+            let top = (1u64 << depth) - 1;
+            let mut want: Vec<(u64, [u64; 3])> = corners
+                .iter()
+                .map(|&p| {
+                    let (mut cell, mut index) = (cube, [0u64; 3]);
+                    for _ in 0..depth {
+                        let o = cell.octant_index(p);
+                        index = std::array::from_fn(|a| index[a] << 1 | (o >> a & 1) as u64);
+                        cell = cell.octants()[o];
+                    }
+                    let max_face = std::array::from_fn(|a| if p[a] == hi[a] { top } else { 0 });
+                    assert_eq!(index, max_face, "depth {depth}, {p:?}");
+                    let code = morton::encode(index[0], index[1], index[2]);
+                    (code, cell.center().to_array().map(f64::to_bits))
+                })
+                .collect();
+            want.sort_unstable();
+            let want: Vec<[u64; 3]> = want.into_iter().map(|(_, centre)| centre).collect();
+            assert_eq!(position_bits(&lod), want, "depth {depth}");
+        }
     }
 }

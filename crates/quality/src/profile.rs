@@ -221,6 +221,24 @@ impl DepthProfile {
         }
     }
 
+    /// Rewrites the arrivals in place as `base`'s times `scale`,
+    /// `a(d) = base.a(d) · scale` at every depth, keeping the quality and
+    /// PSNR columns: a modulated stream's profile for the next slot, without
+    /// building a new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `base` covers another depth range or `scale` is not
+    /// positive (NaN included), so the arrivals stay positive as
+    /// [`DepthProfile::from_parts`] requires.
+    pub fn rescale_arrivals(&mut self, base: &DepthProfile, scale: f64) {
+        assert_eq!(self.depths(), base.depths(), "depth range mismatch");
+        assert!(scale > 0.0, "scale must be positive, got {scale}");
+        for (a, &b) in self.arrivals.iter_mut().zip(&base.arrivals) {
+            *a = b * scale;
+        }
+    }
+
     /// The candidate depth set `R` as an inclusive range.
     pub fn depths(&self) -> RangeInclusive<u8> {
         self.min_depth..=self.max_depth
@@ -397,6 +415,19 @@ mod tests {
         assert_eq!(p.arrival(6), 400.0);
         assert_eq!(p.quality(7), 1.0);
         assert_eq!(p.depths(), 5..=7);
+    }
+
+    #[test]
+    fn rescale_arrivals_scales_and_rejects_a_non_positive_scale() {
+        let base = DepthProfile::from_parts(5, vec![100.0, 400.0, 1600.0], vec![0.0, 0.5, 1.0]);
+        let mut p = base.clone();
+        p.rescale_arrivals(&base, 0.25);
+        assert_eq!([5, 6, 7].map(|d| p.arrival(d)), [25.0, 100.0, 400.0]);
+        assert_eq!(p.quality(6), 0.5);
+        for scale in [0.0, -1.0, f64::NAN] {
+            let rescaled = std::panic::catch_unwind(|| base.clone().rescale_arrivals(&base, scale));
+            assert!(rescaled.is_err(), "scale {scale}");
+        }
     }
 
     #[test]
