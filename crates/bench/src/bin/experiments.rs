@@ -40,12 +40,13 @@
 
 use std::time::Instant;
 
-use arvis_bench::{fig2_config, paper_profile, results_dir, PAPER_DEPTHS, PAPER_SLOTS};
+use arvis_bench::{
+    fig2_config, log_grid, paper_profile, results_dir, run_full_traces, PAPER_DEPTHS, PAPER_SLOTS,
+};
 use arvis_core::controller::{MaxDepth, MinDepth, ProposedDpp};
-use arvis_core::distributed::{fleet_csv, run_fleet, FleetSpec};
 use arvis_core::experiment::{Experiment, ExperimentResult};
-use arvis_core::sweep::{log_grid, rate_sweep, rate_sweep_csv, v_sweep, v_sweep_csv};
-use arvis_core::telemetry::series_csv;
+use arvis_core::scenario::{FleetSpec, Scenario};
+use arvis_core::telemetry::{series_csv, CsvRow};
 use arvis_octree::{LodMode, Octree, OctreeConfig};
 use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis_quality::profile::{DepthProfile, QualityMetric};
@@ -690,19 +691,19 @@ fn vsweep(opts: &Options) {
     cfg.slots = opts.slots.max(1_600);
     let center_v = cfg.controller_v;
     let vs = log_grid(center_v / 100.0, center_v * 100.0, 13);
-    let points = v_sweep(&cfg, &vs);
+    let points = run_full_traces(&Scenario::v_sweep(&cfg, &vs));
     println!(
         "{:>12} {:>12} {:>14} {:>7}",
         "V", "mean_quality", "mean_backlog", "stable"
     );
-    for p in &points {
+    for (v, p) in vs.iter().zip(&points) {
         println!(
             "{:>12.3e} {:>12.4} {:>14.1} {:>7}",
-            p.v, p.mean_quality, p.mean_backlog, p.stable
+            v, p.mean_quality, p.mean_backlog, p.stable
         );
     }
     let path = results_dir().join("ext_v_sweep.csv");
-    write_csv_file(&path, &v_sweep_csv(&points)).expect("write vsweep");
+    write_csv_file(&path, &sweep_csv("v", &vs, &points)).expect("write vsweep");
     println!("wrote {}\n", path.display());
 }
 
@@ -718,19 +719,19 @@ fn ratesweep(opts: &Options) {
     cfg.slots = opts.slots.max(6_400);
     cfg.warmup = cfg.slots / 2;
     let rates = log_grid(a5 * 1.2, a10 * 1.2, 11);
-    let points = rate_sweep(&cfg, &rates);
+    let points = run_full_traces(&Scenario::rate_sweep(&cfg, &rates));
     println!(
         "{:>14} {:>12} {:>14} {:>7}",
         "service_rate", "mean_quality", "mean_backlog", "stable"
     );
-    for p in &points {
+    for (rate, p) in rates.iter().zip(&points) {
         println!(
             "{:>14.0} {:>12.4} {:>14.1} {:>7}",
-            p.service_rate, p.mean_quality, p.mean_backlog, p.stable
+            rate, p.mean_quality, p.mean_backlog, p.stable
         );
     }
     let path = results_dir().join("ext_rate_sweep.csv");
-    write_csv_file(&path, &rate_sweep_csv(&points)).expect("write ratesweep");
+    write_csv_file(&path, &sweep_csv("service_rate", &rates, &points)).expect("write ratesweep");
     println!("wrote {}\n", path.display());
 }
 
@@ -745,17 +746,44 @@ fn distributed(opts: &Options) {
     cfg.warmup = cfg.slots / 2;
     for m in [1usize, 4, 16] {
         let spread = if m == 1 { 0.0 } else { 0.8 };
-        let outcomes = run_fleet(&cfg, FleetSpec::heterogeneous(m, spread));
-        let stable = outcomes.iter().filter(|o| o.result.stable).count();
-        let mean_q: f64 = outcomes.iter().map(|o| o.result.mean_quality).sum::<f64>() / m as f64;
+        let fleet = Scenario::fleet(&cfg, FleetSpec::heterogeneous(m, spread));
+        let results = run_full_traces(&fleet);
+        let stable = results.iter().filter(|r| r.stable).count();
+        let mean_q: f64 = results.iter().map(|r| r.mean_quality).sum::<f64>() / m as f64;
         println!("fleet of {m:>2}: {stable}/{m} devices stable, mean quality {mean_q:.4}");
         if m == 16 {
+            let mut csv = String::from("device,service_rate,mean_quality,mean_backlog,stable\n");
+            for (device, (spec, r)) in fleet.sessions.iter().zip(&results).enumerate() {
+                let row = CsvRow::new()
+                    .field(device)
+                    .fixed(spec.service.mean_rate(), 1)
+                    .fixed(r.mean_quality, 6)
+                    .fixed(r.mean_backlog, 3)
+                    .field(r.stable);
+                csv.push_str(&row.finish());
+                csv.push('\n');
+            }
             let path = results_dir().join("ext_distributed.csv");
-            write_csv_file(&path, &fleet_csv(&outcomes)).expect("write distributed");
+            write_csv_file(&path, &csv).expect("write distributed");
             println!("wrote {}", path.display());
         }
     }
     println!();
+}
+
+/// A sweep table: one row per grid point, under the grid's `column` name.
+fn sweep_csv(column: &str, grid: &[f64], results: &[ExperimentResult]) -> String {
+    let mut out = format!("{column},mean_quality,mean_backlog,stable\n");
+    for (x, r) in grid.iter().zip(results) {
+        let row = CsvRow::new()
+            .field(x)
+            .fixed(r.mean_quality, 6)
+            .fixed(r.mean_backlog, 3)
+            .field(r.stable);
+        out.push_str(&row.finish());
+        out.push('\n');
+    }
+    out
 }
 
 /// Ablation A1 (DESIGN.md §6): the quality-model choice.

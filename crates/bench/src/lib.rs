@@ -43,7 +43,9 @@ pub mod baseline;
 pub mod presets;
 pub mod report;
 
-use arvis_core::experiment::{v_for_knee, ExperimentConfig};
+use arvis_core::experiment::{v_for_knee, ExperimentConfig, ExperimentResult};
+use arvis_core::scenario::Scenario;
+use arvis_core::session::SessionBatch;
 use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis_quality::profile::DepthProfile;
 
@@ -96,6 +98,30 @@ pub fn fig2_config(profile: DepthProfile) -> ExperimentConfig {
         .with_warmup(PAPER_SLOTS / 2)
 }
 
+/// A logarithmic grid of `n` values from `lo` to `hi` (inclusive).
+///
+/// # Panics
+///
+/// Panics when `lo <= 0`, `hi < lo`, or `n < 2`.
+pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+    assert!(lo > 0.0 && hi >= lo, "need 0 < lo <= hi");
+    assert!(n >= 2, "need at least two grid points");
+    let (llo, lhi) = (lo.ln(), hi.ln());
+    (0..n)
+        .map(|i| (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp())
+        .collect()
+}
+
+/// Runs every session of `scenario` to its horizon under a full trace and
+/// finalizes each into its [`ExperimentResult`] (scenario order). The
+/// fan-out unit is one session: a fleet or a sweep is a few sessions with
+/// long runs.
+pub fn run_full_traces(scenario: &Scenario) -> Vec<ExperimentResult> {
+    let mut batch = SessionBatch::full_trace(scenario).with_chunk_size(1);
+    batch.run();
+    batch.into_results()
+}
+
 /// Resolves the repository `results/` directory (created if missing):
 /// `$ARVIS_RESULTS_DIR` when set, else `./results` under the current
 /// working directory.
@@ -126,6 +152,24 @@ mod tests {
         let rate = fig2_service_rate(&p);
         assert!(rate > p.arrival(5), "min depth must be sustainable");
         assert!(rate < p.arrival(10), "max depth must be unsustainable");
+    }
+
+    #[test]
+    fn log_grid_endpoints_and_monotonicity() {
+        let g = log_grid(10.0, 1000.0, 5);
+        assert_eq!(g.len(), 5);
+        assert!((g[0] - 10.0).abs() < 1e-9);
+        assert!((g[4] - 1000.0).abs() < 1e-6);
+        for w in g.windows(2) {
+            assert!(w[0] < w[1]);
+        }
+        assert!((g[2] - 100.0).abs() < 1e-6, "log-midpoint");
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < lo")]
+    fn log_grid_rejects_nonpositive() {
+        let _ = log_grid(0.0, 1.0, 3);
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //! conformance only needs the construction to be exact, not large.
 
 use arvis_core::churn::{ChurnArrivalSpec, ChurnSpec, LifetimeSpec};
-use arvis_core::distributed::FleetSpec;
 use arvis_core::experiment::ServiceSpec;
 use arvis_core::fault::{CrashPolicy, DegradationGuardSpec, FaultEvent, FaultPlan, ShedMode};
-use arvis_core::scenario::{ControllerSpec, Scenario, SessionSpec};
-use arvis_core::sweep::log_grid;
+use arvis_core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis_core::uplink::{BudgetProfile, UplinkPolicy, UplinkSpec, UplinkVAdaptSpec};
 use arvis_sim::rng::child_seed;
 
-use crate::{fig2_config, paper_profile};
+use crate::{fig2_config, log_grid, paper_profile};
 
 /// Point count of the preset workload's synthetic frame (kept small so
 /// golden replay is fast; the figure subcommands use 200k).

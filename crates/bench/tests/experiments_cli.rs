@@ -333,3 +333,95 @@ fn record_then_verify_round_trips_and_reruns_hit_the_cache() {
     std::fs::remove_dir_all(&scenarios).ok();
     std::fs::remove_dir_all(&results).ok();
 }
+
+/// The SHA-256 of every CSV the figure subcommands write at
+/// `--points 20000 --slots 800`. `fig1` is not pinned: its table carries
+/// wall-clock build times.
+const FIGURE_DIGESTS: [(&str, &str); 11] = [
+    (
+        "ext_ablation_quality_model.csv",
+        "53a89b1fd69be60fd723e38417ebdf8954317706a301f69f53b04b6531de6c71",
+    ),
+    (
+        "ext_distributed.csv",
+        "b5e3b3ae1925a20cd0c4776176fcb4aebceacf5ff59256fa5ab2693abe1ac9ec",
+    ),
+    (
+        "ext_energy_budget.csv",
+        "fe593707c20fe94fdc1cc45a87c0a7caf1896818f52d860692f5915d893b9631",
+    ),
+    (
+        "ext_frame_latency.csv",
+        "6c6bc86ba3b4e0ffd9fd5d4a9af4c9bbfac7f1d52afc41d3f71757c058664ce7",
+    ),
+    (
+        "ext_rate_sweep.csv",
+        "915ca1d7f6868bb54e0e4dd5701cd78b410ac24021f75c7d6853db81af5aaa02",
+    ),
+    (
+        "ext_shared_uplink.csv",
+        "f07e69dc554d332c2b52e2698659bd8995eceea36486cf743ee4e0c9223738c8",
+    ),
+    (
+        "ext_uplink_adaptive.csv",
+        "2885b7fd1ec9c07b8374db0b4f774de3b541b94b5a31a1c39553dbdba552179a",
+    ),
+    (
+        "ext_v_sweep.csv",
+        "8dbc377d7defaa938fbbdb2ac5d71f41f49e02cc79972d9115ca6723ab36f732",
+    ),
+    (
+        "fig2_summary.csv",
+        "67e39473d3b4e9f2d839753450e833a0b77e69ea01c8f1c465c79617a024bc7b",
+    ),
+    (
+        "fig2a_queue_backlog.csv",
+        "9ba120da0327001de9ed3c5b001a3d41b46b60e730e99d3df76a3f105bd59273",
+    ),
+    (
+        "fig2b_control_action.csv",
+        "b6a3b3848d18c586eecb754731f4f50df6e0481613aaa8ff03b0acb2abc3c7b1",
+    ),
+];
+
+#[test]
+fn figure_subcommands_write_their_pinned_csv_bytes() {
+    let results = temp_dir("figures");
+    for command in [
+        "fig2",
+        "vsweep",
+        "ratesweep",
+        "distributed",
+        "ablation",
+        "energy",
+        "latency",
+        "uplink",
+    ] {
+        let out = experiments()
+            .env("ARVIS_RESULTS_DIR", &results)
+            .args([command, "--points", "20000", "--slots", "800"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{command}: {stderr}");
+    }
+    let mut written: Vec<String> = std::fs::read_dir(&results)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let pinned: Vec<&str> = FIGURE_DIGESTS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        written, pinned,
+        "the figure commands write exactly these files"
+    );
+    for (name, digest) in FIGURE_DIGESTS {
+        let bytes = std::fs::read(results.join(name)).unwrap();
+        assert_eq!(
+            arvis_core::hash::sha256_hex(&bytes),
+            digest,
+            "{name} changed"
+        );
+    }
+    std::fs::remove_dir_all(&results).ok();
+}

@@ -45,7 +45,7 @@ use crate::json::{self, ensure, Codec, JsonError, JsonValue, Rules};
 use crate::scenario::ControllerSpec;
 use crate::scenario::{Scenario, SessionSpec};
 use crate::session::SessionBatch;
-use crate::telemetry::{SummarySink, TelemetrySink};
+use crate::telemetry::SummarySink;
 use crate::uplink::SharedUplink;
 use arvis_sim::arrivals::{ArrivalProcess, Mmpp2, PoissonArrivals};
 use arvis_sim::rng::{child_seed, seeded};
@@ -510,19 +510,16 @@ impl ChurnPlane {
 
     /// Applies the slot's churn to `batch` (departures first, then joins,
     /// then amortized compaction) — call once per slot, *before*
-    /// [`SharedUplink::step_slot`]. Joined sessions get a sink from
-    /// `make_sink(spec, residual_horizon)` and their weight is registered
+    /// [`SharedUplink::step_slot`]. A joiner gets a [`SummarySink`] over
+    /// the residual horizon, exactly like a fresh fixed-N session of that
+    /// length (the `run_contended` path), and its weight is registered
     /// with the uplink so weighted policies and the degradation guard's
     /// groups follow the fleet.
-    pub fn step<S, F>(
+    pub fn step_summary(
         &mut self,
-        batch: &mut SessionBatch<S>,
+        batch: &mut SessionBatch<SummarySink>,
         uplink: &mut SharedUplink,
-        make_sink: &mut F,
-    ) where
-        S: TelemetrySink + Send,
-        F: FnMut(&SessionSpec, u64) -> S,
-    {
+    ) {
         let slot = batch.slot();
         while self
             .deaths
@@ -539,8 +536,7 @@ impl ChurnPlane {
             .is_some_and(|&(at, _)| at <= slot)
         {
             let (_, spec) = &self.joins[self.join_cursor];
-            let sink = make_sink(spec, self.horizon - slot);
-            batch.spawn_at(spec, sink);
+            batch.spawn_at(spec, SummarySink::new(spec.warmup, self.horizon - slot));
             uplink.register_join(self.weight);
             self.join_cursor += 1;
         }
@@ -553,19 +549,6 @@ impl ChurnPlane {
                 self.compacted_rows += batch.compact() as u64;
             }
         }
-    }
-
-    /// [`ChurnPlane::step`] specialized to summary-only batches — joiners
-    /// get a [`SummarySink`] over the residual horizon, exactly like a
-    /// fresh fixed-N session of that length (the `run_contended` path).
-    pub fn step_summary(
-        &mut self,
-        batch: &mut SessionBatch<SummarySink>,
-        uplink: &mut SharedUplink,
-    ) {
-        self.step(batch, uplink, &mut |spec, residual| {
-            SummarySink::new(spec.warmup, residual)
-        })
     }
 
     /// The precomputed join schedule: `(join slot, joiner spec)` ascending.

@@ -2,12 +2,9 @@
 //!
 //! The [`DepthController`] trait is the *open* extension point: anything
 //! that maps `(slot, backlog, profile) → depth` plugs into
-//! [`crate::experiment::Experiment::run`] and — through
-//! [`crate::scenario::ControllerSpec::Extern`] — into batched scenarios.
-//! The session runtime's hot loop, however, dispatches the controllers in
-//! this module through the closed enum
-//! [`crate::scenario::BuiltController`], avoiding a per-slot virtual call
-//! for the built-in policies.
+//! [`crate::experiment::Experiment::run`]. Batched scenarios dispatch the
+//! controllers in this module through the closed enum
+//! [`crate::scenario::BuiltController`], avoiding a per-slot virtual call.
 
 use arvis_lyapunov::adaptive::AdaptiveV;
 use arvis_lyapunov::dpp::{Candidate, DppController, Objective};

@@ -6,24 +6,23 @@
 //! 2(b) of the paper are exactly the `backlog` and `depth` series of three
 //! runs (proposed / only-max / only-min) over 800 slots.
 //!
-//! Since the session-runtime redesign this module is a thin compatibility
-//! layer: [`Experiment::run`] drives one [`crate::session::Session`] to
-//! completion under a [`crate::telemetry::FullTrace`] sink and produces
-//! numbers bit-identical to the original closed loop. New code that steps
-//! incrementally or batches many devices should use
-//! [`crate::scenario::Scenario`] and [`crate::session::SessionBatch`]
-//! directly.
+//! [`Experiment::run`] runs one session of the
+//! [`crate::session::SessionBatch`] runtime under a
+//! [`crate::telemetry::FullTrace`] sink with a caller-defined
+//! [`DepthController`] — the one way to run a controller outside the
+//! built-in [`crate::scenario::ControllerSpec`] set. Many devices, sweeps
+//! and fleets are [`crate::scenario::Scenario`]s run by a
+//! [`crate::session::SessionBatch`] directly.
 
-use arvis_sim::service::{ConstantRate, DutyCycledRate, JitteredRate, ServiceProcess};
 use arvis_sim::stats::{SummaryStats, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{DepthController, ProposedDpp};
 use crate::json::{self, ensure, Rules};
-use crate::scenario::{ControllerSpec, SessionSpec};
-use crate::session::Session;
+use crate::scenario::{ControllerSpec, Scenario};
+use crate::session::SessionBatch;
 use crate::stream::ArStream;
-use crate::telemetry::{CsvRow, FullTrace};
+use crate::telemetry::CsvRow;
 use arvis_quality::DepthProfile;
 
 /// Cloneable specification of a service process (built per run so repeated
@@ -53,20 +52,6 @@ pub enum ServiceSpec {
 }
 
 impl ServiceSpec {
-    /// Builds the service process (seeded for the stochastic variants).
-    pub fn build(&self, seed: u64) -> Box<dyn ServiceProcess + Send> {
-        match *self {
-            ServiceSpec::Constant(rate) => Box::new(ConstantRate::new(rate)),
-            ServiceSpec::Jittered { rate, sigma } => Box::new(JitteredRate::new(rate, sigma, seed)),
-            ServiceSpec::DutyCycled {
-                high,
-                low,
-                high_slots,
-                low_slots,
-            } => Box::new(DutyCycledRate::new(high, low, high_slots, low_slots)),
-        }
-    }
-
     /// The long-run mean service rate.
     pub fn mean_rate(&self) -> f64 {
         match *self {
@@ -295,23 +280,16 @@ impl Experiment {
 
     /// Runs the closed loop with the given controller.
     ///
-    /// This is now a compatibility shim over the incremental session
-    /// runtime: it drives a [`Session`] with the caller's controller (the
-    /// open-trait path) under a full-trace sink. The per-slot sequence —
-    /// observe, decide, inject, serve, account — is the shared
-    /// `session::step_kernel`, so the numbers are bit-identical to the
-    /// pre-redesign loop.
+    /// The configuration becomes a one-session batch whose row runs the
+    /// batch's own per-row slot loop with the caller's controller, on the
+    /// calling thread (the controller need not be `Send`), under a
+    /// full-trace sink. The per-slot sequence — observe, decide, inject,
+    /// serve, account — is the kernel every batch path shares.
     pub fn run(&self, controller: &mut dyn DepthController) -> ExperimentResult {
-        let cfg = &self.config;
-        // The spec's own controller is inert here (step_with bypasses it);
-        // OnlyMin is the cheapest placeholder to build.
-        let spec = SessionSpec::from_config(cfg, ControllerSpec::OnlyMin);
-        let mut session = Session::new(spec, cfg.slots);
-        let mut trace = FullTrace::new();
-        while !session.is_done() {
-            session.step_with(controller, &mut trace);
-        }
-        trace.into_result(controller.name(), cfg.warmup, session.queue())
+        // The row's own controller is never stepped (the caller's replaces
+        // it); OnlyMin is the cheapest placeholder to build.
+        let scenario = Scenario::single(&self.config, ControllerSpec::OnlyMin);
+        SessionBatch::full_trace(&scenario).run_with(controller)
     }
 
     /// Convenience: runs the proposed scheduler with the configured `V`.

@@ -73,7 +73,7 @@ impl fmt::Display for Pos {
 }
 
 /// A JSON parse or decode error, with the source position when one exists
-/// (encode-side errors — e.g. an `Extern` controller — have none).
+/// (encode-side errors — e.g. a non-finite float — have none).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Where in the source text the error was detected.
@@ -723,9 +723,7 @@ pub(crate) fn one_of(tags: &[&str]) -> String {
 /// ends in a full struct literal, so a field without an entry, or an
 /// entry without a field, does not compile. A trailing `check` makes
 /// decoding run the type's rule walk (`fn check(&self) -> Rules`), whose
-/// broken rule becomes a positioned error ([`Broken::at`]). An enum's
-/// trailing `else` clause handles a variant with no file form: its encode
-/// error, and the message for its rejected tag.
+/// broken rule becomes a positioned error ([`Broken::at`]).
 macro_rules! codec {
     (@put $members:ident $field:ident) => {
         $crate::json::put(
@@ -783,7 +781,7 @@ macro_rules! codec {
             $({ $($field:ident $(: $form:ident)?),* $(,)? })?
             $(($key:ident $(: $kform:ident)?))?
         ),* $(,)?
-    } $($check:ident)? $(else $ev:ident(..) => $enc:expr, $etag:literal => $emsg:expr)?) => {
+    } $($check:ident)?) => {
         impl $crate::json::Codec for $ty {
             fn encode(
                 &self,
@@ -796,7 +794,6 @@ macro_rules! codec {
                         $($($crate::json::codec!(@put members $field $($form)?);)*)?
                         $($crate::json::codec!(@put members $key $($kform)?);)?
                     })*
-                    $(Self::$ev(..) => return $enc,)?
                 }
                 Ok($crate::json::JsonValue::obj(members))
             }
@@ -810,7 +807,6 @@ macro_rules! codec {
                     $($tag => Self::$var
                         $({ $($field: $crate::json::codec!(@take obj $field $($form)?),)* })?
                         $(($crate::json::codec!(@take obj $key $($kform)?)))?,)*
-                    $($etag => return Err($crate::json::JsonError::at(tag.pos, $emsg)),)?
                     other => {
                         return Err($crate::json::JsonError::at(
                             tag.pos,

@@ -101,7 +101,7 @@ impl RunRecord {
     ///
     /// # Errors
     ///
-    /// Errors when the scenario has no file form (extern controller) and
+    /// Errors when the scenario has no file form (a non-finite float) and
     /// therefore no content address.
     pub fn replay(name: impl Into<String>, scenario: &Scenario) -> Result<RunRecord, JsonError> {
         let scenario_hash = scenario.content_hash()?;

@@ -19,7 +19,9 @@
 //! - [`scenario`]: declarative descriptions of N heterogeneous sessions
 //!   ([`Scenario`], [`scenario::SessionSpec`], enum-dispatched
 //!   [`scenario::ControllerSpec`]), storable as JSON scenario files
-//!   (see below);
+//!   (see below), with builders for the evaluation's workloads — the
+//!   multi-device fleet ([`Scenario::fleet`]) and the `V` and
+//!   service-rate sweeps ([`Scenario::v_sweep`], [`Scenario::rate_sweep`]);
 //! - [`json`]: the self-contained JSON layer behind scenario files — a
 //!   strict parser with line/column errors, a canonical pretty-printer
 //!   with exact `f64`/`u64` round-trips, and the [`json::Codec`] each
@@ -30,9 +32,9 @@
 //!   [`ledger::RunRecord`]s keyed by (scenario hash, code version),
 //!   committed as `results/ledger.json` and re-verified field-by-field in
 //!   CI (`experiments verify`);
-//! - [`session`]: the incremental runtime — step one [`Session`] slot by
-//!   slot, or thousands at once in a struct-of-arrays [`SessionBatch`]
-//!   fanned out over `arvis_par`;
+//! - [`session`]: the runtime — thousands of sessions stepped as one
+//!   struct-of-arrays [`SessionBatch`] through one slot kernel, fanned out
+//!   over `arvis_par`;
 //! - [`uplink`]: the shared-uplink contention plane — M sessions' per-slot
 //!   service demands admitted against a time-varying backhaul budget
 //!   ([`uplink::BudgetProfile`]: constant / diurnal / piecewise steps /
@@ -57,10 +59,9 @@
 //! - [`telemetry`]: pluggable [`telemetry::TelemetrySink`]s (full trace,
 //!   streaming summary-only, CSV) and the shared CSV helpers;
 //! - [`stream`]: AR frame sources feeding per-slot depth profiles;
-//! - [`experiment`]: the legacy run-to-completion closed loop, now a thin
-//!   bit-identical layer over [`session`];
-//! - [`sweep`], [`distributed`]: parameter sweeps and the multi-device
-//!   fleet, likewise thin layers over session batches.
+//! - [`experiment`]: the single-run configuration and result, and
+//!   [`Experiment::run`], a one-session batch run under a caller-defined
+//!   [`DepthController`].
 //!
 //! ## Example: a heterogeneous session batch
 //!
@@ -99,8 +100,7 @@
 //! assert!(summaries[0].backlog_p99 >= summaries[0].mean_backlog);
 //! ```
 //!
-//! The legacy single-run API is unchanged (and produces bit-identical
-//! numbers):
+//! A caller-defined controller runs through the single-run API:
 //!
 //! ```
 //! use arvis_core::controller::ProposedDpp;
@@ -121,10 +121,9 @@
 //!
 //! ## Scenario files
 //!
-//! Every [`Scenario`] — all controllers except the programmatic
-//! [`scenario::ControllerSpec::Extern`], all services, streams, uplink
-//! budgets/policies, the uplink-aware `V` knob, and the fault plan —
-//! round-trips through a versioned JSON file: [`Scenario::to_json_string`]
+//! Every [`Scenario`] — all controllers, services, streams, uplink
+//! budgets/policies, the uplink-aware `V` knob, the fault plan and the
+//! churn spec — round-trips through a versioned JSON file: [`Scenario::to_json_string`]
 //! / [`Scenario::from_json_str`]. The `experiments` binary runs them
 //! directly (`experiments run scenario.json`), and the golden suite in
 //! `tests/scenario_files.rs` pins that a file replays **bit-identically**
@@ -153,7 +152,7 @@
 //!       },
 //!       "controller": {             // "proposed" | "only_max" | "only_min" |
 //!         "type": "proposed",       // "fixed" | "random" | "threshold" |
-//!         "v": 10000000             // "adaptive_v" ("extern" is rejected)
+//!         "v": 10000000             // "adaptive_v"
 //!       },
 //!       "seed": 7,                  // exact u64 (integers stay exact)
 //!       "warmup": 200,
@@ -256,7 +255,6 @@
 
 pub mod churn;
 pub mod controller;
-pub mod distributed;
 pub mod energy;
 pub mod experiment;
 pub mod fault;
@@ -269,7 +267,6 @@ mod reference;
 pub mod scenario;
 pub mod session;
 pub mod stream;
-pub mod sweep;
 pub mod telemetry;
 pub mod uplink;
 
@@ -279,6 +276,6 @@ pub use experiment::{Experiment, ExperimentConfig, ExperimentResult};
 pub use fault::{CrashPolicy, DegradationGuardSpec, FaultEvent, FaultPlan, FaultPlane, ShedMode};
 pub use ledger::{Ledger, RunRecord};
 pub use scenario::{ControllerSpec, Scenario, SessionSpec};
-pub use session::{Session, SessionBatch, SlotOutcome};
+pub use session::{SessionBatch, SlotOutcome};
 pub use telemetry::{FullTrace, SessionSummary, SummarySink, TelemetrySink};
 pub use uplink::{BudgetProfile, SharedUplink, UplinkPolicy, UplinkSpec, UplinkVAdaptSpec};

@@ -2,19 +2,17 @@
 //!
 //! A [`Scenario`] is a serde-annotated description of N heterogeneous AR
 //! sessions — stream, service model, controller, seed, queue bounds per
-//! session plus one shared horizon. It unifies what used to be three
-//! disjoint entry points (`ExperimentConfig` for a single run,
-//! `FleetSpec` for the distributed demo, ad-hoc grids for the sweeps) into
-//! one value that can be stored, diffed, and handed to the
-//! [`crate::session::SessionBatch`] runtime.
+//! session plus one shared horizon: one value that can be stored, diffed,
+//! and handed to the [`crate::session::SessionBatch`] runtime. Its
+//! builders cover the evaluation's workloads: one run
+//! ([`Scenario::single`]), the multi-device fleet ([`Scenario::fleet`])
+//! and the `V` and service-rate sweeps ([`Scenario::v_sweep`],
+//! [`Scenario::rate_sweep`]).
 //!
 //! Controllers are described by [`ControllerSpec`], a closed enum that the
 //! hot loop dispatches with a `match` instead of a `Box<dyn>` virtual call.
-//! User-defined policies still plug in through the
-//! [`crate::controller::DepthController`] trait via
-//! [`ControllerSpec::Extern`].
-
-use std::sync::Arc;
+//! A user-defined [`crate::controller::DepthController`] runs through
+//! [`crate::experiment::Experiment::run`].
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +23,6 @@ use crate::controller::{
     AdaptiveDpp, DepthController, FixedDepth, MaxDepth, MinDepth, ProposedDpp, QueueThreshold,
     RandomDepth,
 };
-use crate::distributed::FleetSpec;
 use crate::experiment::{ExperimentConfig, ServiceSpec};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::json::{self, ensure, Codec, JsonError, JsonValue, Rules};
@@ -46,52 +43,10 @@ use crate::uplink::{UplinkPolicy, UplinkSpec};
 /// backwards-compatible both ways.
 pub const SCENARIO_SCHEMA_VERSION: u64 = 3;
 
-/// Factory for a user-defined depth controller, pluggable into a
-/// [`ControllerSpec`] (and therefore into scenarios and batches) without
-/// the runtime knowing the concrete type.
-pub trait ExternController: Send + Sync {
-    /// Builds a fresh controller instance for one session.
-    fn build(&self) -> Box<dyn DepthController + Send>;
-}
-
-/// A shareable handle to an [`ExternController`] factory.
-#[derive(Clone)]
-pub struct ExternSpec(Arc<dyn ExternController>);
-
-impl ExternSpec {
-    /// Wraps a factory.
-    pub fn new(factory: impl ExternController + 'static) -> ExternSpec {
-        ExternSpec(Arc::new(factory))
-    }
-
-    /// Builds one controller instance.
-    pub fn build(&self) -> Box<dyn DepthController + Send> {
-        self.0.build()
-    }
-}
-
-impl std::fmt::Debug for ExternSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ExternSpec(..)")
-    }
-}
-
-/// Blanket impl so a plain closure can serve as the factory.
-impl<F> ExternController for F
-where
-    F: Fn() -> Box<dyn DepthController + Send> + Send + Sync,
-{
-    fn build(&self) -> Box<dyn DepthController + Send> {
-        self()
-    }
-}
-
 /// Declarative description of a per-slot depth-selection policy.
 ///
 /// Building ([`ControllerSpec::build`]) yields a [`BuiltController`] whose
-/// hot-loop dispatch is a `match` over this closed set; the `Extern`
-/// variant keeps the open [`DepthController`] trait available for user
-/// extensions at the price of one virtual call per slot.
+/// hot-loop dispatch is a `match` over this closed set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ControllerSpec {
     /// The proposed Lyapunov scheduler (Algorithm 1) with trade-off `v`.
@@ -125,13 +80,6 @@ pub enum ControllerSpec {
         /// Backlog level the adaptation regulates around.
         target_backlog: f64,
     },
-    /// A user-defined controller built through the open trait.
-    ///
-    /// Skipped by serde: a trait-object factory has no serializable form,
-    /// so scenario files can describe every built-in policy but externs
-    /// must be attached programmatically after loading.
-    #[serde(skip)]
-    Extern(ExternSpec),
 }
 
 impl ControllerSpec {
@@ -155,7 +103,6 @@ impl ControllerSpec {
                 initial_v,
                 target_backlog,
             } => BuiltController::Adaptive(AdaptiveDpp::new(*initial_v, *target_backlog)),
-            ControllerSpec::Extern(spec) => BuiltController::Extern(spec.build()),
         }
     }
 
@@ -176,9 +123,7 @@ impl ControllerSpec {
     ///
     /// # Errors
     ///
-    /// Errors on [`ControllerSpec::Extern`]: a trait-object factory has no
-    /// file form, so extern controllers must be attached programmatically
-    /// after loading.
+    /// Errors when a float parameter is not finite (no file form).
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
         self.encode("controller")
     }
@@ -215,14 +160,11 @@ impl ControllerSpec {
             ControllerSpec::OnlyMax
             | ControllerSpec::OnlyMin
             | ControllerSpec::Fixed { .. }
-            | ControllerSpec::Random { .. }
-            | ControllerSpec::Extern(_) => Ok(()),
+            | ControllerSpec::Random { .. } => Ok(()),
         }
     }
 }
 
-// The extern variant has no file form: a trait-object factory cannot be
-// written down, so externs are attached programmatically after loading.
 json::codec!(ControllerSpec as "controller type" {
     Proposed "proposed" { v },
     OnlyMax "only_max",
@@ -231,14 +173,10 @@ json::codec!(ControllerSpec as "controller type" {
     Random "random" { seed },
     Threshold "threshold" { thresholds },
     AdaptiveV "adaptive_v" { initial_v, target_backlog },
-} check else Extern(..) => Err(JsonError::new(
-    "extern controllers cannot be encoded in a scenario file; \
-     attach them programmatically after loading",
-)), "extern" => "extern controllers cannot be described in a scenario file; \
-                 use a built-in controller type and attach externs programmatically");
+} check);
 
 /// Runnable controller state: the closed enum the session hot loop
-/// dispatches with a `match` (plus the boxed escape hatch for externs).
+/// dispatches with a `match`.
 pub enum BuiltController {
     /// [`ProposedDpp`] state.
     Proposed(ProposedDpp),
@@ -254,8 +192,6 @@ pub enum BuiltController {
     Threshold(QueueThreshold),
     /// [`AdaptiveDpp`] state.
     Adaptive(AdaptiveDpp),
-    /// A user-defined controller behind the open trait.
-    Extern(Box<dyn DepthController + Send>),
 }
 
 impl BuiltController {
@@ -285,7 +221,6 @@ impl DepthController for BuiltController {
             BuiltController::Random(c) => c.select_depth(slot, backlog, profile),
             BuiltController::Threshold(c) => c.select_depth(slot, backlog, profile),
             BuiltController::Adaptive(c) => c.select_depth(slot, backlog, profile),
-            BuiltController::Extern(c) => c.select_depth(slot, backlog, profile),
         }
     }
 
@@ -298,7 +233,6 @@ impl DepthController for BuiltController {
             BuiltController::Random(c) => c.name(),
             BuiltController::Threshold(c) => c.name(),
             BuiltController::Adaptive(c) => c.name(),
-            BuiltController::Extern(c) => c.name(),
         }
     }
 }
@@ -363,15 +297,6 @@ impl SessionSpec {
     pub fn with_uplink_v_adapt(mut self, adapt: crate::uplink::UplinkVAdaptSpec) -> SessionSpec {
         self.uplink_v_adapt = Some(adapt);
         self
-    }
-
-    /// Builds the session's latency tracker (capped when `frame_cap` is
-    /// set).
-    pub(crate) fn latency_tracker(&self) -> arvis_sim::latency::FifoLatencyTracker {
-        match self.frame_cap {
-            Some(cap) => arvis_sim::latency::FifoLatencyTracker::with_max_in_flight(cap),
-            None => arvis_sim::latency::FifoLatencyTracker::new(),
-        }
     }
 
     /// The spec's rule walk: its stream's, service's and controller's own
@@ -574,10 +499,11 @@ impl Scenario {
         scenario
     }
 
-    /// The legacy fleet construction: `fleet.devices` sessions running the
-    /// proposed scheduler at `base.controller_v`, service rates spread per
-    /// [`FleetSpec`], seeds `child_seed(0xF1EE7, device)` — the exact
-    /// per-device setup `distributed::run_fleet` has always used.
+    /// The multi-device fleet (§II's "computed in a distributed manner"):
+    /// `fleet.devices` sessions running the proposed scheduler at
+    /// `base.controller_v`, each with its own queue, stream and seed
+    /// (`child_seed(0xF1EE7, device)`) and no shared scheduler state,
+    /// service rates spread per [`FleetSpec`].
     ///
     /// # Panics
     ///
@@ -657,8 +583,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Errors when any session's controller is [`ControllerSpec::Extern`]
-    /// (no file form), naming the offending session index.
+    /// Errors when any float the file form carries is not finite, naming
+    /// the offending session index for a session's fields.
     pub fn to_json(&self) -> Result<JsonValue, JsonError> {
         let Scenario {
             slots,
@@ -743,7 +669,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Errors when the scenario contains an extern controller.
+    /// Errors as [`Scenario::to_json`] does.
     pub fn to_json_string(&self) -> Result<String, JsonError> {
         let mut out = self.to_json()?.to_pretty();
         out.push('\n');
@@ -786,15 +712,48 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Errors when the scenario contains an extern controller (no file
-    /// form, hence no content address).
+    /// Errors as [`Scenario::to_json`] does (no file form, hence no
+    /// content address).
     pub fn content_hash(&self) -> Result<String, JsonError> {
         Ok(crate::hash::sha256_hex(self.to_json_string()?.as_bytes()))
     }
 }
 
-/// Device `i`'s service rate under a [`FleetSpec`] spread (the legacy
-/// `run_fleet` formula).
+/// Heterogeneity of a device fleet ([`Scenario::fleet`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetSpec {
+    /// Number of devices.
+    pub devices: usize,
+    /// Relative spread of per-device service rates around the base config's
+    /// rate: device `i` gets `rate × (1 − spread/2 + spread·i/(M−1))`.
+    pub rate_spread: f64,
+}
+
+impl FleetSpec {
+    /// A homogeneous fleet.
+    pub fn homogeneous(devices: usize) -> Self {
+        FleetSpec {
+            devices,
+            rate_spread: 0.0,
+        }
+    }
+
+    /// A heterogeneous fleet with the given relative rate spread (e.g. `0.5`
+    /// spans ±25% around the nominal rate).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `spread` is not in `[0, 2)`.
+    pub fn heterogeneous(devices: usize, spread: f64) -> Self {
+        assert!((0.0..2.0).contains(&spread), "spread must be in [0, 2)");
+        FleetSpec {
+            devices,
+            rate_spread: spread,
+        }
+    }
+}
+
+/// Device `i`'s service rate under a [`FleetSpec`] spread.
 pub(crate) fn fleet_rate(base_rate: f64, fleet: FleetSpec, i: usize) -> f64 {
     if fleet.devices == 1 || fleet.rate_spread == 0.0 {
         base_rate
@@ -866,19 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn extern_spec_plugs_in_user_controllers() {
-        let spec = ControllerSpec::Extern(ExternSpec::new(|| {
-            Box::new(FixedDepth::new(6)) as Box<dyn DepthController + Send>
-        }));
-        let mut built = spec.build();
-        assert_eq!(built.name(), "fixed_depth");
-        assert_eq!(built.select_depth(0, 0.0, &profile()), 6);
-        // Clones share the factory.
-        let mut clone = spec.clone().build();
-        assert_eq!(clone.select_depth(0, 0.0, &profile()), 6);
-    }
-
-    #[test]
     fn replicated_scenario_decorrelates_seeds() {
         let s = Scenario::replicated(&config(), ControllerSpec::OnlyMax, 4);
         assert_eq!(s.len(), 4);
@@ -925,6 +871,18 @@ mod tests {
             sigma: 0.1,
         });
         let _ = Scenario::fleet(&base, FleetSpec::homogeneous(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn empty_fleet_rejected() {
+        let _ = Scenario::fleet(&config(), FleetSpec::homogeneous(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "spread")]
+    fn bad_spread_rejected() {
+        let _ = FleetSpec::heterogeneous(3, 2.5);
     }
 
     #[test]
@@ -994,18 +952,6 @@ mod tests {
                 assert_eq!(pa.quality(d).to_bits(), pb.quality(d).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn extern_controllers_have_no_file_form() {
-        let spec = ControllerSpec::Extern(ExternSpec::new(|| {
-            Box::new(FixedDepth::new(6)) as Box<dyn DepthController + Send>
-        }));
-        let err = spec.to_json().unwrap_err();
-        assert!(err.msg.contains("extern"), "{}", err.msg);
-        let scenario = Scenario::new(10).with_session(SessionSpec::from_config(&config(), spec));
-        let err = scenario.to_json_string().unwrap_err();
-        assert!(err.msg.contains("session 0"), "{}", err.msg);
     }
 
     #[test]

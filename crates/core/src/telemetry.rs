@@ -11,14 +11,13 @@
 //! - [`SummarySink`] keeps streaming accumulators only — O(1) memory per
 //!   session, which is what makes a [`crate::session::SessionBatch`] of
 //!   millions of sessions O(sessions) instead of O(sessions × slots).
-//!   Percentiles come from [`P2Quantile`] streaming estimators;
-//! - [`CsvTrace`] streams rows of the trace CSV as they happen;
-//! - [`NullSink`] records nothing (throughput measurements).
+//!   Percentiles come from [`P2Quantile`] streaming estimators.
 //!
 //! The module also owns the one CSV escaping/formatting helper
-//! ([`CsvRow`]) shared by every CSV producer in the crate
-//! ([`crate::experiment::ExperimentResult::to_csv`], the summary rows, the
-//! fleet and sweep tables), so quoting rules live in exactly one place.
+//! ([`CsvRow`]) shared by every CSV producer in the workspace
+//! ([`crate::experiment::ExperimentResult::to_csv`], the summary rows, and
+//! the `experiments` binary's fleet and sweep tables), so quoting rules
+//! live in exactly one place.
 
 use arvis_sim::latency::FrameLatency;
 use arvis_sim::stats::{P2Quantile, SummaryStats, TimeSeries};
@@ -82,8 +81,8 @@ impl CsvRow {
     /// Appends a field verbatim, skipping the escaping scan — for numbers
     /// and bools, whose `Display` output can never contain a CSV
     /// metacharacter. Unlike [`CsvRow::field`] this writes straight into
-    /// the row buffer with no intermediate allocation (it is the per-slot
-    /// path of the streaming [`CsvTrace`] sink).
+    /// the row buffer with no intermediate allocation (it is the per-cell
+    /// path of [`series_csv`]).
     #[must_use]
     pub fn raw(mut self, value: impl std::fmt::Display) -> CsvRow {
         use std::fmt::Write as _;
@@ -147,8 +146,8 @@ pub fn series_csv(series: &[&TimeSeries]) -> String {
 
 /// Consumer of a session's per-slot observations.
 ///
-/// Both hooks default to no-ops so trivial sinks ([`NullSink`]) stay
-/// trivial. `on_frame` fires zero or more times per slot (once per frame
+/// Both hooks default to no-ops, so a sink implements only what it
+/// records. `on_frame` fires zero or more times per slot (once per frame
 /// whose FIFO service completed during the slot), always before the slot's
 /// `on_slot`.
 pub trait TelemetrySink {
@@ -162,12 +161,6 @@ pub trait TelemetrySink {
         let _ = frame;
     }
 }
-
-/// A sink that records nothing — for pure-throughput stepping.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {}
 
 /// Full per-slot trace: the five series of the paper's Fig. 2 plus every
 /// completed frame latency. Memory is O(slots); use [`SummarySink`] when
@@ -265,61 +258,6 @@ impl TelemetrySink for FullTrace {
 
     fn on_frame(&mut self, frame: &FrameLatency) {
         self.frame_latencies.push(frame.latency_slots as f64);
-    }
-}
-
-/// Streams the trace CSV row by row (same layout as
-/// [`ExperimentResult::to_csv`]) without retaining the series. Rows are
-/// labelled with the simulated slot index, so a trace attached mid-run
-/// starts at the slot it first observed.
-#[derive(Debug, Clone)]
-pub struct CsvTrace {
-    buf: String,
-}
-
-impl CsvTrace {
-    /// A trace writer with the legacy trace header.
-    pub fn new() -> CsvTrace {
-        let header = CsvRow::new()
-            .field("slot")
-            .field("queue_backlog")
-            .field("control_action_depth")
-            .field("quality")
-            .field("arrivals")
-            .field("service")
-            .finish();
-        CsvTrace { buf: header + "\n" }
-    }
-
-    /// The CSV accumulated so far (header plus one row per recorded slot).
-    pub fn csv(&self) -> &str {
-        &self.buf
-    }
-
-    /// Consumes the sink, returning the CSV.
-    pub fn into_csv(self) -> String {
-        self.buf
-    }
-}
-
-impl Default for CsvTrace {
-    fn default() -> Self {
-        CsvTrace::new()
-    }
-}
-
-impl TelemetrySink for CsvTrace {
-    fn on_slot(&mut self, o: &SlotOutcome) {
-        let row = CsvRow::new()
-            .raw(o.slot)
-            .raw(o.backlog)
-            .raw(f64::from(o.depth))
-            .raw(o.quality)
-            .raw(o.arrival)
-            .raw(o.service)
-            .finish();
-        self.buf.push_str(&row);
-        self.buf.push('\n');
     }
 }
 

@@ -130,10 +130,14 @@ pub(crate) fn decode_stream(
 /// end wins.
 fn level_bytes(nodes: &[u8], range: Range<usize>) -> Result<&[u8], DecodeError> {
     let bytes = &nodes[range.start.min(nodes.len())..range.end.min(nodes.len())];
-    if let Some(k) = bytes.iter().position(|&b| b == 0) {
-        return Err(DecodeError::EmptyNodeByte {
-            offset: 1 + range.start + k,
-        });
+    // `contains` scans with `memchr`; the byte-by-byte `position` runs
+    // only on a stream that has a zero byte.
+    if bytes.contains(&0) {
+        if let Some(k) = bytes.iter().position(|&b| b == 0) {
+            return Err(DecodeError::EmptyNodeByte {
+                offset: 1 + range.start + k,
+            });
+        }
     }
     if bytes.len() < range.len() {
         return Err(DecodeError::Truncated);

@@ -9,9 +9,9 @@
 //! ```
 
 use arvis::core::experiment::{v_for_knee, ExperimentConfig, ServiceSpec};
-use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
+use arvis::core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
-use arvis::core::telemetry::SessionSummary;
+use arvis::core::telemetry::{CsvRow, SessionSummary};
 use arvis::pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis::quality::DepthProfile;
 use arvis::sim::rng::child_seed;
@@ -59,13 +59,24 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("worst stable-device p99 backlog: {worst_p99:.0} points");
 
-    // The legacy fleet API is a thin layer over the same runtime.
-    let outcomes = arvis::core::distributed::run_fleet(
-        &base,
-        arvis::core::distributed::FleetSpec::heterogeneous(8, 0.8),
-    );
-    println!("\n== legacy run_fleet compatibility (8 devices) ==");
-    print!("{}", arvis::core::distributed::fleet_csv(&outcomes));
-    let all_stable = outcomes.iter().all(|o| o.result.stable);
+    // The same fleet shape from the scenario builder, with full per-slot
+    // traces: one session per fan-out unit, since a few long runs
+    // parallelize best one by one.
+    let fleet = Scenario::fleet(&base, FleetSpec::heterogeneous(8, 0.8));
+    let mut batch = SessionBatch::full_trace(&fleet).with_chunk_size(1);
+    batch.run();
+    let results = batch.into_results();
+    println!("\n== Scenario::fleet with full traces (8 devices) ==");
+    println!("device,service_rate,mean_quality,mean_backlog,stable");
+    for (device, (spec, r)) in fleet.sessions.iter().zip(&results).enumerate() {
+        let row = CsvRow::new()
+            .field(device)
+            .fixed(spec.service.mean_rate(), 1)
+            .fixed(r.mean_quality, 6)
+            .fixed(r.mean_backlog, 3)
+            .field(r.stable);
+        println!("{}", row.finish());
+    }
+    let all_stable = results.iter().all(|r| r.stable);
     println!("all devices stable: {all_stable}");
 }

@@ -3,12 +3,13 @@
 //! these tests pin the *qualitative* claims so regressions are caught by
 //! `cargo test`).
 
-use arvis_bench::{fig2_config, fig2_service_rate, paper_profile, PAPER_DEPTHS};
+use arvis_bench::{
+    fig2_config, fig2_service_rate, log_grid, paper_profile, run_full_traces, PAPER_DEPTHS,
+};
 
 use arvis::core::controller::{MaxDepth, MinDepth, ProposedDpp};
-use arvis::core::distributed::{run_fleet, FleetSpec};
 use arvis::core::experiment::Experiment;
-use arvis::core::sweep::{log_grid, rate_sweep, v_sweep};
+use arvis::core::scenario::{FleetSpec, Scenario};
 use arvis::octree::{LodMode, Octree, OctreeConfig};
 use arvis::pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis::quality::psnr::geometry_distortion;
@@ -110,7 +111,7 @@ fn extension_v_sweep_tradeoff_shape() {
     cfg.slots = 1_600;
     cfg.warmup = 800;
     let vs = log_grid(cfg.controller_v / 30.0, cfg.controller_v * 3.0, 5);
-    let pts = v_sweep(&cfg, &vs);
+    let pts = run_full_traces(&Scenario::v_sweep(&cfg, &vs));
     for w in pts.windows(2) {
         assert!(w[1].mean_quality >= w[0].mean_quality - 1e-9);
         assert!(w[1].mean_backlog >= w[0].mean_backlog * 0.9);
@@ -131,7 +132,7 @@ fn extension_rate_sweep_shape() {
         profile.arrival(8) * 1.5,
         profile.arrival(10) * 1.2,
     ];
-    let pts = rate_sweep(&cfg, &rates);
+    let pts = run_full_traces(&Scenario::rate_sweep(&cfg, &rates));
     assert!(pts[2].mean_quality > pts[0].mean_quality);
     assert!(
         pts[2].mean_quality == 1.0,
@@ -145,7 +146,7 @@ fn extension_distributed_fleet_shape() {
     let mut cfg = fig2_config(paper_profile(TEST_POINTS, 1));
     cfg.slots = 3_200;
     cfg.warmup = 1_600;
-    let outcomes = run_fleet(&cfg, FleetSpec::heterogeneous(6, 0.6));
-    assert_eq!(outcomes.len(), 6);
-    assert!(outcomes.iter().all(|o| o.result.stable));
+    let results = run_full_traces(&Scenario::fleet(&cfg, FleetSpec::heterogeneous(6, 0.6)));
+    assert_eq!(results.len(), 6);
+    assert!(results.iter().all(|r| r.stable));
 }

@@ -568,10 +568,13 @@ fn non_finite_literals_are_rejected() {
 #[test]
 fn extern_controllers_are_rejected_in_files() {
     let text = mini_text().replace("\"type\": \"proposed\"", "\"type\": \"extern\"");
-    expect_err(
-        &text,
-        "extern controllers cannot be described in a scenario file",
-    );
+    let err = expect_err(&text, "unknown controller type \"extern\"");
+    // Reported at the tag's own value.
+    let at = text.find("\"extern\"").unwrap();
+    let line = text[..at].matches('\n').count() + 1;
+    let col = at - text[..at].rfind('\n').map_or(0, |nl| nl + 1) + 1;
+    let pos = err.pos.expect("a decode error carries its position");
+    assert_eq!((pos.line as usize, pos.col as usize), (line, col), "{err}");
 }
 
 #[test]

@@ -6,16 +6,17 @@
 //! 2. batch results are invariant to session order;
 //! 3. batch results are invariant to the fan-out chunk size.
 //!
-//! Together these enforce the redesign's acceptance criterion: the thin
-//! compatibility layers (`Experiment::run`, `run_fleet`, the sweeps) cannot
-//! drift from the batch runtime, because both are the same kernel.
+//! Together these enforce the redesign's acceptance criterion: the
+//! single-run API (`Experiment::run`) and the fleet and sweep scenarios
+//! cannot drift from the batch runtime, because both are the same kernel.
 
 use proptest::prelude::*;
 
 use arvis::core::experiment::{Experiment, ExperimentConfig, ExperimentResult, ServiceSpec};
-use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
+use arvis::core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
 use arvis::quality::DepthProfile;
+use arvis_bench::run_full_traces;
 
 fn profile() -> DepthProfile {
     DepthProfile::from_parts(
@@ -190,31 +191,34 @@ proptest! {
 
 #[test]
 fn run_fleet_and_sweeps_match_sequential_experiments() {
-    // The compatibility layers over the batch runtime must agree with
-    // running each grid point through the legacy API by hand.
+    // The fleet and sweep scenarios, run as full-trace batches, must agree
+    // with running each device or grid point through `Experiment::run` by
+    // hand.
     let base = ExperimentConfig::new(profile(), 2_000.0, 400).with_controller_v(1e7);
 
     // Fleet.
-    let fleet = arvis::core::distributed::FleetSpec::heterogeneous(4, 0.8);
-    let outcomes = arvis::core::distributed::run_fleet(&base, fleet);
-    for o in &outcomes {
+    let fleet = Scenario::fleet(&base, FleetSpec::heterogeneous(4, 0.8));
+    let results = run_full_traces(&fleet);
+    for (device, (spec, result)) in fleet.sessions.iter().zip(&results).enumerate() {
+        let ServiceSpec::Constant(service_rate) = spec.service else {
+            panic!("fleet devices serve at constant rates");
+        };
         let cfg = base
             .clone()
-            .with_service(ServiceSpec::Constant(o.service_rate))
-            .with_seed(arvis::sim::rng::child_seed(0xF1EE7, o.device as u64));
+            .with_service(ServiceSpec::Constant(service_rate))
+            .with_seed(arvis::sim::rng::child_seed(0xF1EE7, device as u64));
         let solo = Experiment::new(cfg).run(&mut arvis::core::controller::ProposedDpp::new(1e7));
-        assert_eq!(o.result.backlog, solo.backlog, "device {}", o.device);
+        assert_eq!(result.backlog, solo.backlog, "device {device}");
         assert_eq!(
-            o.result.mean_quality.to_bits(),
+            result.mean_quality.to_bits(),
             solo.mean_quality.to_bits(),
-            "device {}",
-            o.device
+            "device {device}"
         );
     }
 
     // V-sweep.
     let vs = [1e5, 1e6, 1e7];
-    let points = arvis::core::sweep::v_sweep(&base, &vs);
+    let points = run_full_traces(&Scenario::v_sweep(&base, &vs));
     for (p, &v) in points.iter().zip(&vs) {
         let solo = Experiment::new(base.clone().with_controller_v(v))
             .run(&mut arvis::core::controller::ProposedDpp::new(v));
@@ -225,7 +229,7 @@ fn run_fleet_and_sweeps_match_sequential_experiments() {
 
     // Rate sweep.
     let rates = [800.0, 3_200.0];
-    let points = arvis::core::sweep::rate_sweep(&base, &rates);
+    let points = run_full_traces(&Scenario::rate_sweep(&base, &rates));
     for (p, &rate) in points.iter().zip(&rates) {
         let solo = Experiment::new(base.clone().with_service(ServiceSpec::Constant(rate))).run(
             &mut arvis::core::controller::ProposedDpp::new(base.controller_v),

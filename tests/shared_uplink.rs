@@ -592,7 +592,7 @@ fn run_contended_traces_plain(scenario: &Scenario, spec: UplinkSpec) -> Vec<Expe
     batch.into_results()
 }
 
-/// The driver refuses to mix phase-one polling with one-phase stepping —
+/// The batch refuses to mix phase-one polling with an uncoupled run —
 /// the guard that keeps the two-phase protocol honest.
 #[test]
 #[should_panic(expected = "complete it with step_slot_granted")]
@@ -602,5 +602,5 @@ fn polled_slot_cannot_be_stepped_unscaled() {
     let mut batch = SessionBatch::summary_only(&scenario);
     let mut demands = Vec::new();
     batch.fill_demands(&mut demands);
-    batch.step_slot(); // must panic: the slot's demands are already drawn
+    batch.run(); // must panic: the slot's demands are already drawn
 }
