@@ -346,18 +346,6 @@ impl ChurnSpec {
         }
     }
 
-    /// Encodes the spec for a scenario file: `arrivals`, `template`,
-    /// `max_joins` (when nonzero), `weight` and `lifetime` when set,
-    /// `compact` always.
-    ///
-    /// # Errors
-    ///
-    /// Errors on non-finite parameters or an extern-controller template
-    /// (no file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        self.encode("churn")
-    }
-
     /// Decodes a spec from its scenario-file form, turning every
     /// [`ChurnSpec::validate`] panic into a positioned error.
     ///
@@ -723,10 +711,9 @@ mod tests {
                 max: 200,
                 seed: 5,
             });
-        let tree = spec.to_json().unwrap();
-        let text = tree.to_pretty();
+        let text = json::to_string(&spec).unwrap();
         let back = ChurnSpec::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.to_json().unwrap().to_pretty(), text, "canonical");
+        assert_eq!(json::to_string(&back).unwrap(), text, "canonical");
         assert_eq!(back.max_joins, 8);
         assert_eq!(back.weight, Some(1.5));
 

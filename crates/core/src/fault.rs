@@ -393,16 +393,6 @@ impl FaultPlan {
         }
     }
 
-    /// Encodes the plan for a scenario file:
-    /// `{"events": […], "guard": …?}` with `"type"`-tagged events.
-    ///
-    /// # Errors
-    ///
-    /// Errors on non-finite parameters without a file form.
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        self.encode("fault")
-    }
-
     /// Decodes a plan from its scenario-file form and validates it against
     /// a fleet of `sessions` sessions, turning every
     /// [`FaultPlan::validate`] panic into a positioned error.
@@ -814,10 +804,10 @@ mod tests {
             })
             .with_guard(guard_spec());
         plan.validate(3);
-        let text = plan.to_json().unwrap().to_pretty();
+        let text = json::to_string(&plan).unwrap();
         let back = FaultPlan::from_json(&crate::json::parse(&text).unwrap(), 3).unwrap();
         assert_eq!(back, plan);
-        assert_eq!(back.to_json().unwrap().to_pretty(), text, "canonical");
+        assert_eq!(json::to_string(&back).unwrap(), text, "canonical");
     }
 
     #[test]
@@ -917,7 +907,7 @@ mod tests {
             ),
         ];
         for (plan, want, sessions) in cases {
-            let text = plan.to_json().unwrap().to_pretty();
+            let text = json::to_string(&plan).unwrap();
             let err = FaultPlan::from_json(&crate::json::parse(&text).unwrap(), sessions)
                 .expect_err(want);
             assert!(

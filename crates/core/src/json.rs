@@ -2,11 +2,22 @@
 //!
 //! The offline container vendors a no-op serde shim, so scenario files
 //! cannot ride on derived `Serialize`/`Deserialize` impls. This module is
-//! the dependency-free substitute: a [`JsonValue`] tree, a strict
-//! recursive-descent parser with line/column errors ([`parse`]), a
-//! deterministic pretty-printer ([`JsonValue::to_pretty`]), and the
-//! [`Codec`] every scenario-file and ledger type gets from one field table
-//! (`codec!`).
+//! the dependency-free substitute: a strict recursive-descent parser with
+//! line/column errors ([`parse`]) into a [`JsonValue`] tree that borrows
+//! from its input, one canonical printer ([`Emitter`], reached through
+//! [`to_string`] and [`file_hash`]), and the [`Codec`] every scenario-file
+//! and ledger type gets from one field table (`codec!`).
+//!
+//! ## Ingest allocates per file, not per node
+//!
+//! A parsed tree borrows its keys and strings from the input text
+//! ([`Cow::Borrowed`]); only a string with an escape is owned. The parser
+//! collects array items and object members on two stacks of its own and
+//! moves each container into one exact-size `Vec` when it closes, and an
+//! [`ObjReader`] marks the members it consumed in one word. Printing
+//! builds no tree at all: a type writes its canonical bytes straight into
+//! an [`Emitter`], which keeps them ([`to_string`]) or streams them into
+//! SHA-256 through a 64 KiB buffer ([`file_hash`]).
 //!
 //! ## Field tables and rule walks
 //!
@@ -23,9 +34,9 @@
 //! Scenario conformance is pinned **bit-for-bit** (`tests/scenario_files.rs`),
 //! so the codec must not lose a single float bit:
 //!
-//! - finite `f64`s print via Rust's shortest round-trip `Display` repr
-//!   ([`format_f64`]); parsing is correctly rounded (`str::parse::<f64>`),
-//!   so `parse(format(x)) == x` exactly;
+//! - finite `f64`s print via Rust's shortest round-trip `Display` repr;
+//!   parsing is correctly rounded (`str::parse::<f64>`), so
+//!   `parse(print(x)) == x` exactly;
 //! - integer tokens (no `.`/exponent) are kept as exact integers
 //!   ([`JsonKind::Int`]), so `u64` seeds beyond 2^53 survive unchanged;
 //!   `-0` stays `-0.0` bitwise;
@@ -34,11 +45,13 @@
 //!   budgets, the α-fair exponent) encode it as the JSON string `"inf"`
 //!   and decode it via [`JsonValue::as_f64_or_inf`].
 //!
-//! The printer is a pure function of the tree (two-space indent, scalar
-//! arrays inline, object members in insertion order), and every codec emits
-//! members in a fixed schema order — so `emit → parse → emit` is
-//! byte-identical, the canonical-form contract the golden scenario suite
-//! asserts.
+//! The canonical form is two-space indent, arrays of scalars on one line,
+//! object members in table order, an unset optional member left out, and
+//! no trailing newline. Whether an array prints on one line is a property
+//! of its element type ([`Emit::SCALAR`]); a parsed [`JsonValue`] prints
+//! through the same [`Emitter`], deciding per array from its items. So
+//! `emit → parse → emit` is byte-identical, the canonical-form contract
+//! the golden scenario suite asserts.
 //!
 //! ## Errors
 //!
@@ -47,9 +60,15 @@
 //! ([`ObjReader::finish`]), wrong types, out-of-range numbers, duplicate
 //! keys. Nothing in this module panics on malformed input — the mini fuzz
 //! loop in `tests/scenario_files.rs` mutates valid files at the byte level
-//! and expects `Err`, never an abort.
+//! and pins every mutant's error, line and column. Printing never panics
+//! either: a value with no file form (a non-finite float) is a
+//! positionless error naming its field.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
+
+use crate::hash::Sha256;
 
 /// A 1-based line/column position in the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,12 +77,6 @@ pub struct Pos {
     pub line: u32,
     /// 1-based column (in bytes) within the line.
     pub col: u32,
-}
-
-impl Pos {
-    /// The position synthesized values carry (printer output never depends
-    /// on positions, so emitted trees use this placeholder).
-    pub const NONE: Pos = Pos { line: 0, col: 0 };
 }
 
 impl fmt::Display for Pos {
@@ -113,18 +126,18 @@ impl std::error::Error for JsonError {}
 
 /// One `"key": value` member of a JSON object, with the key's position.
 #[derive(Debug, Clone)]
-pub struct Member {
-    /// The member key.
-    pub key: String,
+pub struct Member<'a> {
+    /// The member key, borrowed from the input unless it has an escape.
+    pub key: Cow<'a, str>,
     /// Where the key appeared (for unknown-key errors).
     pub pos: Pos,
     /// The member value.
-    pub value: JsonValue,
+    pub value: JsonValue<'a>,
 }
 
 /// The payload of a [`JsonValue`].
 #[derive(Debug, Clone)]
-pub enum JsonKind {
+pub enum JsonKind<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -135,139 +148,25 @@ pub enum JsonKind {
     Int(i128),
     /// Any other number, as a finite `f64` (the parser rejects overflow).
     Num(f64),
-    /// A string.
-    Str(String),
+    /// A string, borrowed from the input unless it has an escape.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, members in source/emission order.
-    Obj(Vec<Member>),
+    Arr(Vec<JsonValue<'a>>),
+    /// An object, members in source order.
+    Obj(Vec<Member<'a>>),
 }
 
-/// One node of a parsed or synthesized JSON tree.
+/// One node of a parsed JSON tree, borrowing from the text it was parsed
+/// from.
 #[derive(Debug, Clone)]
-pub struct JsonValue {
-    /// Where the value started in the source (or [`Pos::NONE`]).
+pub struct JsonValue<'a> {
+    /// Where the value started in the source.
     pub pos: Pos,
     /// The payload.
-    pub kind: JsonKind,
+    pub kind: JsonKind<'a>,
 }
 
-/// Formats a finite `f64` as its shortest round-trip decimal repr (Rust's
-/// `Display`, which never produces exponents — valid JSON by construction).
-///
-/// # Panics
-///
-/// Panics on NaN or infinity: non-finite values have no JSON number form
-/// and must be encoded by the caller (e.g. as the string `"inf"`).
-pub fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot format non-finite {x} as JSON");
-    format!("{x}")
-}
-
-/// Encodes a float field that must be finite, as a positionless encode
-/// error (naming the field) otherwise — the codec-side counterpart of
-/// [`JsonValue::num`]'s assert, for struct fields a caller can set to any
-/// bit pattern.
-///
-/// # Errors
-///
-/// Errors on NaN and ±∞.
-pub fn finite_num(field: &str, x: f64) -> Result<JsonValue, JsonError> {
-    if x.is_finite() {
-        Ok(JsonValue::num(x))
-    } else {
-        Err(JsonError::new(format!(
-            "{field} must be finite to encode in a scenario file, got {x}"
-        )))
-    }
-}
-
-/// Like [`finite_num`] but `+∞` is allowed and encodes as the string
-/// `"inf"` (the schema form for unbounded budgets and the max-min α).
-///
-/// # Errors
-///
-/// Errors on NaN and `-∞`.
-pub fn num_or_inf_checked(field: &str, x: f64) -> Result<JsonValue, JsonError> {
-    if x == f64::INFINITY {
-        Ok(JsonValue::str("inf"))
-    } else {
-        finite_num(field, x)
-    }
-}
-
-impl JsonValue {
-    fn synth(kind: JsonKind) -> JsonValue {
-        JsonValue {
-            pos: Pos::NONE,
-            kind,
-        }
-    }
-
-    /// A synthesized `null`.
-    pub fn null() -> JsonValue {
-        JsonValue::synth(JsonKind::Null)
-    }
-
-    /// A synthesized boolean.
-    pub fn bool(b: bool) -> JsonValue {
-        JsonValue::synth(JsonKind::Bool(b))
-    }
-
-    /// A synthesized exact integer (use for every integer-typed schema
-    /// field: seeds, slots, depths, periods).
-    pub fn int(n: impl Into<i128>) -> JsonValue {
-        JsonValue::synth(JsonKind::Int(n.into()))
-    }
-
-    /// A synthesized finite float.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN or infinity (see [`format_f64`]); encode infinite
-    /// values with [`JsonValue::num_or_inf`] where the schema allows them.
-    pub fn num(x: f64) -> JsonValue {
-        assert!(x.is_finite(), "cannot encode non-finite {x} as JSON number");
-        JsonValue::synth(JsonKind::Num(x))
-    }
-
-    /// A float field that may be `+∞`, encoded as the string `"inf"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN or `-∞` (no schema field admits either).
-    pub fn num_or_inf(x: f64) -> JsonValue {
-        if x == f64::INFINITY {
-            JsonValue::str("inf")
-        } else {
-            JsonValue::num(x)
-        }
-    }
-
-    /// A synthesized string.
-    pub fn str(s: impl Into<String>) -> JsonValue {
-        JsonValue::synth(JsonKind::Str(s.into()))
-    }
-
-    /// A synthesized array.
-    pub fn arr(items: Vec<JsonValue>) -> JsonValue {
-        JsonValue::synth(JsonKind::Arr(items))
-    }
-
-    /// A synthesized object with members in the given (schema) order.
-    pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-        JsonValue::synth(JsonKind::Obj(
-            members
-                .into_iter()
-                .map(|(key, value)| Member {
-                    key: key.to_string(),
-                    pos: Pos::NONE,
-                    value,
-                })
-                .collect(),
-        ))
-    }
-
+impl<'a> JsonValue<'a> {
     /// Human-readable name of the value's JSON type (error messages).
     pub fn type_name(&self) -> &'static str {
         match self.kind {
@@ -285,6 +184,10 @@ impl JsonValue {
             self.pos,
             format!("expected {want}, found {}", self.type_name()),
         )
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self.kind, JsonKind::Arr(_) | JsonKind::Obj(_))
     }
 
     /// The value as a boolean.
@@ -390,7 +293,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Errors when the value is not an array.
-    pub fn as_array(&self) -> Result<&[JsonValue], JsonError> {
+    pub fn as_array(&self) -> Result<&[JsonValue<'a>], JsonError> {
         match &self.kind {
             JsonKind::Arr(items) => Ok(items),
             _ => Err(self.type_err("an array")),
@@ -408,21 +311,11 @@ impl JsonValue {
             JsonKind::Obj(members) => Ok(ObjReader {
                 pos: self.pos,
                 members,
-                seen: vec![false; members.len()],
+                seen: 0,
+                seen_past_64: vec![false; members.len().saturating_sub(64)],
             }),
             _ => Err(self.type_err("an object")),
         }
-    }
-
-    /// Renders the tree in the canonical pretty form: two-space indent,
-    /// arrays of scalars on one line, object members in insertion order,
-    /// no trailing newline. A pure function of the tree — positions never
-    /// influence the output — so `parse(s).to_pretty()` reproduces any
-    /// canonically-formatted `s` byte for byte.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        write_value(&mut out, self, 0);
-        out
     }
 }
 
@@ -433,8 +326,12 @@ impl JsonValue {
 #[derive(Debug)]
 pub struct ObjReader<'a> {
     pos: Pos,
-    members: &'a [Member],
-    seen: Vec<bool>,
+    members: &'a [Member<'a>],
+    /// One bit per consumed member among the first 64.
+    seen: u64,
+    /// The consumed members past the 64th (empty, so never allocated, for
+    /// every object a valid scenario file holds).
+    seen_past_64: Vec<bool>,
 }
 
 impl<'a> ObjReader<'a> {
@@ -443,15 +340,14 @@ impl<'a> ObjReader<'a> {
         self.pos
     }
 
-    fn lookup(&mut self, key: &str) -> Option<&'a JsonValue> {
+    fn lookup(&mut self, key: &str) -> Option<&'a JsonValue<'a>> {
         // Objects here are tiny (≤ 8 members); linear scan beats any map.
-        for (i, m) in self.members.iter().enumerate() {
-            if m.key == key {
-                self.seen[i] = true;
-                return Some(&m.value);
-            }
+        let i = self.members.iter().position(|m| m.key == key)?;
+        match i.checked_sub(64) {
+            None => self.seen |= 1 << i,
+            Some(past) => self.seen_past_64[past] = true,
         }
-        None
+        Some(&self.members[i].value)
     }
 
     /// A required member.
@@ -459,7 +355,7 @@ impl<'a> ObjReader<'a> {
     /// # Errors
     ///
     /// Errors when the key is absent.
-    pub fn req(&mut self, key: &str) -> Result<&'a JsonValue, JsonError> {
+    pub fn req(&mut self, key: &str) -> Result<&'a JsonValue<'a>, JsonError> {
         self.lookup(key)
             .ok_or_else(|| JsonError::at(self.pos, format!("missing required key \"{key}\"")))
     }
@@ -467,7 +363,7 @@ impl<'a> ObjReader<'a> {
     /// An optional member; absent keys and explicit `null` both read as
     /// `None` (the codec emits `Some` fields only, so both spellings mean
     /// the same thing on the way in).
-    pub fn opt(&mut self, key: &str) -> Option<&'a JsonValue> {
+    pub fn opt(&mut self, key: &str) -> Option<&'a JsonValue<'a>> {
         self.lookup(key)
             .filter(|v| !matches!(v.kind, JsonKind::Null))
     }
@@ -479,12 +375,14 @@ impl<'a> ObjReader<'a> {
     /// Errors on the first member no `req`/`opt` call asked for, at the
     /// key's own position.
     pub fn finish(self) -> Result<(), JsonError> {
-        for (m, seen) in self.members.iter().zip(&self.seen) {
-            if !seen {
-                return Err(JsonError::at(m.pos, format!("unknown key \"{}\"", m.key)));
-            }
+        let seen = |i: usize| match i.checked_sub(64) {
+            None => self.seen & (1 << i) != 0,
+            Some(past) => self.seen_past_64[past],
+        };
+        match self.members.iter().enumerate().find(|&(i, _)| !seen(i)) {
+            Some((_, m)) => Err(JsonError::at(m.pos, format!("unknown key \"{}\"", m.key))),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -492,19 +390,36 @@ impl<'a> ObjReader<'a> {
 // Field tables
 // ---------------------------------------------------------------------------
 
-/// A value with a file form: how it encodes, and how it decodes back bit
-/// for bit. Scalars, strings, arrays and optional members are implemented
-/// here; every scenario-file and ledger type gets its impl from one field
-/// table (`codec!`).
-pub trait Codec: Sized {
-    /// Encodes the value; `name` names the field in encode errors.
+/// A value with a canonical file form, written into an [`Emitter`].
+/// Scalars, strings, arrays, optional members and parsed [`JsonValue`]s
+/// are implemented here; every scenario-file and ledger type gets its impl
+/// from one field table (`codec!`).
+pub trait Emit {
+    /// Whether the value always prints as a JSON scalar, so that an array
+    /// of it prints on one line.
+    const SCALAR: bool = false;
+
+    /// Writes the value; `name` names the field in encode errors.
     ///
     /// # Errors
     ///
-    /// Errors on a value with no file form (a non-finite float, an extern
-    /// controller).
-    fn encode(&self, name: &str) -> Result<JsonValue, JsonError>;
+    /// Errors on a value with no file form (a non-finite float).
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError>;
 
+    /// Writes the value as member `key` of the open object; an unset
+    /// optional value writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emit::emit`].
+    fn emit_member(&self, out: &mut Emitter, key: &str) -> Result<(), JsonError> {
+        out.key(key);
+        self.emit(out, key)
+    }
+}
+
+/// A value with a file form that decodes back bit for bit.
+pub trait Codec: Emit + Sized {
     /// Decodes a value, checking the type's rules.
     ///
     /// # Errors
@@ -527,12 +442,12 @@ pub trait Codec: Sized {
 /// A field's file form when it is not its type's own [`Codec`]: the form
 /// named after a field in a `codec!` table (`budget: Inf`).
 pub(crate) trait Form<T> {
-    /// Encodes `x` as field `name`.
+    /// Writes `x` as member `key`.
     ///
     /// # Errors
     ///
     /// Errors on a value with no file form in this form.
-    fn encode(x: &T, name: &str) -> Result<JsonValue, JsonError>;
+    fn emit_member(x: &T, out: &mut Emitter, key: &str) -> Result<(), JsonError>;
 
     /// Reads member `key` of `obj` in this form.
     ///
@@ -548,8 +463,9 @@ pub(crate) trait Form<T> {
 pub(crate) struct Inf;
 
 impl Form<f64> for Inf {
-    fn encode(x: &f64, name: &str) -> Result<JsonValue, JsonError> {
-        num_or_inf_checked(name, *x)
+    fn emit_member(x: &f64, out: &mut Emitter, key: &str) -> Result<(), JsonError> {
+        out.key(key);
+        out.num_or_inf(key, *x)
     }
 
     fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<f64, JsonError> {
@@ -558,9 +474,9 @@ impl Form<f64> for Inf {
 }
 
 impl Form<Vec<f64>> for Inf {
-    fn encode(xs: &Vec<f64>, name: &str) -> Result<JsonValue, JsonError> {
-        let items = xs.iter().map(|x| num_or_inf_checked(name, *x));
-        Ok(JsonValue::arr(items.collect::<Result<_, _>>()?))
+    fn emit_member(xs: &Vec<f64>, out: &mut Emitter, key: &str) -> Result<(), JsonError> {
+        out.key(key);
+        out.array(true, xs, |out, &x| out.num_or_inf(key, x))
     }
 
     fn member(obj: &mut ObjReader<'_>, key: &str) -> Result<Vec<f64>, JsonError> {
@@ -574,10 +490,10 @@ impl Form<Vec<f64>> for Inf {
 pub(crate) struct ZeroAbsent;
 
 impl Form<u64> for ZeroAbsent {
-    fn encode(x: &u64, name: &str) -> Result<JsonValue, JsonError> {
+    fn emit_member(x: &u64, out: &mut Emitter, key: &str) -> Result<(), JsonError> {
         match x {
-            0 => Ok(JsonValue::null()),
-            n => n.encode(name),
+            0 => Ok(()),
+            n => out.member(key, n),
         }
     }
 
@@ -586,87 +502,95 @@ impl Form<u64> for ZeroAbsent {
     }
 }
 
-impl Codec for f64 {
-    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
-        finite_num(name, *self)
-    }
+impl Emit for f64 {
+    const SCALAR: bool = true;
 
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
+        out.num(name, *self)
+    }
+}
+
+impl Codec for f64 {
     fn decode(v: &JsonValue) -> Result<f64, JsonError> {
         v.as_f64()
     }
 }
 
-impl Codec for u64 {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::int(*self))
-    }
+/// The exact scalars: each prints its `Display` form and decodes through
+/// its `JsonValue::as_*` accessor.
+macro_rules! exact_codec {
+    ($($ty:ty: $as:ident),*) => {$(
+        impl Emit for $ty {
+            const SCALAR: bool = true;
 
-    fn decode(v: &JsonValue) -> Result<u64, JsonError> {
-        v.as_u64()
+            fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+                out.display(self)
+            }
+        }
+
+        impl Codec for $ty {
+            fn decode(v: &JsonValue) -> Result<$ty, JsonError> {
+                v.$as()
+            }
+        }
+    )*};
+}
+
+exact_codec!(u64: as_u64, usize: as_usize, u8: as_u8, bool: as_bool);
+
+impl Emit for str {
+    const SCALAR: bool = true;
+
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        out.string(self);
+        Ok(())
     }
 }
 
-impl Codec for usize {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::int(*self as u64))
-    }
+impl Emit for String {
+    const SCALAR: bool = true;
 
-    fn decode(v: &JsonValue) -> Result<usize, JsonError> {
-        v.as_usize()
-    }
-}
-
-impl Codec for u8 {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::int(*self))
-    }
-
-    fn decode(v: &JsonValue) -> Result<u8, JsonError> {
-        v.as_u8()
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::bool(*self))
-    }
-
-    fn decode(v: &JsonValue) -> Result<bool, JsonError> {
-        v.as_bool()
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
+        self.as_str().emit(out, name)
     }
 }
 
 impl Codec for String {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        Ok(JsonValue::str(self.as_str()))
-    }
-
     fn decode(v: &JsonValue) -> Result<String, JsonError> {
         v.as_str().map(str::to_string)
     }
 }
 
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
-        let items = self.iter().map(|x| x.encode(name));
-        Ok(JsonValue::arr(items.collect::<Result<_, _>>()?))
+impl<T: Emit> Emit for Vec<T> {
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
+        out.array(T::SCALAR, self, |out, x| x.emit(out, name))
     }
+}
 
+impl<T: Codec> Codec for Vec<T> {
     fn decode(v: &JsonValue) -> Result<Vec<T>, JsonError> {
         v.as_array()?.iter().map(T::decode).collect()
     }
 }
 
-/// An optional member: `None` encodes as `null`, which an object omits,
-/// and reads back from an absent or `null` member.
-impl<T: Codec> Codec for Option<T> {
-    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+/// An optional member: `None` is left out of its object (and prints as
+/// `null` anywhere else), and reads back from an absent or `null` member.
+impl<T: Emit> Emit for Option<T> {
+    const SCALAR: bool = T::SCALAR;
+
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
         match self {
-            Some(x) => x.encode(name),
-            None => Ok(JsonValue::null()),
+            Some(x) => x.emit(out, name),
+            None => out.display("null"),
         }
     }
 
+    fn emit_member(&self, out: &mut Emitter, key: &str) -> Result<(), JsonError> {
+        self.as_ref().map_or(Ok(()), |x| x.emit_member(out, key))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
     fn decode(v: &JsonValue) -> Result<Option<T>, JsonError> {
         match v.kind {
             JsonKind::Null => Ok(None),
@@ -679,22 +603,28 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-/// Appends one encoded member to an object under construction; a `null`
-/// value (an unset optional field) is omitted.
-///
-/// # Errors
-///
-/// Propagates the member's encode error.
-pub(crate) fn put(
-    members: &mut Vec<(&'static str, JsonValue)>,
-    key: &'static str,
-    value: Result<JsonValue, JsonError>,
-) -> Result<(), JsonError> {
-    let value = value?;
-    if !matches!(value.kind, JsonKind::Null) {
-        members.push((key, value));
+/// A parsed tree prints in the canonical form, an array on one line when
+/// all its items are scalars: `parse(s)` prints back as any canonically
+/// formatted `s`, byte for byte.
+impl Emit for JsonValue<'_> {
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
+        match &self.kind {
+            JsonKind::Null => out.display("null"),
+            JsonKind::Bool(b) => out.display(b),
+            JsonKind::Int(n) => out.display(n),
+            JsonKind::Num(x) => out.num(name, *x),
+            JsonKind::Str(s) => s.emit(out, name),
+            JsonKind::Arr(items) => {
+                let inline = items.iter().all(JsonValue::is_scalar);
+                out.array(inline, items, |out, item| item.emit(out, name))
+            }
+            JsonKind::Obj(members) => out.object(|out| {
+                members
+                    .iter()
+                    .try_for_each(|m| out.member(&m.key, &m.value))
+            }),
+        }
     }
-    Ok(())
 }
 
 /// `"a or b"`, `"a, b, or c"`: the expected tags of an unknown-tag error.
@@ -706,7 +636,7 @@ pub(crate) fn one_of(tags: &[&str]) -> String {
     }
 }
 
-/// Generates a type's [`Codec`] impl from its field table.
+/// Generates a type's [`Emit`] and [`Codec`] impls from its field table.
 ///
 /// - `Type { a, b: Form, ... }` — a struct as an object whose members are
 ///   the fields, in table order;
@@ -717,26 +647,22 @@ pub(crate) fn one_of(tags: &[&str]) -> String {
 /// - `Type as "what" = Variant "tag" | ...` — a fieldless enum as a
 ///   string, with a generated `name()`.
 ///
-/// Each key is `stringify!(field)`. A field is encoded by its type's own
-/// [`Codec`] (an `Option` field is omitted when `None`) or by the [`Form`]
+/// Each key is `stringify!(field)`. A field is written by its type's own
+/// [`Emit`] (an `Option` field is left out when `None`) or by the [`Form`]
 /// named after it. Emission destructures `Self` with no `..` and decoding
 /// ends in a full struct literal, so a field without an entry, or an
 /// entry without a field, does not compile. A trailing `check` makes
 /// decoding run the type's rule walk (`fn check(&self) -> Rules`), whose
 /// broken rule becomes a positioned error ([`Broken::at`]).
 macro_rules! codec {
-    (@put $members:ident $field:ident) => {
-        $crate::json::put(
-            &mut $members,
-            stringify!($field),
-            $crate::json::Codec::encode($field, stringify!($field)),
-        )?
+    (@put $out:ident $field:ident) => {
+        $out.member(stringify!($field), $field)?
     };
-    (@put $members:ident $field:ident $form:ident) => {
-        $crate::json::put(
-            &mut $members,
+    (@put $out:ident $field:ident $form:ident) => {
+        <$crate::json::$form as $crate::json::Form<_>>::emit_member(
+            $field,
+            $out,
             stringify!($field),
-            <$crate::json::$form as $crate::json::Form<_>>::encode($field, stringify!($field)),
         )?
     };
     (@take $obj:ident $field:ident) => {
@@ -751,17 +677,21 @@ macro_rules! codec {
     };
 
     ($ty:ident { $($field:ident $(: $form:ident)?),* $(,)? } $($check:ident)?) => {
-        impl $crate::json::Codec for $ty {
-            fn encode(
+        impl $crate::json::Emit for $ty {
+            fn emit(
                 &self,
+                out: &mut $crate::json::Emitter,
                 _name: &str,
-            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
+            ) -> Result<(), $crate::json::JsonError> {
                 let $ty { $($field),* } = self;
-                let mut members = Vec::with_capacity(8);
-                $($crate::json::codec!(@put members $field $($form)?);)*
-                Ok($crate::json::JsonValue::obj(members))
+                out.object(|out| {
+                    $($crate::json::codec!(@put out $field $($form)?);)*
+                    Ok(())
+                })
             }
+        }
 
+        impl $crate::json::Codec for $ty {
             fn decode(
                 v: &$crate::json::JsonValue,
             ) -> Result<$ty, $crate::json::JsonError> {
@@ -782,22 +712,26 @@ macro_rules! codec {
             $(($key:ident $(: $kform:ident)?))?
         ),* $(,)?
     } $($check:ident)?) => {
-        impl $crate::json::Codec for $ty {
-            fn encode(
+        impl $crate::json::Emit for $ty {
+            fn emit(
                 &self,
+                out: &mut $crate::json::Emitter,
                 _name: &str,
-            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
-                let mut members = Vec::with_capacity(8);
-                match self {
-                    $(Self::$var $({ $($field),* })? $(($key))? => {
-                        members.push(("type", $crate::json::JsonValue::str($tag)));
-                        $($($crate::json::codec!(@put members $field $($form)?);)*)?
-                        $($crate::json::codec!(@put members $key $($kform)?);)?
-                    })*
-                }
-                Ok($crate::json::JsonValue::obj(members))
+            ) -> Result<(), $crate::json::JsonError> {
+                out.object(|out| {
+                    match self {
+                        $(Self::$var $({ $($field),* })? $(($key))? => {
+                            out.member("type", $tag)?;
+                            $($($crate::json::codec!(@put out $field $($form)?);)*)?
+                            $($crate::json::codec!(@put out $key $($kform)?);)?
+                        })*
+                    }
+                    Ok(())
+                })
             }
+        }
 
+        impl $crate::json::Codec for $ty {
             fn decode(
                 v: &$crate::json::JsonValue,
             ) -> Result<$ty, $crate::json::JsonError> {
@@ -835,14 +769,19 @@ macro_rules! codec {
             }
         }
 
-        impl $crate::json::Codec for $ty {
-            fn encode(
-                &self,
-                _name: &str,
-            ) -> Result<$crate::json::JsonValue, $crate::json::JsonError> {
-                Ok($crate::json::JsonValue::str(self.name()))
-            }
+        impl $crate::json::Emit for $ty {
+            const SCALAR: bool = true;
 
+            fn emit(
+                &self,
+                out: &mut $crate::json::Emitter,
+                name: &str,
+            ) -> Result<(), $crate::json::JsonError> {
+                $crate::json::Emit::emit(self.name(), out, name)
+            }
+        }
+
+        impl $crate::json::Codec for $ty {
             fn decode(
                 v: &$crate::json::JsonValue,
             ) -> Result<$ty, $crate::json::JsonError> {
@@ -954,91 +893,215 @@ pub(crate) fn enforce(rules: Rules) {
 // Printer
 // ---------------------------------------------------------------------------
 
-fn is_scalar(v: &JsonValue) -> bool {
-    !matches!(v.kind, JsonKind::Arr(_) | JsonKind::Obj(_))
+/// Bytes of canonical text the hashing [`Emitter`] gathers before it hands
+/// them to SHA-256.
+const HASH_BUFFER: usize = 64 * 1024;
+
+/// The one canonical printer: values write themselves into it ([`Emit`]),
+/// and it either keeps the text ([`to_string`]) or streams it into SHA-256
+/// ([`file_hash`]) without ever holding the whole of it.
+pub struct Emitter {
+    /// Text not yet handed to `hash`.
+    out: String,
+    /// The digest of the text handed over so far.
+    hash: Sha256,
+    /// How much text `out` gathers before it goes to `hash` (`usize::MAX`:
+    /// the text is kept whole).
+    flush_at: usize,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no entry yet.
+    fresh: bool,
+    /// The innermost open container is an array printed on one line.
+    inline: bool,
 }
 
-fn write_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// `value`'s canonical text: two-space indent, scalar arrays on one line,
+/// members in table order, no trailing newline.
+///
+/// # Errors
+///
+/// Errors on a value with no file form (a non-finite float), naming the
+/// field.
+pub fn to_string<T: Emit + ?Sized>(value: &T) -> Result<String, JsonError> {
+    let mut out = Emitter::new(usize::MAX, 0);
+    value.emit(&mut out, "value")?;
+    Ok(out.out)
+}
+
+/// The SHA-256, as 64 lowercase hex digits, of `value`'s file form: its
+/// canonical text ([`to_string`]) and one trailing newline. The text
+/// streams into the hash through a 64 KiB buffer and is never held whole.
+///
+/// # Errors
+///
+/// Errors as [`to_string`] does.
+pub fn file_hash<T: Emit + ?Sized>(value: &T) -> Result<String, JsonError> {
+    // The buffer flushes before an entry, so it has room past the mark for
+    // the entry that crosses it.
+    let mut out = Emitter::new(HASH_BUFFER, HASH_BUFFER + 4096);
+    value.emit(&mut out, "value")?;
+    out.out.push('\n');
+    out.hash.update(out.out.as_bytes());
+    Ok(out.hash.finalize_hex())
+}
+
+impl Emitter {
+    fn new(flush_at: usize, capacity: usize) -> Emitter {
+        Emitter {
+            out: String::with_capacity(capacity),
+            hash: Sha256::new(),
+            flush_at,
+            depth: 0,
+            fresh: false,
+            inline: false,
+        }
     }
-}
 
-fn write_string_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    /// Writes an object: `{`, the members `body` writes, `}`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `body` returns.
+    pub fn object(
+        &mut self,
+        body: impl FnOnce(&mut Emitter) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open('{', false);
+        body(self)?;
+        self.close('}');
+        Ok(())
+    }
+
+    /// Writes `value` as member `key` of the open object (an unset optional
+    /// value writes nothing); `key` names the field in encode errors.
+    ///
+    /// # Errors
+    ///
+    /// Errors on a value with no file form.
+    pub fn member<T: Emit + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), JsonError> {
+        value.emit_member(self, key)
+    }
+
+    /// Writes an array of `items`, each written by `each`: on one line
+    /// when `inline` (for scalars only), else one item per line.
+    pub(crate) fn array<I: IntoIterator>(
+        &mut self,
+        inline: bool,
+        items: I,
+        mut each: impl FnMut(&mut Emitter, I::Item) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open('[', inline);
+        for item in items {
+            self.entry();
+            each(self, item)?;
+        }
+        self.close(']');
+        Ok(())
+    }
+
+    /// Starts a member of the open object: its separator, indent, key and
+    /// colon.
+    pub(crate) fn key(&mut self, key: &str) {
+        self.entry();
+        self.string(key);
+        self.out.push_str(": ");
+    }
+
+    fn entry(&mut self) {
+        if self.out.len() >= self.flush_at {
+            self.hash.update(self.out.as_bytes());
+            self.out.clear();
+        }
+        if self.inline {
+            if !self.fresh {
+                self.out.push_str(", ");
             }
-            c => out.push(c),
+        } else {
+            self.out.push_str(if self.fresh { "\n" } else { ",\n" });
+            self.indent();
+        }
+        self.fresh = false;
+    }
+
+    fn open(&mut self, bracket: char, inline: bool) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.fresh = true;
+        self.inline = inline;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth = self.depth.saturating_sub(1);
+        if !self.fresh && !self.inline {
+            self.out.push('\n');
+            self.indent();
+        }
+        self.out.push(bracket);
+        // The enclosing container holds this one, so it is neither empty
+        // nor an array of scalars.
+        self.fresh = false;
+        self.inline = false;
+    }
+
+    fn indent(&mut self) {
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
         }
     }
-    out.push('"');
-}
 
-fn write_value(out: &mut String, v: &JsonValue, depth: usize) {
-    match &v.kind {
-        JsonKind::Null => out.push_str("null"),
-        JsonKind::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonKind::Int(n) => {
-            use fmt::Write as _;
-            let _ = write!(out, "{n}");
+    /// Writes `x`'s `Display` form (integers, booleans, `null`).
+    fn display(&mut self, x: impl fmt::Display) -> Result<(), JsonError> {
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.out, "{x}");
+        Ok(())
+    }
+
+    /// Writes a finite float as its shortest round-trip repr (Rust's
+    /// `Display`, which never produces exponents — valid JSON by
+    /// construction).
+    fn num(&mut self, name: &str, x: f64) -> Result<(), JsonError> {
+        if !x.is_finite() {
+            return Err(JsonError::new(format!(
+                "{name} must be finite to encode in a scenario file, got {x}"
+            )));
         }
-        JsonKind::Num(x) => out.push_str(&format_f64(*x)),
-        JsonKind::Str(s) => write_string_escaped(out, s),
-        JsonKind::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-            } else if items.iter().all(is_scalar) {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
+        self.display(x)
+    }
+
+    /// Like [`Emitter::num`], but `+∞` is allowed and writes the string
+    /// `"inf"` (the schema form for unbounded budgets and the max-min α).
+    fn num_or_inf(&mut self, name: &str, x: f64) -> Result<(), JsonError> {
+        if x == f64::INFINITY {
+            self.string("inf");
+            Ok(())
+        } else {
+            self.num(name, x)
+        }
+    }
+
+    fn string(&mut self, s: &str) {
+        self.out.push('"');
+        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.out.push_str(s);
+        } else {
+            for ch in s.chars() {
+                match ch {
+                    '"' => self.out.push_str("\\\""),
+                    '\\' => self.out.push_str("\\\\"),
+                    '\n' => self.out.push_str("\\n"),
+                    '\r' => self.out.push_str("\\r"),
+                    '\t' => self.out.push_str("\\t"),
+                    '\u{08}' => self.out.push_str("\\b"),
+                    '\u{0c}' => self.out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(self.out, "\\u{:04x}", c as u32);
                     }
-                    write_value(out, item, depth);
+                    c => self.out.push(c),
                 }
-                out.push(']');
-            } else {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    write_indent(out, depth + 1);
-                    write_value(out, item, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                write_indent(out, depth);
-                out.push(']');
             }
         }
-        JsonKind::Obj(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-            } else {
-                out.push_str("{\n");
-                for (i, m) in members.iter().enumerate() {
-                    write_indent(out, depth + 1);
-                    write_string_escaped(out, &m.key);
-                    out.push_str(": ");
-                    write_value(out, &m.value, depth + 1);
-                    if i + 1 < members.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                write_indent(out, depth);
-                out.push('}');
-            }
-        }
+        self.out.push('"');
     }
 }
 
@@ -1051,25 +1114,33 @@ fn write_value(out: &mut String, v: &JsonValue, depth: usize) {
 /// fuzz loop errors instead of exhausting the stack.
 const MAX_DEPTH: u32 = 64;
 
+/// Members an object finds a duplicate key among by scanning; past this,
+/// the object keeps its keys in a `BTreeSet`, so a hostile object of `n`
+/// distinct keys parses in O(n log n) rather than O(n²).
+const SCAN_KEYS: usize = 16;
+
 /// Parses strict JSON (RFC 8259: no comments, no trailing commas, no
 /// `NaN`/`Infinity` literals, exactly one top-level value) into a
-/// [`JsonValue`] tree with source positions, rejecting duplicate object
-/// keys and numbers that overflow `f64`.
+/// [`JsonValue`] tree with source positions, borrowing every key and
+/// unescaped string from `text`, and rejecting duplicate object keys and
+/// numbers that overflow `f64`.
 ///
 /// # Errors
 ///
 /// Errors on the first syntax violation, at its line/column.
-pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
+pub fn parse(text: &str) -> Result<JsonValue<'_>, JsonError> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         i: 0,
         line: 1,
         col: 1,
+        items: Vec::new(),
+        members: Vec::new(),
     };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
-    if p.i < p.bytes.len() {
+    if p.i < text.len() {
         return Err(JsonError::at(
             p.pos(),
             "trailing characters after the top-level value",
@@ -1079,10 +1150,14 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     i: usize,
     line: u32,
     col: u32,
+    /// Items of the arrays being parsed, innermost array's last.
+    items: Vec<JsonValue<'a>>,
+    /// Members of the objects being parsed, innermost object's last.
+    members: Vec<Member<'a>>,
 }
 
 impl<'a> Parser<'a> {
@@ -1094,7 +1169,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.i).copied()
+        self.text.as_bytes().get(self.i).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -1133,219 +1208,207 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, kind: JsonKind, pos: Pos) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str, kind: JsonKind<'a>) -> Result<JsonKind<'a>, JsonError> {
+        let pos = self.pos();
         for want in word.bytes() {
-            match self.bump() {
-                Some(b) if b == want => {}
-                Some(_) | None => {
-                    return Err(JsonError::at(
-                        pos,
-                        format!("invalid literal (expected `{word}`)"),
-                    ))
-                }
+            if self.bump() != Some(want) {
+                return Err(JsonError::at(
+                    pos,
+                    format!("invalid literal (expected `{word}`)"),
+                ));
             }
         }
-        Ok(JsonValue { pos, kind })
+        Ok(kind)
     }
 
-    fn value(&mut self, depth: u32) -> Result<JsonValue, JsonError> {
+    fn value(&mut self, depth: u32) -> Result<JsonValue<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return Err(JsonError::at(self.pos(), "nesting too deep"));
         }
         let pos = self.pos();
-        match self.peek() {
-            None => Err(self.eof_err()),
-            Some(b'n') => self.literal("null", JsonKind::Null, pos),
-            Some(b't') => self.literal("true", JsonKind::Bool(true), pos),
-            Some(b'f') => self.literal("false", JsonKind::Bool(false), pos),
-            Some(b'"') => {
-                let s = self.string()?;
-                Ok(JsonValue {
+        let kind = match self.peek() {
+            None => return Err(self.eof_err()),
+            Some(b'n') => self.literal("null", JsonKind::Null)?,
+            Some(b't') => self.literal("true", JsonKind::Bool(true))?,
+            Some(b'f') => self.literal("false", JsonKind::Bool(false))?,
+            Some(b'"') => JsonKind::Str(self.string()?),
+            Some(b'[') => JsonKind::Arr(self.array(depth)?),
+            Some(b'{') => JsonKind::Obj(self.object(depth)?),
+            Some(b'-' | b'0'..=b'9') => self.number(pos)?,
+            Some(b) => {
+                return Err(JsonError::at(
                     pos,
-                    kind: JsonKind::Str(s),
-                })
+                    format!("unexpected character '{}'", printable(b)),
+                ))
             }
-            Some(b'[') => self.array(pos, depth),
-            Some(b'{') => self.object(pos, depth),
-            Some(b'-' | b'0'..=b'9') => self.number(pos),
-            Some(b) => Err(JsonError::at(
-                pos,
-                format!("unexpected character '{}'", printable(b)),
-            )),
-        }
+        };
+        Ok(JsonValue { pos, kind })
     }
 
-    fn array(&mut self, pos: Pos, depth: u32) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: u32) -> Result<Vec<JsonValue<'a>>, JsonError> {
         self.bump(); // '['
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(JsonValue {
-                pos,
-                kind: JsonKind::Arr(items),
-            });
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.bump();
-                }
-                Some(b']') => {
-                    self.bump();
-                    return Ok(JsonValue {
-                        pos,
-                        kind: JsonKind::Arr(items),
-                    });
-                }
-                Some(b) => {
-                    return Err(JsonError::at(
-                        self.pos(),
-                        format!("expected ',' or ']', found '{}'", printable(b)),
-                    ))
-                }
-                None => return Err(self.eof_err()),
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                let item = self.value(depth + 1)?;
+                self.items.push(item);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.bump(),
+                    Some(b']') => break,
+                    Some(b) => {
+                        return Err(JsonError::at(
+                            self.pos(),
+                            format!("expected ',' or ']', found '{}'", printable(b)),
+                        ))
+                    }
+                    None => return Err(self.eof_err()),
+                };
             }
         }
+        self.bump(); // ']'
+        Ok(self.items.drain(base..).collect())
     }
 
-    fn object(&mut self, pos: Pos, depth: u32) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: u32) -> Result<Vec<Member<'a>>, JsonError> {
         self.bump(); // '{'
-        let mut members: Vec<Member> = Vec::new();
+        let base = self.members.len();
+        // The object's keys, once it outgrows a scan of its members.
+        let mut keys: Option<BTreeSet<Cow<'a, str>>> = None;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(JsonValue {
-                pos,
-                kind: JsonKind::Obj(members),
-            });
-        }
-        loop {
-            self.skip_ws();
-            let key_pos = self.pos();
-            if self.peek() != Some(b'"') {
-                return Err(match self.peek() {
-                    Some(b) => JsonError::at(
-                        key_pos,
-                        format!("expected a string key, found '{}'", printable(b)),
-                    ),
-                    None => self.eof_err(),
-                });
-            }
-            let key = self.string()?;
-            if members.iter().any(|m| m.key == key) {
-                return Err(JsonError::at(key_pos, format!("duplicate key \"{key}\"")));
-            }
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push(Member {
-                key,
-                pos: key_pos,
-                value,
-            });
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.bump();
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let pos = self.pos();
+                match self.peek() {
+                    Some(b'"') => {}
+                    Some(b) => {
+                        return Err(JsonError::at(
+                            pos,
+                            format!("expected a string key, found '{}'", printable(b)),
+                        ))
+                    }
+                    None => return Err(self.eof_err()),
                 }
-                Some(b'}') => {
-                    self.bump();
-                    return Ok(JsonValue {
-                        pos,
-                        kind: JsonKind::Obj(members),
-                    });
+                let key = self.string()?;
+                let earlier = &self.members[base..];
+                if keys.is_none() && earlier.len() >= SCAN_KEYS {
+                    keys = Some(earlier.iter().map(|m| m.key.clone()).collect());
                 }
-                Some(b) => {
-                    return Err(JsonError::at(
-                        self.pos(),
-                        format!("expected ',' or '}}', found '{}'", printable(b)),
-                    ))
+                let duplicate = match &mut keys {
+                    Some(keys) => !keys.insert(key.clone()),
+                    None => earlier.iter().any(|m| m.key == key),
+                };
+                if duplicate {
+                    return Err(JsonError::at(pos, format!("duplicate key \"{key}\"")));
                 }
-                None => return Err(self.eof_err()),
+                self.skip_ws();
+                self.expect_byte(b':')?;
+                self.skip_ws();
+                let value = self.value(depth + 1)?;
+                self.members.push(Member { key, pos, value });
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.bump(),
+                    Some(b'}') => break,
+                    Some(b) => {
+                        return Err(JsonError::at(
+                            self.pos(),
+                            format!("expected ',' or '}}', found '{}'", printable(b)),
+                        ))
+                    }
+                    None => return Err(self.eof_err()),
+                };
             }
         }
+        self.bump(); // '}'
+        Ok(self.members.drain(base..).collect())
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string token, borrowed from the input up to its closing quote
+    /// unless an escape makes it owned.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.bump(); // '"'
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            // The run up to the next quote, escape or control byte: all
+            // three are ASCII, so the run ends on a character boundary, and
+            // it holds no newline, so only the column moves.
+            let start = self.i;
+            let rest = self.text.as_bytes().get(start..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            self.i += run;
+            self.col += run as u32;
+            let chunk = self
+                .text
+                .get(start..self.i)
+                .ok_or_else(|| JsonError::at(self.pos(), "invalid UTF-8 in string"))?;
             let ch_pos = self.pos();
             match self.bump() {
                 None => return Err(self.eof_err()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    None => return Err(self.eof_err()),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.hex4(ch_pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // High surrogate: require the paired low half.
-                            let pair_pos = self.pos();
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(JsonError::at(
-                                    pair_pos,
-                                    "unpaired surrogate in \\u escape",
-                                ));
-                            }
-                            let lo = self.hex4(pair_pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(JsonError::at(
-                                    pair_pos,
-                                    "unpaired surrogate in \\u escape",
-                                ));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(JsonError::at(ch_pos, "unpaired surrogate in \\u escape"));
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => {
-                                return Err(JsonError::at(ch_pos, "invalid \\u escape"));
-                            }
-                        }
-                    }
-                    Some(b) => {
-                        return Err(JsonError::at(
-                            ch_pos,
-                            format!("invalid escape '\\{}'", printable(b)),
-                        ))
-                    }
-                },
-                Some(b) if b < 0x20 => {
+                Some(b'"') => {
+                    return Ok(match owned {
+                        None => Cow::Borrowed(chunk),
+                        Some(out) => Cow::Owned(out + chunk),
+                    })
+                }
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(chunk);
+                    out.push(self.escape(ch_pos)?);
+                }
+                Some(_) => {
                     return Err(JsonError::at(
                         ch_pos,
                         "unescaped control character in string",
                     ))
                 }
-                Some(b) => {
-                    // Re-assemble the UTF-8 sequence this byte starts
-                    // (input is a &str, so the sequence is valid).
-                    let width = utf8_width(b);
-                    let start = self.i - 1;
-                    for _ in 1..width {
-                        self.bump();
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + width])
-                        .map_err(|_| JsonError::at(ch_pos, "invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
             }
+        }
+    }
+
+    /// The character a backslash escape at `ch_pos` stands for, the
+    /// backslash already consumed.
+    fn escape(&mut self, ch_pos: Pos) -> Result<char, JsonError> {
+        match self.bump() {
+            None => Err(self.eof_err()),
+            Some(b'"') => Ok('"'),
+            Some(b'\\') => Ok('\\'),
+            Some(b'/') => Ok('/'),
+            Some(b'b') => Ok('\u{08}'),
+            Some(b'f') => Ok('\u{0c}'),
+            Some(b'n') => Ok('\n'),
+            Some(b'r') => Ok('\r'),
+            Some(b't') => Ok('\t'),
+            Some(b'u') => {
+                let hi = self.hex4(ch_pos)?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // High surrogate: require the paired low half.
+                    let pair_pos = self.pos();
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(JsonError::at(pair_pos, "unpaired surrogate in \\u escape"));
+                    }
+                    let lo = self.hex4(pair_pos)?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(JsonError::at(pair_pos, "unpaired surrogate in \\u escape"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else if (0xDC00..0xE000).contains(&hi) {
+                    return Err(JsonError::at(ch_pos, "unpaired surrogate in \\u escape"));
+                } else {
+                    hi
+                };
+                char::from_u32(code).ok_or_else(|| JsonError::at(ch_pos, "invalid \\u escape"))
+            }
+            Some(b) => Err(JsonError::at(
+                ch_pos,
+                format!("invalid escape '\\{}'", printable(b)),
+            )),
         }
     }
 
@@ -1364,7 +1427,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self, pos: Pos) -> Result<JsonValue, JsonError> {
+    fn number(&mut self, pos: Pos) -> Result<JsonKind<'a>, JsonError> {
         let start = self.i;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -1412,25 +1475,19 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        // The token is ASCII by construction; a non-UTF-8 slice here would
-        // be a scanner bug, reported as a positioned error rather than a
-        // panic (codecs never panic on input).
-        let token = match std::str::from_utf8(&self.bytes[start..self.i]) {
-            Ok(t) => t,
-            Err(_) => return Err(JsonError::at(pos, "invalid number (non-ASCII bytes)")),
+        // The token is ASCII by construction; a slice off a character
+        // boundary here would be a scanner bug, reported as a positioned
+        // error rather than a panic (codecs never panic on input).
+        let Some(token) = self.text.get(start..self.i) else {
+            return Err(JsonError::at(pos, "invalid number (non-ASCII bytes)"));
         };
         if !is_float {
             if let Ok(n) = token.parse::<i128>() {
-                if n == 0 && negative {
-                    // `-0` must keep its sign bit: store as a float.
-                    return Ok(JsonValue {
-                        pos,
-                        kind: JsonKind::Num(-0.0),
-                    });
-                }
-                return Ok(JsonValue {
-                    pos,
-                    kind: JsonKind::Int(n),
+                // `-0` must keep its sign bit: store as a float.
+                return Ok(if n == 0 && negative {
+                    JsonKind::Num(-0.0)
+                } else {
+                    JsonKind::Int(n)
                 });
             }
             // Falls through: an integer token too large for i128 is kept
@@ -1443,10 +1500,7 @@ impl<'a> Parser<'a> {
         if !x.is_finite() {
             return Err(JsonError::at(pos, "number does not fit in an f64"));
         }
-        Ok(JsonValue {
-            pos,
-            kind: JsonKind::Num(x),
-        })
+        Ok(JsonKind::Num(x))
     }
 }
 
@@ -1458,21 +1512,12 @@ fn printable(b: u8) -> char {
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(text: &str) -> String {
-        parse(text).expect("parse").to_pretty()
+        to_string(&parse(text).expect("parse")).expect("print")
     }
 
     #[test]
@@ -1510,7 +1555,7 @@ mod tests {
             -2.2250738585072014e-308,
             123_456_789.123_456_79,
         ] {
-            let printed = JsonValue::num(x).to_pretty();
+            let printed = to_string(&x).unwrap();
             let back = parse(&printed).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} printed as {printed}");
         }
@@ -1519,7 +1564,7 @@ mod tests {
     #[test]
     fn u64_seeds_roundtrip_exactly() {
         for n in [0u64, 1, 2u64.pow(53) + 1, u64::MAX] {
-            let printed = JsonValue::int(n).to_pretty();
+            let printed = to_string(&n).unwrap();
             let back = parse(&printed).unwrap().as_u64().unwrap();
             assert_eq!(back, n);
         }
@@ -1535,7 +1580,9 @@ mod tests {
 
     #[test]
     fn inf_string_encoding() {
-        assert_eq!(JsonValue::num_or_inf(f64::INFINITY).to_pretty(), "\"inf\"");
+        let mut out = Emitter::new(usize::MAX, 0);
+        out.num_or_inf("budget", f64::INFINITY).unwrap();
+        assert_eq!(out.out, "\"inf\"");
         assert_eq!(
             parse("\"inf\"").unwrap().as_f64_or_inf().unwrap(),
             f64::INFINITY
@@ -1593,7 +1640,7 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() {
         let tricky = "quote \" backslash \\ newline \n tab \t unicode \u{1f600} nul \u{0}";
-        let printed = JsonValue::str(tricky).to_pretty();
+        let printed = to_string(tricky).unwrap();
         let back = parse(&printed).unwrap();
         assert_eq!(back.as_str().unwrap(), tricky);
         // Surrogate-pair escapes decode too.
@@ -1641,8 +1688,76 @@ mod tests {
     #[test]
     fn huge_integer_tokens_become_floats() {
         // The shortest repr of 1e300 is an integer token far beyond i128.
-        let printed = JsonValue::num(1e300).to_pretty();
+        let printed = to_string(&1e300f64).unwrap();
         let v = parse(&printed).unwrap();
         assert_eq!(v.as_f64().unwrap().to_bits(), 1e300f64.to_bits());
+    }
+
+    #[test]
+    fn strings_borrow_from_the_input_unless_escaped() {
+        let v = parse("{\"plain\": \"caf\u{e9}\", \"esc\\u0061pe\": \"a\\tb\"}").unwrap();
+        let JsonKind::Obj(members) = &v.kind else {
+            panic!("an object");
+        };
+        assert!(matches!(members[0].key, Cow::Borrowed("plain")));
+        assert!(matches!(
+            &members[0].value.kind,
+            JsonKind::Str(Cow::Borrowed("caf\u{e9}"))
+        ));
+        assert!(matches!(&members[1].key, Cow::Owned(k) if k == "escape"));
+        assert_eq!(members[1].value.as_str().unwrap(), "a\tb");
+        let err = parse("\"caf\u{e9}\u{1}\"").unwrap_err();
+        assert_eq!(err.pos, Some(Pos { line: 1, col: 7 }), "{err}");
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_past_the_scan() {
+        let keys: Vec<String> = (0..40).map(|i| format!("\"k{i}\": {i}")).collect();
+        let text = format!("{{{}, \"k\\u0033\": 0}}", keys.join(", "));
+        let err = parse(&text).unwrap_err();
+        assert_eq!(err.msg, "duplicate key \"k3\"");
+        let col = text.rfind("\"k\\u0033\"").unwrap() + 1;
+        assert_eq!(
+            err.pos,
+            Some(Pos {
+                line: 1,
+                col: col as u32
+            })
+        );
+        let distinct = format!("{{{}}}", keys.join(", "));
+        assert!(parse(&distinct).is_ok());
+    }
+
+    #[test]
+    fn obj_reader_tracks_members_past_the_64th() {
+        let keys: Vec<String> = (0..70).map(|i| format!("\"k{i}\": {i}")).collect();
+        let text = format!("{{{}}}", keys.join(", "));
+        let v = parse(&text).unwrap();
+        let mut obj = v.as_obj().unwrap();
+        for i in (0..70).filter(|&i| i != 66) {
+            assert_eq!(obj.req(&format!("k{i}")).unwrap().as_u64().unwrap(), i);
+        }
+        assert_eq!(obj.finish().unwrap_err().msg, "unknown key \"k66\"");
+        let mut obj = v.as_obj().unwrap();
+        for i in 0..70 {
+            assert!(obj.opt(&format!("k{i}")).is_some());
+        }
+        obj.finish().unwrap();
+    }
+
+    #[test]
+    fn file_hash_is_the_digest_of_the_text_and_a_newline() {
+        // Far past one 64 KiB buffer, so the hash sees several flushes.
+        let value: Vec<Vec<f64>> = (0..400).map(|i| vec![0.1 * f64::from(i); 100]).collect();
+        let text = to_string(&value).unwrap();
+        assert!(text.len() > 4 * HASH_BUFFER);
+        let digest = crate::hash::sha256_hex(format!("{text}\n").as_bytes());
+        assert_eq!(file_hash(&value).unwrap(), digest);
+        assert_eq!(file_hash(&parse(&text).unwrap()).unwrap(), digest);
+        let err = file_hash(&vec![1.0, f64::NAN]).unwrap_err();
+        assert_eq!(
+            err.msg,
+            "value must be finite to encode in a scenario file, got NaN"
+        );
     }
 }

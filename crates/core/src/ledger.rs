@@ -52,7 +52,7 @@
 //! assert!(stored.diff(&replay).unwrap().is_empty(), "bit-identical replay");
 //! ```
 
-use crate::json::{self, Codec, JsonError, JsonKind, JsonValue};
+use crate::json::{self, Codec, Emit, Emitter, JsonError, JsonKind, JsonValue};
 use crate::scenario::Scenario;
 use crate::session::SessionBatch;
 use crate::telemetry::SessionSummary;
@@ -125,19 +125,6 @@ impl RunRecord {
         })
     }
 
-    /// Encodes the record with members in the fixed canonical order:
-    /// `scenario`, `scenario_hash`, `scenario_schema`, `code_version`,
-    /// `sessions`, then `uplink` and `downtime` when present.
-    ///
-    /// # Errors
-    ///
-    /// Errors (naming the field) if any summary float that must be finite
-    /// is not; the only lawfully infinite field is the uplink's
-    /// `mean_budget`, which encodes as the string `"inf"`.
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        self.encode("record")
-    }
-
     /// Decodes one record, rejecting unknown keys at every level.
     ///
     /// # Errors
@@ -149,20 +136,25 @@ impl RunRecord {
     }
     /// Field-level bitwise diff of this (committed) record against a
     /// `replay` recomputation: one line per mismatching field, e.g.
-    /// `sessions[3].mean_quality: ledger 0.86… != replay 0.85…`. Floats
-    /// compare through their shortest round-trip rendering, which is
+    /// `sessions[3].mean_quality: ledger 0.86… != replay 0.85…`. The two
+    /// records' canonical texts are parsed and compared node by node, and
+    /// floats through their shortest round-trip rendering, which is
     /// injective on bit patterns — an empty diff means the two records are
     /// bit-identical.
     ///
     /// # Errors
     ///
     /// Errors only if either record fails to encode (a non-finite field
-    /// outside the lawful `mean_budget`).
+    /// outside the lawful `mean_budget`, which encodes as `"inf"`).
     pub fn diff(&self, replay: &RunRecord) -> Result<Vec<String>, JsonError> {
-        let ledger = self.to_json()?;
-        let recomputed = replay.to_json()?;
+        let (ledger, recomputed) = (json::to_string(self)?, json::to_string(replay)?);
         let mut out = Vec::new();
-        diff_value("", &ledger, &recomputed, &mut out);
+        diff_value(
+            "",
+            &json::parse(&ledger)?,
+            &json::parse(&recomputed)?,
+            &mut out,
+        );
         Ok(out)
     }
 }
@@ -217,19 +209,6 @@ impl Ledger {
         });
     }
 
-    /// Encodes the ledger: `{"schema": …, "records": […]}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates record encode errors (see [`RunRecord::to_json`]).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let Ledger { records } = self;
-        Ok(JsonValue::obj(vec![
-            ("schema", JsonValue::int(LEDGER_SCHEMA_VERSION)),
-            ("records", records.encode("records")?),
-        ]))
-    }
-
     /// Decodes a ledger tree, checking the schema version and rejecting
     /// unknown keys.
     ///
@@ -254,15 +233,15 @@ impl Ledger {
         obj.finish()?;
         Ok(Ledger { records })
     }
-    /// Renders the canonical file form: the [`Ledger::to_json`] tree
-    /// pretty-printed with a trailing newline. `emit → parse → emit` is
-    /// byte-identical (pinned by `tests/regression_ledger.rs`).
+    /// Renders the canonical file form, `{"schema": …, "records": […]}`
+    /// with a trailing newline. `emit → parse → emit` is byte-identical
+    /// (pinned by `tests/regression_ledger.rs`).
     ///
     /// # Errors
     ///
     /// Propagates record encode errors.
     pub fn to_json_string(&self) -> Result<String, JsonError> {
-        let mut out = self.to_json()?.to_pretty();
+        let mut out = json::to_string(self)?;
         out.push('\n');
         Ok(out)
     }
@@ -276,6 +255,17 @@ impl Ledger {
     /// panics, whatever the input bytes.
     pub fn from_json_str(text: &str) -> Result<Ledger, JsonError> {
         Ledger::from_json(&crate::json::parse(text)?)
+    }
+}
+
+/// The ledger's file form (see [`Ledger::to_json_string`]).
+impl Emit for Ledger {
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        let Ledger { records } = self;
+        out.object(|out| {
+            out.member("schema", &LEDGER_SCHEMA_VERSION)?;
+            out.member("records", records)
+        })
     }
 }
 
@@ -311,12 +301,13 @@ json::codec!(UplinkSummary {
     down_session_slots,
 });
 /// Renders one scalar node for diff messages (objects/arrays never reach
-/// this: [`diff_value`] recurses into them).
+/// this: [`diff_value`] recurses into them). A parsed number is finite, so
+/// it always has a canonical text; an error would render as its message.
 fn scalar_repr(v: &JsonValue) -> String {
-    v.to_pretty()
+    json::to_string(v).unwrap_or_else(|e| e.msg)
 }
 
-/// Structural bitwise diff of two encoded records. Scalars compare through
+/// Structural bitwise diff of two parsed records. Scalars compare through
 /// their canonical rendering (injective on f64 bit patterns), objects
 /// member-by-member (either side's extra members are reported), arrays
 /// element-by-element plus a length line.
@@ -392,8 +383,8 @@ mod tests {
     fn record_round_trips_bit_exactly() {
         let scenario = tiny_scenario(200);
         let record = RunRecord::replay("tiny", &scenario).unwrap();
-        let tree = record.to_json().unwrap();
-        let back = RunRecord::from_json(&tree).unwrap();
+        let text = json::to_string(&record).unwrap();
+        let back = RunRecord::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, record);
         assert!(record.diff(&back).unwrap().is_empty());
     }
@@ -408,8 +399,11 @@ mod tests {
         let record = RunRecord::replay("tiny_uplink", &scenario).unwrap();
         assert!(record.uplink.is_some());
         assert_eq!(record.downtime.as_deref().map(<[u64]>::len), Some(2));
-        let tree = record.to_json().unwrap();
-        assert_eq!(RunRecord::from_json(&tree).unwrap(), record);
+        let text = json::to_string(&record).unwrap();
+        assert_eq!(
+            RunRecord::from_json(&json::parse(&text).unwrap()).unwrap(),
+            record
+        );
     }
 
     #[test]

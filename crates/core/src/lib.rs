@@ -23,11 +23,13 @@
 //!   multi-device fleet ([`Scenario::fleet`]) and the `V` and
 //!   service-rate sweeps ([`Scenario::v_sweep`], [`Scenario::rate_sweep`]);
 //! - [`json`]: the self-contained JSON layer behind scenario files — a
-//!   strict parser with line/column errors, a canonical pretty-printer
-//!   with exact `f64`/`u64` round-trips, and the [`json::Codec`] each
-//!   scenario-file and ledger type derives from one field table;
+//!   strict parser with line/column errors into a tree that borrows from
+//!   its input, one canonical printer ([`json::Emitter`]) with exact
+//!   `f64`/`u64` round-trips, and the [`json::Codec`] each scenario-file
+//!   and ledger type derives from one field table;
 //! - [`hash`]: dependency-free SHA-256 (FIPS 180-4) content-addressing the
-//!   canonical scenario bytes ([`Scenario::content_hash`]);
+//!   canonical scenario bytes ([`Scenario::content_hash`]), which the
+//!   printer streams into it without building the text;
 //! - [`ledger`]: the append-only regression ledger — bit-exact
 //!   [`ledger::RunRecord`]s keyed by (scenario hash, code version),
 //!   committed as `results/ledger.json` and re-verified field-by-field in

@@ -25,7 +25,7 @@ use crate::controller::{
 };
 use crate::experiment::{ExperimentConfig, ServiceSpec};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::json::{self, ensure, Codec, JsonError, JsonValue, Rules};
+use crate::json::{self, ensure, Codec, Emit, Emitter, JsonError, JsonValue, Rules};
 use crate::stream::ArStream;
 use crate::uplink::{UplinkPolicy, UplinkSpec};
 
@@ -115,17 +115,6 @@ impl ControllerSpec {
             ControllerSpec::Proposed { v } => Some(*v),
             _ => None,
         }
-    }
-
-    /// Encodes the spec for a scenario file (see [`crate::json`]): a
-    /// `"type"`-tagged object (`proposed` / `only_max` / `only_min` /
-    /// `fixed` / `random` / `threshold` / `adaptive_v`).
-    ///
-    /// # Errors
-    ///
-    /// Errors when a float parameter is not finite (no file form).
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        self.encode("controller")
     }
 
     /// The spec's rule walk: the controller constructors' invariants
@@ -571,47 +560,7 @@ impl Scenario {
         self.sessions.is_empty()
     }
 
-    /// Encodes the scenario as a JSON tree (see [`crate::json`] for the
-    /// format contract). The top level is
-    /// `{"schema": …, "slots": …, "sessions": […], "uplink": …?, "fault": …?, "churn": …?}`
-    /// with members in that fixed order — the schema version plus
-    /// unknown-key rejection keeps files forward-diffable. Emission uses
-    /// the lowest schema version that can express the scenario
-    /// ([`Scenario::schema_version`]): fault-free churn-free files stay
-    /// byte-identical to what version-1 builds wrote, faulted files to
-    /// version-2 output.
-    ///
-    /// # Errors
-    ///
-    /// Errors when any float the file form carries is not finite, naming
-    /// the offending session index for a session's fields.
-    pub fn to_json(&self) -> Result<JsonValue, JsonError> {
-        let Scenario {
-            slots,
-            sessions,
-            uplink,
-            fault,
-            churn,
-        } = self;
-        let mut encoded = Vec::with_capacity(sessions.len());
-        for (i, spec) in sessions.iter().enumerate() {
-            encoded.push(
-                spec.encode("session")
-                    .map_err(|e| JsonError::new(format!("session {i}: {}", e.msg)))?,
-            );
-        }
-        let mut members = vec![
-            ("schema", JsonValue::int(self.schema_version())),
-            ("slots", JsonValue::int(*slots)),
-            ("sessions", JsonValue::arr(encoded)),
-        ];
-        json::put(&mut members, "uplink", uplink.encode("uplink"))?;
-        json::put(&mut members, "fault", fault.encode("fault"))?;
-        json::put(&mut members, "churn", churn.encode("churn"))?;
-        Ok(JsonValue::obj(members))
-    }
-
-    /// Decodes a scenario from a JSON tree, checking the schema version
+    /// Decodes a scenario from a parsed tree, checking the schema version
     /// (a `fault` member needs version 2, a `churn` member version 3),
     /// rejecting unknown keys at every level, validating the fault plan
     /// against the fleet, and running the scenario's own rule walk.
@@ -661,17 +610,25 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Renders the scenario in the canonical file form: the
-    /// [`Scenario::to_json`] tree pretty-printed with a trailing newline.
-    /// Canonical means reproducible: `from_json_str` followed by
-    /// `to_json_string` is byte-identical for any canonically-formatted
-    /// file (pinned by the golden suite in `tests/scenario_files.rs`).
+    /// Renders the scenario in the canonical file form: its canonical text
+    /// ([`crate::json::to_string`]) with a trailing newline. The top level
+    /// is `{"schema": …, "slots": …, "sessions": […], "uplink": …?,
+    /// "fault": …?, "churn": …?}` with members in that fixed order — the
+    /// schema version plus unknown-key rejection keeps files
+    /// forward-diffable. Emission uses the lowest schema version that can
+    /// express the scenario ([`Scenario::schema_version`]): fault-free
+    /// churn-free files stay byte-identical to what version-1 builds
+    /// wrote, faulted files to version-2 output. Canonical means
+    /// reproducible: `from_json_str` followed by `to_json_string` is
+    /// byte-identical for any canonically-formatted file (pinned by the
+    /// golden suite in `tests/scenario_files.rs`).
     ///
     /// # Errors
     ///
-    /// Errors as [`Scenario::to_json`] does.
+    /// Errors when any float the file form carries is not finite, naming
+    /// the field, and the offending session index for a session's fields.
     pub fn to_json_string(&self) -> Result<String, JsonError> {
-        let mut out = self.to_json()?.to_pretty();
+        let mut out = json::to_string(self)?;
         out.push('\n');
         Ok(out)
     }
@@ -702,7 +659,9 @@ impl Scenario {
     }
 
     /// The SHA-256 of the canonical file form ([`Scenario::to_json_string`])
-    /// as 64 lowercase hex digits — the scenario's content address.
+    /// as 64 lowercase hex digits — the scenario's content address. The
+    /// text streams into the hash ([`crate::json::file_hash`]) and is never
+    /// built.
     ///
     /// Because emission is canonical (`emit → parse → emit` is
     /// byte-identical), two scenarios hash equal exactly when their file
@@ -712,10 +671,35 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Errors as [`Scenario::to_json`] does (no file form, hence no
+    /// Errors as [`Scenario::to_json_string`] does (no file form, hence no
     /// content address).
     pub fn content_hash(&self) -> Result<String, JsonError> {
-        Ok(crate::hash::sha256_hex(self.to_json_string()?.as_bytes()))
+        json::file_hash(self)
+    }
+}
+
+/// The scenario's file form (see [`Scenario::to_json_string`]).
+impl Emit for Scenario {
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        let Scenario {
+            slots,
+            sessions,
+            uplink,
+            fault,
+            churn,
+        } = self;
+        out.object(|out| {
+            out.member("schema", &self.schema_version())?;
+            out.member("slots", slots)?;
+            out.key("sessions");
+            out.array(false, sessions.iter().enumerate(), |out, (i, spec)| {
+                spec.emit(out, "session")
+                    .map_err(|e| JsonError::new(format!("session {i}: {}", e.msg)))
+            })?;
+            out.member("uplink", uplink)?;
+            out.member("fault", fault)?;
+            out.member("churn", churn)
+        })
     }
 }
 

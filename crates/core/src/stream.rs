@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use arvis_pointcloud::synth::FrameSequence;
 use arvis_quality::profile::{DepthProfile, ProfileError, QualityMetric};
 
-use crate::json::{self, ensure, Broken, Codec, JsonError, JsonValue, Rules};
+use crate::json::{self, ensure, Broken, Codec, Emit, Emitter, JsonError, JsonValue, Rules};
 
 /// A source of per-slot depth profiles.
 #[derive(Debug, Clone)]
@@ -250,12 +250,14 @@ impl StreamState {
 
 /// A stream's file form is its kind's: a `"type"`-tagged object whose
 /// profiles are `{min_depth, arrivals, quality}` tables.
-impl Codec for ArStream {
-    fn encode(&self, name: &str) -> Result<JsonValue, JsonError> {
+impl Emit for ArStream {
+    fn emit(&self, out: &mut Emitter, name: &str) -> Result<(), JsonError> {
         let ArStream { kind } = self;
-        kind.encode(name)
+        kind.emit(out, name)
     }
+}
 
+impl Codec for ArStream {
     fn decode(v: &JsonValue) -> Result<ArStream, JsonError> {
         let stream = ArStream {
             kind: StreamKind::decode(v)?,
@@ -276,17 +278,23 @@ json::codec!(StreamKind as "stream type" {
 /// artifacts and never serialized). The type is foreign, so this glue is
 /// written by hand, and decoding checks `profile_rules` before
 /// `from_parts`, which panics on the same conditions.
-impl Codec for DepthProfile {
-    fn encode(&self, _name: &str) -> Result<JsonValue, JsonError> {
-        let arrivals: Vec<f64> = self.depths().map(|d| self.arrival(d)).collect();
-        let quality: Vec<f64> = self.depths().map(|d| self.quality(d)).collect();
-        Ok(JsonValue::obj(vec![
-            ("min_depth", JsonValue::int(self.min_depth())),
-            ("arrivals", arrivals.encode("arrival")?),
-            ("quality", quality.encode("quality")?),
-        ]))
+impl Emit for DepthProfile {
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        out.object(|out| {
+            out.member("min_depth", &self.min_depth())?;
+            out.key("arrivals");
+            out.array(true, self.depths(), |out, d| {
+                self.arrival(d).emit(out, "arrival")
+            })?;
+            out.key("quality");
+            out.array(true, self.depths(), |out, d| {
+                self.quality(d).emit(out, "quality")
+            })
+        })
     }
+}
 
+impl Codec for DepthProfile {
     fn decode(v: &JsonValue) -> Result<DepthProfile, JsonError> {
         let mut obj = v.as_obj()?;
         let min_depth = Codec::member(&mut obj, "min_depth")?;

@@ -81,7 +81,13 @@ fn main() -> ExitCode {
     };
     print!("{}", report.render_text());
     if let Some(path) = json_out {
-        let text = report.to_json().to_pretty();
+        let text = match arvis_core::json::to_string(&report) {
+            Ok(text) => text,
+            Err(e) => {
+                eprintln!("arvis-lint: {e}");
+                return ExitCode::from(2);
+            }
+        };
         if path == "-" {
             println!("{text}");
         } else if let Err(e) = std::fs::write(&path, text + "\n") {

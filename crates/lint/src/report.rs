@@ -1,9 +1,9 @@
 //! Finding aggregation and output: `file:line:col rule message` text and a
 //! canonical JSON report via `arvis_core::json` (the same deterministic
-//! printer the scenario codec uses, so reports are byte-stable inputs for
+//! printer scenario files use, so reports are byte-stable inputs for
 //! tooling and CI diffs).
 
-use arvis_core::json::JsonValue;
+use arvis_core::json::{Emit, Emitter, JsonError};
 
 use crate::rules::{Finding, RULES};
 
@@ -44,44 +44,37 @@ impl Report {
         ));
         out
     }
+}
 
-    /// The canonical JSON report. Keys are emitted in a fixed order and the
-    /// printer is deterministic, so two runs over the same tree produce
-    /// byte-identical reports. Schema 2 adds the machine-readable taint
-    /// chain (`"chain"`) to every finding — empty for per-file findings,
-    /// the function path down to the ambient source for interprocedural
-    /// ones.
-    pub fn to_json(&self) -> JsonValue {
-        let findings = self
-            .findings
-            .iter()
-            .map(|f| {
-                let chain = f
-                    .chain
-                    .iter()
-                    .map(|hop| JsonValue::str(hop.clone()))
-                    .collect();
-                JsonValue::obj(vec![
-                    ("file", JsonValue::str(f.file.clone())),
-                    ("line", JsonValue::int(i128::from(f.line))),
-                    ("col", JsonValue::int(i128::from(f.col))),
-                    ("rule", JsonValue::str(f.rule)),
-                    ("message", JsonValue::str(f.message.clone())),
-                    ("chain", JsonValue::arr(chain)),
-                ])
-            })
-            .collect();
-        let rules = RULES
-            .iter()
-            .map(|(name, _)| JsonValue::str(*name))
-            .collect();
-        JsonValue::obj(vec![
-            ("schema", JsonValue::int(2)),
-            ("tool", JsonValue::str("arvis-lint")),
-            ("files_scanned", JsonValue::int(self.files_scanned as i128)),
-            ("rules", JsonValue::arr(rules)),
-            ("findings", JsonValue::arr(findings)),
-        ])
+/// The canonical JSON report, written by the same [`Emitter`] as scenario
+/// files ([`arvis_core::json::to_string`]). Keys are emitted in a fixed
+/// order and the printer is deterministic, so two runs over the same tree
+/// produce byte-identical reports. Schema 2 adds the machine-readable taint
+/// chain (`"chain"`) to every finding — empty for per-file findings, the
+/// function path down to the ambient source for interprocedural ones.
+impl Emit for Report {
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        let rules: Vec<String> = RULES.iter().map(|(name, _)| name.to_string()).collect();
+        out.object(|out| {
+            out.member("schema", &2u64)?;
+            out.member("tool", "arvis-lint")?;
+            out.member("files_scanned", &self.files_scanned)?;
+            out.member("rules", &rules)?;
+            out.member("findings", &self.findings)
+        })
+    }
+}
+
+impl Emit for Finding {
+    fn emit(&self, out: &mut Emitter, _name: &str) -> Result<(), JsonError> {
+        out.object(|out| {
+            out.member("file", &self.file)?;
+            out.member("line", &u64::from(self.line))?;
+            out.member("col", &u64::from(self.col))?;
+            out.member("rule", self.rule)?;
+            out.member("message", &self.message)?;
+            out.member("chain", &self.chain)
+        })
     }
 }
 
@@ -117,8 +110,8 @@ mod tests {
             findings: vec![finding()],
             files_scanned: 2,
         };
-        let a = r.to_json().to_pretty();
-        let b = r.to_json().to_pretty();
+        let a = arvis_core::json::to_string(&r).unwrap();
+        let b = arvis_core::json::to_string(&r).unwrap();
         assert_eq!(a, b);
         let back = arvis_core::json::parse(&a).expect("report parses");
         let mut obj = back.as_obj().expect("object");

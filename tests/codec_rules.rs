@@ -4,7 +4,7 @@
 //!
 //! Each case builds, in Rust, a spec that breaks exactly one rule and still
 //! encodes. `validate()` must panic with a message M, and decoding the
-//! spec's `to_json` must fail with the same M, at the position of the
+//! spec's canonical text must fail with the same M, at the position of the
 //! member the rule concerns (found here by walking the parsed tree, not by
 //! the codec's own path resolution).
 
@@ -41,7 +41,7 @@ fn case<T: Codec + 'static>(
     path: &str,
     fragment: &'static str,
 ) -> Case {
-    let text = spec.encode("spec").expect("the spec encodes").to_pretty();
+    let text = json::to_string(&spec).expect("the spec encodes");
     let tree = json::parse(&text).expect("the file form parses");
     Case {
         decoded: decode(&tree).map(|_| ()),

@@ -9,18 +9,20 @@
 //!    reproducibility pin that lets refactors prove they changed nothing.
 //! 2. **Round-trip property** — randomly generated scenarios (all
 //!    controller/service/stream kinds, budgets, policies, weights, seeds)
-//!    survive `to_json → parse → to_json` byte-identically; the shortest
+//!    survive `emit → parse → emit` byte-identically; the shortest
 //!    round-trip float repr makes string equality equivalent to bitwise
-//!    structural equality.
+//!    structural equality, and the content hash is the digest of exactly
+//!    those bytes.
 //! 3. **Malformed input** — truncations, unknown keys, wrong types,
 //!    non-finite literals, extern controllers, negative weights/alpha,
-//!    empty traces: each a specific `Err` with line/column, never a panic
-//!    (including a mini fuzz loop over byte-level mutations of a valid
-//!    file).
+//!    empty traces, 200k-member objects: each a specific `Err` with
+//!    line/column, never a panic (including a mini fuzz loop over
+//!    byte-level mutations of a valid file, every mutant's outcome pinned
+//!    by digest).
 //!
-//! This suite runs under both default and `--no-default-features` builds
-//! (see CI's serial pass): the codec path is allocation-only and must not
-//! depend on the parallel fan-out.
+//! This suite runs under default, release and `--no-default-features`
+//! builds (see CI's release and serial passes): the codec path is
+//! allocation-only and must not depend on the parallel fan-out.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,6 +30,8 @@ use rand::{Rng, SeedableRng};
 
 use arvis::core::churn::{ChurnArrivalSpec, ChurnSpec, LifetimeSpec};
 use arvis::core::experiment::ServiceSpec;
+use arvis::core::hash::{sha256_hex, Sha256};
+use arvis::core::json::Pos;
 use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
 use arvis::core::stream::ArStream;
@@ -420,7 +424,7 @@ fn random_scenario(seed: u64) -> Scenario {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `to_json → parse → to_json` is byte-identical for arbitrary
+    /// `emit → parse → emit` is byte-identical for arbitrary
     /// scenarios. The float formatter is injective on finite `f64`s (and
     /// integers are kept exact), so byte equality of the canonical form
     /// *is* bitwise structural equality — every weight, rate, seed and
@@ -431,7 +435,9 @@ proptest! {
         let text = scenario.to_json_string().expect("encode");
         let back = Scenario::from_json_str(&text)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
-        prop_assert_eq!(back.to_json_string().unwrap(), text, "seed {}", seed);
+        prop_assert_eq!(back.to_json_string().unwrap(), text.clone(), "seed {}", seed);
+        // The content hash is the digest of exactly the printed bytes.
+        prop_assert_eq!(scenario.content_hash().unwrap(), sha256_hex(text.as_bytes()), "seed {}", seed);
         // Spot-check structure on the PartialEq-able surface too.
         prop_assert_eq!(back.slots, scenario.slots);
         prop_assert_eq!(back.len(), scenario.len());
@@ -691,13 +697,66 @@ fn duplicate_keys_are_rejected() {
     );
 }
 
-/// The mini fuzz loop shared by the schema-1 and schema-2 batteries:
-/// byte-level mutations of a valid scenario file must always yield `Ok`
-/// or a positioned `Err` — never a panic, hang, or abort. (Runs the
-/// parser + full decoder on every mutant.) Returns the error count.
-fn fuzz_byte_mutations(valid: &[u8], seed: u64) -> usize {
+/// `{"schema": 1, "slots": 10, "sessions": [], "pad": {…}}` with `keys`
+/// members `"k0": 0, "k1": 0, …` in `"pad"`, the last one named `"k0"`
+/// when `repeat_first`.
+fn padded_scenario(keys: usize, repeat_first: bool) -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from("{\"schema\": 1, \"slots\": 10, \"sessions\": [], \"pad\": {");
+    for i in 0..keys {
+        let i = if repeat_first && i + 1 == keys { 0 } else { i };
+        let sep = if text.ends_with('{') { "" } else { ", " };
+        write!(text, "{sep}\"k{i}\": 0").unwrap();
+    }
+    text.push_str("}}");
+    text
+}
+
+/// A 2 MB object of 200k distinct keys is parsed whole, in O(n log n) of
+/// its keys, before the scenario decoder rejects the member holding it.
+#[test]
+fn large_objects_parse_before_unknown_keys_are_rejected() {
+    let err = expect_err(&padded_scenario(200_000, false), "unknown key \"pad\"");
+    assert_eq!(err.pos, Some(Pos { line: 1, col: 44 }));
+}
+
+/// A duplicate key at the end of a 200k-member object is found at its own
+/// position, without a scan of every earlier key per key.
+#[test]
+fn large_objects_report_a_late_duplicate_key_at_its_position() {
+    let text = padded_scenario(200_000, true);
+    let err = expect_err(&text, "duplicate key \"k0\"");
+    let col = text.rfind("\"k0\"").expect("the repeat") + 1;
+    assert_eq!(
+        err.pos,
+        Some(Pos {
+            line: 1,
+            col: col as u32
+        })
+    );
+}
+
+/// The outcome digests of the three byte-mutation batteries below: a
+/// parser change that moves any error's text, line or column, or lets a
+/// different mutant through, changes one of them.
+const FUZZ_DIGEST_SCHEMA_1: &str =
+    "b34641635de32f4b4a40f8d5d77028e894d97fcf7d18ccbb6f5024fa5cc7fb7d";
+const FUZZ_DIGEST_SCHEMA_2: &str =
+    "ea8ce5ac2f2619ba3bbea67aed59d0a2fa0f24873eab1600371b694e68e0a4d7";
+const FUZZ_DIGEST_SCHEMA_3: &str =
+    "c3b96eeab064a96a4eb5939871b230d25717a37f2ac5a905128c48831074d53b";
+
+/// The mini fuzz loop shared by the schema-1, schema-2 and schema-3
+/// batteries: byte-level mutations of a valid scenario file must always
+/// yield `Ok` or a positioned `Err` — never a panic, hang, or abort. (Runs
+/// the parser + full decoder on every mutant.) Returns the error count and
+/// a SHA-256 over every mutant's outcome in order — its rendered error
+/// (`line L, column C: msg`), or its content hash when it parses — so a
+/// pinned digest holds every message, line and column the parser gives.
+fn fuzz_byte_mutations(valid: &[u8], seed: u64) -> (usize, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut errors = 0usize;
+    let mut outcomes = Sha256::new();
     for case in 0..600u32 {
         let mut bytes = valid.to_vec();
         match case % 3 {
@@ -718,20 +777,26 @@ fn fuzz_byte_mutations(valid: &[u8], seed: u64) -> usize {
             }
         }
         let text = String::from_utf8_lossy(&bytes);
-        if let Err(e) = Scenario::from_json_str(&text) {
-            errors += 1;
-            // Every error must render (exercises Display) and most carry
-            // a position.
-            let _ = e.to_string();
-        }
+        let outcome = match Scenario::from_json_str(&text) {
+            Ok(scenario) => scenario.content_hash().expect("a parsed scenario hashes"),
+            Err(e) => {
+                errors += 1;
+                // Every error must render (exercises Display) and most
+                // carry a position.
+                e.to_string()
+            }
+        };
+        outcomes.update(outcome.as_bytes());
+        outcomes.update(b"\n");
     }
-    errors
+    (errors, outcomes.finalize_hex())
 }
 
 #[test]
 fn byte_mutation_fuzz_never_panics() {
-    let errors = fuzz_byte_mutations(mini_text().as_bytes(), 0x5EED_F00D);
+    let (errors, digest) = fuzz_byte_mutations(mini_text().as_bytes(), 0x5EED_F00D);
     assert!(errors > 300, "mutations should mostly fail ({errors}/600)");
+    assert_eq!(digest, FUZZ_DIGEST_SCHEMA_1, "every mutant's outcome");
 }
 
 /// The same battery over the schema-2 fault surface: mutants of the
@@ -745,8 +810,9 @@ fn byte_mutation_fuzz_covers_schema_2_fault_bytes() {
         String::from_utf8_lossy(&valid).contains("\"fault\""),
         "e7 golden must carry the schema-2 fault surface"
     );
-    let errors = fuzz_byte_mutations(&valid, 0x5EED_FA17);
+    let (errors, digest) = fuzz_byte_mutations(&valid, 0x5EED_FA17);
     assert!(errors > 300, "mutations should mostly fail ({errors}/600)");
+    assert_eq!(digest, FUZZ_DIGEST_SCHEMA_2, "every mutant's outcome");
 }
 
 /// And over the schema-3 churn surface: mutants of the churned E8 golden
@@ -760,6 +826,7 @@ fn byte_mutation_fuzz_covers_schema_3_churn_bytes() {
         String::from_utf8_lossy(&valid).contains("\"churn\""),
         "e8 golden must carry the schema-3 churn surface"
     );
-    let errors = fuzz_byte_mutations(&valid, 0x5EED_C402);
+    let (errors, digest) = fuzz_byte_mutations(&valid, 0x5EED_C402);
     assert!(errors > 300, "mutations should mostly fail ({errors}/600)");
+    assert_eq!(digest, FUZZ_DIGEST_SCHEMA_3, "every mutant's outcome");
 }

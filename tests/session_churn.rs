@@ -35,6 +35,7 @@ use rand::{Rng, SeedableRng};
 
 use arvis::core::churn::{ChurnArrivalSpec, ChurnPlane, ChurnSpec, LifetimeSpec};
 use arvis::core::experiment::{ExperimentConfig, ServiceSpec};
+use arvis::core::json::to_string;
 use arvis::core::ledger::RunRecord;
 use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
@@ -219,8 +220,8 @@ fn churned_golden_replays_bit_identically_from_file() {
     let rec_file = RunRecord::replay("e8_churn", &from_file).expect("replay from file");
     let rec_rust = RunRecord::replay("e8_churn", &from_rust).expect("replay from preset");
     assert_eq!(
-        rec_file.to_json().unwrap().to_pretty(),
-        rec_rust.to_json().unwrap().to_pretty(),
+        to_string(&rec_file).unwrap(),
+        to_string(&rec_rust).unwrap(),
         "file and in-Rust replays must agree byte for byte"
     );
     assert_eq!(rec_file.scenario_schema, 3, "E8 is a schema-3 scenario");

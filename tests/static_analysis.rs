@@ -3,6 +3,7 @@
 //! determinism hazard to fix or a justified exception to pragma-annotate —
 //! never something to ignore.
 
+use arvis::core::json::to_string;
 use arvis_lint::{lint_workspace, LintConfig};
 
 #[test]
@@ -25,8 +26,8 @@ fn workspace_report_json_is_deterministic() {
     let a = lint_workspace(&LintConfig::workspace()).expect("first walk");
     let b = lint_workspace(&LintConfig::workspace()).expect("second walk");
     assert_eq!(
-        a.to_json().to_pretty(),
-        b.to_json().to_pretty(),
+        to_string(&a).expect("the report prints"),
+        to_string(&b).expect("the report prints"),
         "two walks of the same tree must serialize byte-identically"
     );
 }
