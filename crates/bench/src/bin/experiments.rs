@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation, plus the
-//! extension experiments from DESIGN.md.
+//! extension experiments (V and rate sweeps, fleet, ablation, energy,
+//! latency, shared uplink).
 //!
 //! ```bash
 //! cargo run -p arvis-bench --bin experiments --release -- all
@@ -786,7 +787,7 @@ fn sweep_csv(column: &str, grid: &[f64], results: &[ExperimentResult]) -> String
     out
 }
 
-/// Ablation A1 (DESIGN.md §6): the quality-model choice.
+/// Ablation A1: the quality-model choice.
 fn ablation(opts: &Options) {
     println!("== Ablation: quality model p_a(d) ==");
     let measured = paper_profile(opts.points, opts.seed);

@@ -1,47 +1,20 @@
-//! Shared workload construction for the `arvis` benchmark and
-//! figure-regeneration harness.
+//! Shared workload construction for the `arvis` figure-regeneration
+//! binary and its tests.
 //!
 //! Every experiment in the paper runs on the same substrate: an
 //! 8i-like full-body point cloud, octree-profiled over the candidate depth
 //! set `R = {5, …, 10}` (Fig. 2(b)'s y-axis), visualized by a device whose
 //! rendering rate sits strictly between the min-depth and max-depth
-//! workloads. This crate centralizes that setup so the binary, the Criterion
-//! benches and the integration tests all measure the same system.
+//! workloads. This crate centralizes that setup, with the E1–E8 scenario
+//! presets ([`presets`]), so the `experiments` binary and the integration
+//! tests all run the same system.
 //!
-//! # Benchmark harness and `BENCH_baseline.json`
-//!
-//! `cargo bench` runs the Criterion-style benches under `benches/`
-//! (`octree_build`, `lod_extraction`, `quality_metrics`, `end_to_end_slot`,
-//! `queue_ops`, `decision_complexity`, `quality_model_ablation`,
-//! `session_throughput`). Every
-//! benchmark's result merges into **one machine-readable JSON file** so
-//! perf baselines can be committed and compared across PRs:
-//!
-//! - **Path**: `$ARVIS_BENCH_JSON`, or `BENCH_baseline.json` at the
-//!   enclosing repository/workspace root.
-//! - **Shape**: a single flat JSON object. Keys are benchmark ids
-//!   (`group/function` or `group/param`); values are objects with
-//!   `median_ns` (median wall time per iteration), `samples`,
-//!   `iters_per_sample`, and — when the bench declares throughput —
-//!   `throughput_elems`/`elems_per_sec` (or the `bytes` pair).
-//! - **Derived entries**: `group/speedup` keys record
-//!   `{ baseline_ns, optimized_ns, ratio }` for hot paths that keep their
-//!   seed implementation alive as a baseline (see [`baseline`]); they are
-//!   appended by [`report::record_speedups`] after the group runs.
-//! - **Merging**: re-running any bench binary overwrites only its own
-//!   keys, so the file accumulates one complete baseline for the suite.
-//!   Smoke runs (`cargo bench -- --test`) execute each routine once and
-//!   write nothing.
-//!
-//! The committed baseline at the repository root was produced by
-//! `cargo bench -p arvis-bench` on the containerized single-core CI
-//! machine; regenerate it on your hardware before comparing numbers.
+//! Performance is measured by the repository benchmark, `perfbench/`
+//! (declared in `BENCHMARK.json`), not here.
 
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod presets;
-pub mod report;
 
 use arvis_core::experiment::{v_for_knee, ExperimentConfig, ExperimentResult};
 use arvis_core::scenario::Scenario;

@@ -190,8 +190,10 @@ impl LifetimeSpec {
                     1
                 } else {
                     // Inverse-CDF geometric on {1, 2, …}: u ∈ [0, 1) keeps
-                    // both logs finite and the tail non-negative.
-                    let tail = (1.0 - u).ln() / (1.0 - p).ln();
+                    // both logs finite and the tail non-negative. `ln_1p`
+                    // keeps ln(1 − p) exact for tiny p, where 1 − p
+                    // rounds to 1 and its log to 0.
+                    let tail = (1.0 - u).ln() / (-p).ln_1p();
                     (tail.floor() as u64).saturating_add(1)
                 }
             }
@@ -652,6 +654,19 @@ mod tests {
             let d = uniform.draw(id);
             assert!((3..=9).contains(&d));
         }
+    }
+
+    #[test]
+    fn geometric_lifetimes_keep_their_mean_when_p_is_tiny() {
+        // p = 1e-17 is below 2^-54, where 1 − p rounds to 1.
+        let mean = 1e17;
+        let life = LifetimeSpec::Geometric { mean, seed: 5 };
+        let n = 10_000u64;
+        let sample_mean = (0..n).map(|id| life.draw(id) as f64).sum::<f64>() / n as f64;
+        assert!(
+            (sample_mean / mean - 1.0).abs() < 0.05,
+            "sample mean {sample_mean:e}"
+        );
     }
 
     #[test]

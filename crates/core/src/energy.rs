@@ -10,7 +10,8 @@
 //! ```
 //!
 //! This is the standard multi-constraint DPP construction the paper's
-//! framework immediately supports; DESIGN.md lists it as extension work.
+//! framework immediately supports; it extends the paper, whose evaluation
+//! has no energy constraint.
 
 use arvis_lyapunov::dpp::DppController;
 use arvis_lyapunov::vq::VirtualQueue;

@@ -15,6 +15,7 @@ use arvis_octree::attr::{frames_equivalent, EncodedFrame};
 use arvis_octree::{LodMode, Octree, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
+use arvis_quality::profile::log_quality;
 use arvis_quality::DepthProfile;
 use arvis_sim::queue::WorkQueue;
 use arvis_sim::stats::TimeSeries;
@@ -73,15 +74,8 @@ impl PreparedSequence {
                 .clone()
                 .map(|d| tree.encoded_frame_size(d) as f64)
                 .collect();
-            let quality: Vec<f64> = {
-                // Log-byte quality, normalized like the point-count model.
-                let lo = arrivals[0].ln();
-                let hi = arrivals.last().expect("non-empty").ln();
-                arrivals
-                    .iter()
-                    .map(|a| ((a.ln() - lo) / (hi - lo)).clamp(0.0, 1.0))
-                    .collect()
-            };
+            let quality = log_quality(&arrivals)
+                .expect("each level adds an occupancy byte, so frames grow with depth");
             byte_profiles.push(DepthProfile::from_parts(*depths.start(), arrivals, quality));
             trees.push(tree);
         }

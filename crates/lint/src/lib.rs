@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn workspace_config_scopes_policies() {
         let cfg = LintConfig::workspace();
-        assert!(cfg.policy_for("crates/bench/src/report.rs").allow_time);
+        assert!(cfg.policy_for("crates/bench/src/lib.rs").allow_time);
         assert!(!cfg.policy_for("crates/octree/src/tree.rs").allow_time);
         assert!(cfg.policy_for("crates/par/src/lib.rs").allow_unsafe);
         assert!(!cfg.policy_for("crates/core/src/session.rs").allow_unsafe);

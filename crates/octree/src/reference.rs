@@ -185,6 +185,18 @@ fn trees() -> Vec<(PointCloud, Octree)> {
         .collect()
 }
 
+/// A seeded body built over its own bounding cube, the default when no
+/// shared cube is given: the build takes the cloud's box, not a supplied
+/// one, and skips the containment check.
+fn own_cube_tree() -> (PointCloud, Octree) {
+    let cloud = SynthBodyConfig::new(SubjectProfile::Soldier)
+        .with_target_points(4_000)
+        .with_seed(41)
+        .generate();
+    let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(MAX_DEPTH)).unwrap();
+    (cloud, tree)
+}
+
 /// Two sparse trees at the deepest supported depth over one shared box far
 /// from the origin: a handful of far-apart points, two of them 1e-5 apart
 /// so that their paths split only a few levels above the leaves, and the
@@ -237,7 +249,8 @@ fn in_order(c: &PointCloud) -> Vec<(u64, u64, u64, [u8; 3])> {
 
 #[test]
 fn encoded_streams_match_the_voxel_grids() {
-    for (cloud, tree) in trees().into_iter().chain(sparse_deep_trees()) {
+    let all = trees().into_iter().chain(sparse_deep_trees());
+    for (cloud, tree) in all.chain([own_cube_tree()]) {
         let cube = tree.cube();
         for depth in 1..=tree.max_depth() {
             assert_eq!(
@@ -258,7 +271,8 @@ fn encoded_streams_match_the_voxel_grids() {
 
 #[test]
 fn lod_is_the_voxel_grid_in_order() {
-    for (cloud, tree) in trees().into_iter().chain(sparse_deep_trees()) {
+    let all = trees().into_iter().chain(sparse_deep_trees());
+    for (cloud, tree) in all.chain([own_cube_tree()]) {
         for depth in 0..=tree.max_depth() {
             let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
             let grid = lod_from_grid(&cloud, tree.cube(), depth);

@@ -284,12 +284,6 @@ impl KdTree {
             }
         }
     }
-
-    /// Returns the squared distance to the nearest neighbor, or `None` for an
-    /// empty tree. Convenience wrapper over [`KdTree::nearest`].
-    pub fn nearest_distance_squared(&self, query: Vec3) -> Option<f64> {
-        self.nearest(query).map(|(_, d2)| d2)
-    }
 }
 
 #[cfg(test)]
@@ -436,6 +430,6 @@ mod tests {
         let pts = vec![Vec3::ONE; 10];
         let tree = KdTree::build(pts.iter().copied());
         assert_eq!(tree.len(), 10);
-        assert_eq!(tree.nearest_distance_squared(Vec3::ONE), Some(0.0));
+        assert_eq!(tree.nearest(Vec3::ONE).map(|(_, d2)| d2), Some(0.0));
     }
 }

@@ -5,11 +5,12 @@
 //!
 //! - the objective geometry metric between a reference cloud and a
 //!   degraded LoD cloud: point-to-point (D1) [`psnr`];
-//! - parametric quality models `p_a(d)` ([`model`]) — the scalar the
-//!   scheduler maximizes;
 //! - [`profile::DepthProfile`]: the measured per-depth table (occupied
-//!   voxels `a(d)`, PSNR, normalized quality) that connects a dataset to the
-//!   scheduler.
+//!   voxels `a(d)`, PSNR, normalized quality `p_a(d)`, the scalar the
+//!   scheduler maximizes) that connects a dataset to the scheduler;
+//! - [`profile::log_quality`]: the default quality column, the normalized
+//!   log of the arrivals, shared with the byte-unit profiles of
+//!   `arvis_core::pipeline`.
 //!
 //! # Example
 //!
@@ -29,9 +30,7 @@
 #![forbid(unsafe_code)]
 
 mod batch;
-pub mod model;
 pub mod profile;
 pub mod psnr;
 
-pub use model::QualityModel;
 pub use profile::DepthProfile;

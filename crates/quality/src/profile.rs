@@ -13,13 +13,13 @@ use arvis_octree::{LodMode, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis_pointcloud::cloud::PointCloud;
 use serde::{Deserialize, Serialize};
 
-use crate::model::{LogPointCountModel, QualityModel, TableModel};
 use crate::psnr::geometry_distortion;
 
 /// How the normalized quality column of a profile is derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QualityMetric {
-    /// `p(d) ∝ log a(d)` (cheap; no reference comparison). Default.
+    /// `p(d)` is the [`log_quality`] of the occupied voxels `a(d)` (cheap;
+    /// no reference comparison). Default.
     #[default]
     LogPointCount,
     /// `p(d)` = measured D1 geometry PSNR against the full-resolution cloud,
@@ -36,6 +36,9 @@ pub enum ProfileError {
     Octree(OctreeError),
     /// The candidate range is empty or single-depth.
     BadRange,
+    /// The arrivals do not grow from the lowest candidate depth to the
+    /// highest (a one-point cloud, say), so [`log_quality`] is undefined.
+    FlatArrivals,
 }
 
 impl std::fmt::Display for ProfileError {
@@ -43,6 +46,10 @@ impl std::fmt::Display for ProfileError {
         match self {
             ProfileError::Octree(e) => write!(f, "octree construction failed: {e}"),
             ProfileError::BadRange => write!(f, "need at least two candidate depths"),
+            ProfileError::FlatArrivals => write!(
+                f,
+                "arrivals must grow from the lowest to the highest candidate depth"
+            ),
         }
     }
 }
@@ -51,7 +58,7 @@ impl std::error::Error for ProfileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProfileError::Octree(e) => Some(e),
-            ProfileError::BadRange => None,
+            ProfileError::BadRange | ProfileError::FlatArrivals => None,
         }
     }
 }
@@ -59,6 +66,37 @@ impl std::error::Error for ProfileError {
 impl From<OctreeError> for ProfileError {
     fn from(e: OctreeError) -> Self {
         ProfileError::Octree(e)
+    }
+}
+
+/// The normalized log quality of arrivals `a(d)` over consecutive depths:
+/// `p(d) = (ln a(d) − ln a(min)) / (ln a(max) − ln a(min))`, clamped to
+/// `[0, 1]`.
+///
+/// Each doubling of the rendered workload adds about the same perceived
+/// detail ("bigger the number of PCs introduces better visualization
+/// quality", §III of the paper, with diminishing returns). The unit is the
+/// caller's: [`DepthProfile::measure`] passes occupied voxels, and
+/// `arvis_core::pipeline` encoded frame bytes. Arrivals are positive, as
+/// [`DepthProfile::from_parts`] requires.
+///
+/// # Errors
+///
+/// [`ProfileError::FlatArrivals`] when the last arrival does not exceed the
+/// first (or there are fewer than two), so the normalization divides by
+/// zero.
+pub fn log_quality(arrivals: &[f64]) -> Result<Vec<f64>, ProfileError> {
+    let (lo, hi) = match arrivals {
+        [first, .., last] => (first.ln(), last.ln()),
+        _ => return Err(ProfileError::FlatArrivals),
+    };
+    if hi > lo {
+        Ok(arrivals
+            .iter()
+            .map(|a| ((a.ln() - lo) / (hi - lo)).clamp(0.0, 1.0))
+            .collect())
+    } else {
+        Err(ProfileError::FlatArrivals)
     }
 }
 
@@ -85,7 +123,9 @@ impl DepthProfile {
     ///
     /// [`ProfileError::BadRange`] for fewer than two candidate depths;
     /// [`ProfileError::Octree`] when the cloud is empty or the max depth is
-    /// unsupported.
+    /// unsupported; [`ProfileError::FlatArrivals`] when the cloud occupies
+    /// as many voxels at the highest candidate depth as at the lowest (one
+    /// point, or coincident points).
     pub fn measure(
         cloud: &PointCloud,
         depths: RangeInclusive<u8>,
@@ -122,9 +162,7 @@ impl DepthProfile {
 
         let (psnr_db, quality) = match metric {
             QualityMetric::LogPointCount => {
-                let model = LogPointCountModel::from_arrivals(min_depth, &arrivals);
-                let q = (min_depth..=max_depth).map(|d| model.quality(d)).collect();
-                (vec![f64::NAN; arrivals.len()], q)
+                (vec![f64::NAN; arrivals.len()], log_quality(&arrivals)?)
             }
             QualityMetric::GeometryPsnr => {
                 let psnr: Vec<f64> = (min_depth..=max_depth)
@@ -303,19 +341,6 @@ impl DepthProfile {
         self.psnr_db[self.idx(depth)]
     }
 
-    /// Converts the quality column into a [`TableModel`].
-    pub fn to_table_model(&self) -> TableModel {
-        // Quality may be non-monotone by tiny amounts when averaged; enforce
-        // monotonicity with a running max before building the table.
-        let mut values = self.quality.clone();
-        let mut run = 0.0f64;
-        for v in &mut values {
-            run = run.max(*v);
-            *v = run.clamp(0.0, 1.0);
-        }
-        TableModel::new(self.min_depth, values)
-    }
-
     /// Renders the profile as CSV (`depth,arrival,psnr_db,quality`),
     /// suitable for the Fig. 1 table artifact.
     pub fn to_csv(&self) -> String {
@@ -334,6 +359,7 @@ impl DepthProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arvis_pointcloud::math::Vec3;
     use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 
     fn body(n: usize, seed: u64) -> PointCloud {
@@ -372,6 +398,54 @@ mod tests {
             DepthProfile::measure(&PointCloud::new(), 3..=6),
             Err(ProfileError::Octree(_))
         ));
+    }
+
+    #[test]
+    fn measure_reports_flat_arrivals_of_a_one_point_cloud() {
+        let one = PointCloud::from_positions([Vec3::new(0.5, 0.25, 0.75)]);
+        let coincident = PointCloud::from_positions([Vec3::ONE, Vec3::ONE]);
+        for cloud in [one, coincident] {
+            assert!(matches!(
+                DepthProfile::measure(&cloud, 3..=6),
+                Err(ProfileError::FlatArrivals)
+            ));
+        }
+    }
+
+    /// `p(d)` stays in `[0, 1]`, never falls with depth, and spans the
+    /// whole range between the end depths.
+    fn check_normalized_and_monotone(quality: &[f64]) {
+        assert!(quality.iter().all(|q| (0.0..=1.0).contains(q)));
+        assert!(quality.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(quality.first(), Some(&0.0));
+        assert_eq!(quality.last(), Some(&1.0));
+    }
+
+    #[test]
+    fn log_quality_of_geometric_arrivals_is_linear_in_depth() {
+        // a(d) quadruples per level, so ln a(d) is linear in d.
+        let arrivals: Vec<f64> = (0..6).map(|i| 100.0 * 4f64.powi(i)).collect();
+        let q = log_quality(&arrivals).unwrap();
+        check_normalized_and_monotone(&q);
+        assert!((q[2] - 0.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn log_quality_compresses_saturating_arrivals() {
+        // Arrivals that saturate near the end shrink late-depth gains.
+        let q = log_quality(&[100.0, 400.0, 1600.0, 3000.0, 3200.0]).unwrap();
+        check_normalized_and_monotone(&q);
+        assert!(q[4] - q[3] < q[1] - q[0]);
+    }
+
+    #[test]
+    fn log_quality_rejects_flat_arrivals() {
+        for arrivals in [&[5.0, 5.0][..], &[5.0, 4.0], &[5.0], &[]] {
+            assert!(matches!(
+                log_quality(arrivals),
+                Err(ProfileError::FlatArrivals)
+            ));
+        }
     }
 
     #[test]
@@ -435,17 +509,6 @@ mod tests {
     fn out_of_range_depth_panics() {
         let p = DepthProfile::from_parts(5, vec![1.0, 2.0], vec![0.0, 1.0]);
         let _ = p.arrival(9);
-    }
-
-    #[test]
-    fn table_model_roundtrip() {
-        let p = DepthProfile::measure(&body(5_000, 3), 3..=7).unwrap();
-        let m = p.to_table_model();
-        use crate::model::QualityModel;
-        assert_eq!(m.domain(), (3, 7));
-        for d in 3..=7u8 {
-            assert!((m.quality(d) - p.quality(d)).abs() < 1e-9);
-        }
     }
 
     #[test]

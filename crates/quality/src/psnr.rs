@@ -158,6 +158,28 @@ mod tests {
     }
 
     #[test]
+    fn batched_mse_matches_brute_force_nearest_neighbours() {
+        let reference = body(2_000);
+        let tree = Octree::build(&reference, &OctreeConfig::with_max_depth(8)).unwrap();
+        let degraded = tree.extract_lod(5, LodMode::VoxelCenters).cloud;
+        // Every query against every point, one direction at a time.
+        let mse = |from: &PointCloud, to: &PointCloud| -> f64 {
+            let nearest = |p: Vec3| {
+                to.positions()
+                    .map(|q| p.distance_squared(q))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            from.positions().map(nearest).sum::<f64>() / from.len() as f64
+        };
+        let want = mse(&reference, &degraded).max(mse(&degraded, &reference));
+        let got = geometry_distortion(&reference, &degraded)
+            .unwrap()
+            .mse_symmetric;
+        let rel = (got - want).abs() / want;
+        assert!(rel < 1e-12, "batched MSE {got} != brute-force MSE {want}");
+    }
+
+    #[test]
     fn psnr_increases_with_octree_depth() {
         let cloud = body(20_000);
         let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(8)).unwrap();

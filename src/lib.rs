@@ -16,7 +16,7 @@
 //! |--------|---------------|----------|
 //! | [`pointcloud`] | `arvis-pointcloud` | geometry, PLY I/O, voxelization, synthetic 8i-like bodies |
 //! | [`octree`] | `arvis-octree` | octree build, LoD extraction, occupancy coding |
-//! | [`quality`] | `arvis-quality` | PSNR metrics, quality models `p_a(d)`, depth profiles |
+//! | [`quality`] | `arvis-quality` | PSNR metrics, measured depth profiles and their quality `p_a(d)` |
 //! | [`sim`] | `arvis-sim` | slotted simulation, arrivals, queues, statistics |
 //! | [`lyapunov`] | `arvis-lyapunov` | generic drift-plus-penalty framework and bounds |
 //! | [`core`] | `arvis-core` | the paper's scheduler (Algorithm 1), baselines, the session runtime (`Scenario` → `SessionBatch` with pluggable telemetry sinks), and the shared-uplink contention plane (`core::uplink`) |
