@@ -19,7 +19,7 @@
 //! cargo run -p arvis-bench --bin experiments --release -- run scenarios/e1_fig2.json
 //! cargo run -p arvis-bench --bin experiments --release -- run scenarios/e6_diurnal_adaptive.json --csv out.csv
 //!
-//! # Dump a built-in preset as canonical JSON (E1–E6).
+//! # Dump a built-in preset as canonical JSON (E1–E8).
 //! cargo run -p arvis-bench --bin experiments --release -- emit e1_fig2
 //! cargo run -p arvis-bench --bin experiments --release -- emit all --dir scenarios
 //! ```
@@ -42,10 +42,11 @@
 use std::time::Instant;
 
 use arvis_bench::{
-    fig2_config, log_grid, paper_profile, results_dir, run_full_traces, PAPER_DEPTHS, PAPER_SLOTS,
+    fig2_config, fig2_service_rate, log_grid, paper_profile, results_dir, run_full_traces,
+    PAPER_DEPTHS, PAPER_KNEE, PAPER_SLOTS,
 };
 use arvis_core::controller::{MaxDepth, MinDepth, ProposedDpp};
-use arvis_core::experiment::{Experiment, ExperimentResult};
+use arvis_core::experiment::{v_for_knee, Experiment, ExperimentResult};
 use arvis_core::scenario::{FleetSpec, Scenario};
 use arvis_core::telemetry::{series_csv, CsvRow};
 use arvis_octree::{LodMode, Octree, OctreeConfig};
@@ -77,16 +78,46 @@ fn parse_args() -> Options {
             std::process::exit(2);
         });
         match flag.as_str() {
-            "--points" => opts.points = value.parse().expect("--points expects an integer"),
-            "--slots" => opts.slots = value.parse().expect("--slots expects an integer"),
-            "--seed" => opts.seed = value.parse().expect("--seed expects an integer"),
+            "--points" => opts.points = integer_flag(&flag, &value),
+            "--slots" => opts.slots = integer_flag(&flag, &value),
+            "--seed" => opts.seed = integer_flag(&flag, &value),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
         }
     }
+    if opts.slots == 0 {
+        reject_flag("--slots", 0, "needs at least one slot");
+    }
     opts
+}
+
+/// Exits 2 with one line naming the rejected flag and its value.
+fn reject_flag(flag: &str, value: impl std::fmt::Display, why: &str) -> ! {
+    eprintln!("{flag} {value}: {why}");
+    std::process::exit(2);
+}
+
+fn integer_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| reject_flag(flag, value, "expects an integer"))
+}
+
+/// The paper workload at `--points`, or exit 2 when that many points
+/// cannot profile every candidate depth or calibrate the Fig. 2 knee.
+fn paper_workload(opts: &Options) -> DepthProfile {
+    let why = match paper_profile(opts.points, opts.seed) {
+        Ok(p) if v_for_knee(&p, fig2_service_rate(&p), PAPER_KNEE).is_some() => return p,
+        Ok(_) => "the two deepest candidates carry the same arrivals".to_string(),
+        Err(e) => e.to_string(),
+    };
+    reject_flag(
+        "--points",
+        opts.points,
+        &format!("too few points to profile depths {PAPER_DEPTHS:?}: {why}"),
+    )
 }
 
 fn main() {
@@ -620,7 +651,7 @@ fn fig1(opts: &Options) {
 /// proposed vs only-max-depth vs only-min-depth.
 fn fig2(opts: &Options) {
     println!("== Fig. 2: queue dynamics & control actions ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile);
     cfg.slots = opts.slots;
     println!(
@@ -684,10 +715,10 @@ fn fig2(opts: &Options) {
     println!("wrote {} and {}\n", path_a.display(), path_b.display());
 }
 
-/// Extension E1: the quality–delay trade-off traced by sweeping V.
+/// Extension E2: the quality–delay trade-off traced by sweeping V.
 fn vsweep(opts: &Options) {
-    println!("== Extension E1: V sweep (quality-delay trade-off) ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    println!("== Extension E2: V sweep (quality-delay trade-off) ==");
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile);
     cfg.slots = opts.slots.max(1_600);
     let center_v = cfg.controller_v;
@@ -711,7 +742,7 @@ fn vsweep(opts: &Options) {
 /// Extension E3: robustness across service rates.
 fn ratesweep(opts: &Options) {
     println!("== Extension E3: service-rate sweep ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    let profile = paper_workload(opts);
     let a5 = profile.arrival(5);
     let a10 = profile.arrival(10);
     let mut cfg = fig2_config(profile);
@@ -736,10 +767,10 @@ fn ratesweep(opts: &Options) {
     println!("wrote {}\n", path.display());
 }
 
-/// Extension E2: the fully-distributed claim — M independent devices.
+/// Extension E4: the fully-distributed claim — M independent devices.
 fn distributed(opts: &Options) {
-    println!("== Extension E2: distributed fleet ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    println!("== Extension E4: distributed fleet ==");
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile);
     // Slow fleet members have higher backlog plateaus; stretch the horizon
     // so their stability verdicts reflect steady state, not the transient.
@@ -790,7 +821,7 @@ fn sweep_csv(column: &str, grid: &[f64], results: &[ExperimentResult]) -> String
 /// Ablation A1: the quality-model choice.
 fn ablation(opts: &Options) {
     println!("== Ablation: quality model p_a(d) ==");
-    let measured = paper_profile(opts.points, opts.seed);
+    let measured = paper_workload(opts);
     let arrivals: Vec<f64> = PAPER_DEPTHS.map(|d| measured.arrival(d)).collect();
 
     let span = f64::from(PAPER_DEPTHS.end() - PAPER_DEPTHS.start());
@@ -855,12 +886,12 @@ fn ablation(opts: &Options) {
     );
 }
 
-/// Extension E4: the average-energy-constrained scheduler
+/// Extension: the average-energy-constrained scheduler
 /// (`arvis_core::energy`) across power budgets.
 fn energy(opts: &Options) {
     use arvis_core::energy::{EnergyAwareDpp, EnergyModel};
-    println!("== Extension E4: average-energy budget sweep ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    println!("== Extension: average-energy budget sweep ==");
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile.clone());
     cfg.slots = opts.slots.max(12_800);
     cfg.warmup = cfg.slots / 2;
@@ -909,8 +940,9 @@ fn energy(opts: &Options) {
     println!("wrote {}\n", path.display());
 }
 
-/// Extension E6: the shared-uplink contention plane — one measured-profile
-/// fleet, three admission policies, one backhaul covering 70 % of demand.
+/// Extensions E5 and E6: the shared-uplink contention plane — one
+/// measured-profile fleet, three admission policies, one backhaul covering
+/// 70 % of demand; then the diurnal backhaul with fixed and adaptive V.
 fn uplink(opts: &Options) {
     use arvis_core::experiment::ServiceSpec;
     use arvis_core::scenario::{ControllerSpec, Scenario, SessionSpec};
@@ -919,8 +951,8 @@ fn uplink(opts: &Options) {
     };
     use arvis_sim::rng::child_seed;
 
-    println!("== Extension E6: shared-uplink contention ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    println!("== Extension E5: shared-uplink contention ==");
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile);
     cfg.slots = opts.slots.max(3_200);
     cfg.warmup = cfg.slots / 4;
@@ -995,7 +1027,7 @@ fn uplink(opts: &Options) {
     write_csv_file(&path, &csv).expect("write uplink csv");
     println!("wrote {}", path.display());
 
-    // E6b: the diurnal-backhaul family — budget mean 60% of demand
+    // E6: the diurnal-backhaul family — budget mean 60% of demand
     // swinging to a 15% trough, fixed-V vs uplink-aware adaptive-V
     // tenants, under the two differentiated-tenant policies.
     let diurnal = BudgetProfile::Diurnal {
@@ -1056,10 +1088,10 @@ fn uplink(opts: &Options) {
     println!("wrote {}\n", path.display());
 }
 
-/// Extension E5: exact per-frame latency distributions for the Fig. 2 runs.
+/// Extension: exact per-frame latency distributions for the Fig. 2 runs.
 fn latency(opts: &Options) {
-    println!("== Extension E5: per-frame latency ==");
-    let profile = paper_profile(opts.points, opts.seed);
+    println!("== Extension: per-frame latency ==");
+    let profile = paper_workload(opts);
     let mut cfg = fig2_config(profile);
     cfg.slots = opts.slots.max(3_200);
     cfg.warmup = cfg.slots / 2;

@@ -20,7 +20,7 @@ use arvis_core::experiment::{v_for_knee, ExperimentConfig, ExperimentResult};
 use arvis_core::scenario::Scenario;
 use arvis_core::session::SessionBatch;
 use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
-use arvis_quality::profile::DepthProfile;
+use arvis_quality::profile::{DepthProfile, ProfileError};
 
 /// Candidate depth range used throughout the paper (Fig. 2(b)).
 pub const PAPER_DEPTHS: std::ops::RangeInclusive<u8> = 5..=10;
@@ -35,15 +35,16 @@ pub const PAPER_KNEE: f64 = 400.0;
 /// Builds the paper workload: a `longdress`-profile synthetic body sampled
 /// with `points` surface points, profiled over [`PAPER_DEPTHS`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `points` is too small to produce a valid profile (< ~100).
-pub fn paper_profile(points: usize, seed: u64) -> DepthProfile {
+/// Returns [`ProfileError::FlatArrivals`] when `points` is too small for
+/// the voxel counts to grow across the candidate depths.
+pub fn paper_profile(points: usize, seed: u64) -> Result<DepthProfile, ProfileError> {
     let cloud = SynthBodyConfig::new(SubjectProfile::Longdress)
         .with_target_points(points)
         .with_seed(seed)
         .generate();
-    DepthProfile::measure(&cloud, PAPER_DEPTHS).expect("profile measurement")
+    DepthProfile::measure(&cloud, PAPER_DEPTHS)
 }
 
 /// Picks the service rate for the Fig. 2 experiments: the geometric mean of
@@ -112,7 +113,7 @@ mod tests {
 
     #[test]
     fn paper_profile_has_expected_shape() {
-        let p = paper_profile(30_000, 1);
+        let p = paper_profile(30_000, 1).unwrap();
         assert_eq!(p.depths(), PAPER_DEPTHS);
         assert!(p.arrival(10) > p.arrival(5));
         assert_eq!(p.quality(5), 0.0);
@@ -121,7 +122,7 @@ mod tests {
 
     #[test]
     fn fig2_rate_sits_between_extremes() {
-        let p = paper_profile(30_000, 1);
+        let p = paper_profile(30_000, 1).unwrap();
         let rate = fig2_service_rate(&p);
         assert!(rate > p.arrival(5), "min depth must be sustainable");
         assert!(rate < p.arrival(10), "max depth must be unsustainable");
@@ -147,7 +148,7 @@ mod tests {
 
     #[test]
     fn fig2_config_is_calibrated() {
-        let p = paper_profile(30_000, 1);
+        let p = paper_profile(30_000, 1).unwrap();
         let cfg = fig2_config(p);
         assert_eq!(cfg.slots, PAPER_SLOTS);
         assert!(cfg.controller_v > 0.0);

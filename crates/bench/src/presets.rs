@@ -45,7 +45,8 @@ pub const SCENARIO_PRESETS: &[&str] = &[
 /// Builds a preset scenario by name (`None` for unknown names; see
 /// [`SCENARIO_PRESETS`]).
 pub fn scenario_preset(name: &str) -> Option<Scenario> {
-    let cfg = fig2_config(paper_profile(PRESET_POINTS, PRESET_SEED));
+    let cfg =
+        fig2_config(paper_profile(PRESET_POINTS, PRESET_SEED).expect("the preset frame profiles"));
     Some(match name {
         // E1 / Fig. 2: the paper's three-way comparison — proposed vs
         // only-max vs only-min on one device.

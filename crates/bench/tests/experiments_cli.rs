@@ -96,6 +96,37 @@ fn run_reports_missing_files_and_usage_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// A bad figure-subcommand flag value exits 2 with one line naming the
+/// flag and the value, never a panic: a non-integer, a zero horizon, and
+/// point counts too small to profile the candidate depths (flat arrivals)
+/// or to separate the two deepest ones (no Fig. 2 knee).
+#[test]
+fn figure_subcommands_reject_bad_flag_values() {
+    let results = temp_dir("rejected");
+    for args in [
+        ["fig2", "--points", "lots"],
+        ["fig2", "--slots", "1.5"],
+        ["fig2", "--seed", "-1"],
+        ["fig2", "--slots", "0"],
+        ["fig2", "--points", "20"],
+        ["fig2", "--points", "300"],
+    ] {
+        let out = experiments()
+            .env("ARVIS_RESULTS_DIR", &results)
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{} {}: ", args[1], args[2])),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&results).ok();
+}
+
 #[test]
 fn run_executes_the_faulted_golden_scenario() {
     let results = temp_dir("e7-results");

@@ -76,8 +76,7 @@ pub enum ChurnArrivalSpec {
         /// Seed of the arrival process's dedicated RNG stream.
         seed: u64,
     },
-    /// Replayed join counts, cycled over the horizon like
-    /// `arvis_sim::arrivals::TraceArrivals`.
+    /// Replayed join counts, cycled over the horizon.
     Trace {
         /// Joins per slot; slot `t` reads `counts[t % len]` (non-empty).
         counts: Vec<u64>,

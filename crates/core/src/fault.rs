@@ -602,11 +602,6 @@ impl FaultPlane {
         }
     }
 
-    /// `true` when the plan declares a degradation guard.
-    pub fn has_guard(&self) -> bool {
-        self.guard.is_some()
-    }
-
     /// The slot's budget after outage/brownout windows: an outage forces
     /// zero, brownouts multiply (overlapping windows compose by
     /// multiplication). Counts the slot in the outage aggregate when any

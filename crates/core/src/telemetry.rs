@@ -116,8 +116,7 @@ impl CsvRow {
 
 /// Renders aligned time series as CSV through the shared row builder:
 /// first column `slot`, one column per series, shorter series padded with
-/// empty cells. Byte-identical to `arvis_sim::stats::series_to_csv` for
-/// unescaped names.
+/// empty cells.
 pub fn series_csv(series: &[&TimeSeries]) -> String {
     let mut header = CsvRow::new().field("slot");
     for s in series {
@@ -586,13 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn series_csv_matches_sim_series_to_csv() {
+    fn series_csv_pads_short_series() {
         let a = TimeSeries::from_values("a", vec![1.0, 2.5]);
         let b = TimeSeries::from_values("b", vec![10.0]);
-        assert_eq!(
-            series_csv(&[&a, &b]),
-            arvis_sim::stats::series_to_csv(&[&a, &b])
-        );
+        assert_eq!(series_csv(&[&a, &b]), "slot,a,b\n0,1,10\n1,2.5,\n");
     }
 
     #[test]

@@ -230,14 +230,6 @@ impl FileItems {
             .any(|&(a, b)| line >= a && line <= b)
     }
 
-    /// The fn item whose body span contains `line`, if any (innermost is
-    /// meaningless here — fn items do not nest in this model).
-    pub fn fn_at_line(&self, line: u32) -> Option<usize> {
-        self.fns
-            .iter()
-            .position(|f| line >= f.span.0 && line <= f.span.1)
-    }
-
     /// Expands a leading path segment through the file's `use` aliases:
     /// `Instant` → `std::time::Instant` when the file imports it.
     pub fn expand_use(&self, name: &str) -> Option<&[String]> {

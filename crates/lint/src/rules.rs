@@ -688,8 +688,8 @@ fn rule_no_unsafe(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
     }
 }
 
-/// Whether the file is parallel-bearing: it mentions
-/// `cfg(feature = "parallel")` or calls the `arvis_par` chunked fan-out
+/// Whether the file is parallel-bearing: it has a `cfg` gate on a
+/// `"parallel"` feature or calls the `arvis_par` chunked fan-out
 /// primitives. Shared with the taint pass's float-source detection.
 pub(crate) fn is_parallel_bearing(toks: &[Tok]) -> bool {
     let has_cfg_parallel = toks.iter().any(|t| t.is_ident("cfg"))
@@ -733,8 +733,8 @@ pub(crate) fn float_sum_sites(toks: &[Tok]) -> Vec<usize> {
 }
 
 /// float-reduction-order: `.sum::<f32>()` / `.sum::<f64>()` in a module
-/// that bears `#[cfg(feature = "parallel")]` or calls the `arvis_par`
-/// chunked fan-out primitives, outside test regions.
+/// that bears a `cfg` gate on a `"parallel"` feature or calls the
+/// `arvis_par` chunked fan-out primitives, outside test regions.
 fn rule_float_reduction(
     rel: &str,
     toks: &[Tok],

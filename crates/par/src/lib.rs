@@ -8,9 +8,9 @@
 //!    midpoints), never from the worker count. A callback observes exactly
 //!    the same `(index, chunk)` pairs whether the pool has 1 or 64 workers,
 //!    so floating-point accumulations performed per-chunk are bit-identical
-//!    across worker counts — and identical to the `--no-default-features`
-//!    serial build. This is what lets the octree and quality crates promise
-//!    "serial and parallel builds produce bit-identical results".
+//!    across worker counts, one worker included. This is what lets the
+//!    octree and quality crates promise "serial and parallel builds produce
+//!    bit-identical results".
 //! 2. **No pool, no dependencies.** Workers are `std::thread::scope` threads
 //!    spawned per call, ~10 µs per thread, which only work of a millisecond
 //!    or more amortizes (octree builds, batch runs, quality metrics). A call
@@ -20,10 +20,11 @@
 //!    persistent pool would remove that cost, at the price of more than the
 //!    ~200 lines of safe code the whole workspace can audit today.
 //!
-//! The `parallel` feature (default on) enables threading; without it every
-//! primitive degenerates to the equivalent serial loop. [`serial_scope`]
-//! additionally forces serial execution at runtime, which the equivalence
-//! tests use to compare both modes inside one binary.
+//! [`workers`] is the one serial switch. With one worker (one available
+//! core, as under `taskset -c 0`, or inside a [`serial_scope`]) every
+//! primitive runs the equivalent serial loop on the calling thread and
+//! creates no threads. The equivalence tests use [`serial_scope`] to compare
+//! both modes inside one binary.
 
 #![deny(missing_docs)]
 // `deny`, not `forbid`: this crate is the workspace's one `unsafe`
@@ -33,7 +34,6 @@
 #![deny(unsafe_code)]
 
 use std::cell::Cell;
-#[cfg(feature = "parallel")]
 use std::sync::OnceLock;
 
 thread_local! {
@@ -52,29 +52,21 @@ pub fn serial_scope<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// The number of workers fork–join calls may fan out to: the machine's
-/// available parallelism, or 1 when the `parallel` feature is off or a
-/// [`serial_scope`] is active.
+/// available parallelism, or 1 while a [`serial_scope`] is active.
 ///
 /// The available parallelism is read once per process and then cached:
 /// `std::thread::available_parallelism` reads cgroup files, ~20 µs per
 /// call, which every fan-out would otherwise pay.
 pub fn workers() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    if FORCE_SERIAL.with(Cell::get) {
         1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        static AVAILABLE: OnceLock<usize> = OnceLock::new();
-        if FORCE_SERIAL.with(Cell::get) {
-            1
-        } else {
-            *AVAILABLE.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-        }
+    } else {
+        *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 }
 
@@ -87,15 +79,12 @@ where
     RA: Send,
     RB: Send,
 {
-    #[cfg(feature = "parallel")]
-    {
-        if workers() > 1 {
-            return std::thread::scope(|s| {
-                let hb = s.spawn(b);
-                let ra = a();
-                (ra, hb.join().expect("parallel task panicked"))
-            });
-        }
+    if workers() > 1 {
+        return std::thread::scope(|s| {
+            let hb = s.spawn(b);
+            let ra = a();
+            (ra, hb.join().expect("parallel task panicked"))
+        });
     }
     (a(), b())
 }
@@ -122,21 +111,18 @@ pub fn for_each_chunk<T: Sync>(data: &[T], chunk: usize, f: impl Fn(usize, &[T])
         }
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let nchunks = chunk_count(data.len(), chunk);
-        let per_worker = nchunks.div_ceil(w);
-        std::thread::scope(|s| {
-            for (wi, block) in data.chunks(per_worker * chunk).enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    for (i, c) in block.chunks(chunk).enumerate() {
-                        f(wi * per_worker + i, c);
-                    }
-                });
-            }
-        });
-    }
+    let nchunks = chunk_count(data.len(), chunk);
+    let per_worker = nchunks.div_ceil(w);
+    std::thread::scope(|s| {
+        for (wi, block) in data.chunks(per_worker * chunk).enumerate() {
+            let f = &f;
+            s.spawn(move || {
+                for (i, c) in block.chunks(chunk).enumerate() {
+                    f(wi * per_worker + i, c);
+                }
+            });
+        }
+    });
 }
 
 /// Mutable variant of [`for_each_chunk`]: `f(chunk_index, chunk)` over
@@ -158,21 +144,18 @@ pub fn for_each_chunk_mut<T: Send>(
         }
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let nchunks = chunk_count(data.len(), chunk);
-        let per_worker = nchunks.div_ceil(w);
-        std::thread::scope(|s| {
-            for (wi, block) in data.chunks_mut(per_worker * chunk).enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    for (i, c) in block.chunks_mut(chunk).enumerate() {
-                        f(wi * per_worker + i, c);
-                    }
-                });
-            }
-        });
-    }
+    let nchunks = chunk_count(data.len(), chunk);
+    let per_worker = nchunks.div_ceil(w);
+    std::thread::scope(|s| {
+        for (wi, block) in data.chunks_mut(per_worker * chunk).enumerate() {
+            let f = &f;
+            s.spawn(move || {
+                for (i, c) in block.chunks_mut(chunk).enumerate() {
+                    f(wi * per_worker + i, c);
+                }
+            });
+        }
+    });
 }
 
 /// Runs `f(task_index, task)` for every task, fanning contiguous blocks of
@@ -191,30 +174,27 @@ pub fn for_each_task<T: Send>(tasks: Vec<T>, f: impl Fn(usize, T) + Sync) {
         }
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let per_worker = tasks.len().div_ceil(w);
-        let mut blocks: Vec<(usize, Vec<T>)> = Vec::new();
-        let mut rest = tasks;
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = per_worker.min(rest.len());
-            let tail = rest.split_off(take);
-            blocks.push((start, rest));
-            start += take;
-            rest = tail;
-        }
-        std::thread::scope(|s| {
-            for (first, block) in blocks {
-                let f = &f;
-                s.spawn(move || {
-                    for (i, t) in block.into_iter().enumerate() {
-                        f(first + i, t);
-                    }
-                });
-            }
-        });
+    let per_worker = tasks.len().div_ceil(w);
+    let mut blocks: Vec<(usize, Vec<T>)> = Vec::new();
+    let mut rest = tasks;
+    let mut start = 0;
+    while !rest.is_empty() {
+        let take = per_worker.min(rest.len());
+        let tail = rest.split_off(take);
+        blocks.push((start, rest));
+        start += take;
+        rest = tail;
     }
+    std::thread::scope(|s| {
+        for (first, block) in blocks {
+            let f = &f;
+            s.spawn(move || {
+                for (i, t) in block.into_iter().enumerate() {
+                    f(first + i, t);
+                }
+            });
+        }
+    });
 }
 
 /// Maps every `chunk`-sized piece of `data` through `f`, returning the
@@ -242,26 +222,23 @@ pub fn map_chunks<T: Sync, U: Send>(
                 *slot = Some(f(i, c));
             }
         } else {
-            #[cfg(feature = "parallel")]
-            {
-                let per_worker = n.div_ceil(w);
-                std::thread::scope(|s| {
-                    for (wi, (block, out_block)) in data
-                        .chunks(per_worker * chunk)
-                        .zip(slots.chunks_mut(per_worker))
-                        .enumerate()
-                    {
-                        let f = &f;
-                        s.spawn(move || {
-                            for ((i, c), slot) in
-                                block.chunks(chunk).enumerate().zip(out_block.iter_mut())
-                            {
-                                *slot = Some(f(wi * per_worker + i, c));
-                            }
-                        });
-                    }
-                });
-            }
+            let per_worker = n.div_ceil(w);
+            std::thread::scope(|s| {
+                for (wi, (block, out_block)) in data
+                    .chunks(per_worker * chunk)
+                    .zip(slots.chunks_mut(per_worker))
+                    .enumerate()
+                {
+                    let f = &f;
+                    s.spawn(move || {
+                        for ((i, c), slot) in
+                            block.chunks(chunk).enumerate().zip(out_block.iter_mut())
+                        {
+                            *slot = Some(f(wi * per_worker + i, c));
+                        }
+                    });
+                }
+            });
         }
     }
     out.into_iter()
@@ -358,11 +335,58 @@ mod tests {
         }
     }
 
+    /// Every primitive hands its callbacks the same `(index, first item,
+    /// length)` triples by default as under `serial_scope`, which is what
+    /// makes a one-worker run a serial build.
     #[test]
     fn serial_and_parallel_results_match() {
+        type Calls = Vec<(usize, u64, usize)>;
+        type Run = fn(&[u64]) -> Calls;
+        fn recorded(run: impl FnOnce(&std::sync::Mutex<Calls>)) -> Calls {
+            let seen = std::sync::Mutex::new(Vec::new());
+            run(&seen);
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            seen
+        }
+        let inputs: [(&str, Run); 5] = [
+            ("map_chunks", |data| {
+                map_chunks(data, 100, |i, c| (i, c[0], c.len()))
+            }),
+            ("for_each_chunk", |data| {
+                recorded(|seen| {
+                    for_each_chunk(data, 100, |i, c| {
+                        seen.lock().unwrap().push((i, c[0], c.len()))
+                    })
+                })
+            }),
+            ("for_each_chunk_mut", |data| {
+                let mut data = data.to_vec();
+                recorded(|seen| {
+                    for_each_chunk_mut(&mut data, 100, |i, c| {
+                        seen.lock().unwrap().push((i, c[0], c.len()))
+                    })
+                })
+            }),
+            ("for_each_task", |data| {
+                recorded(|seen| {
+                    for_each_task(data.chunks(100).collect(), |i, t| {
+                        seen.lock().unwrap().push((i, t[0], t.len()))
+                    })
+                })
+            }),
+            ("join", |data| {
+                let (left, right) = data.split_at(data.len() / 2);
+                let (a, b) = join(|| (0, left[0], left.len()), || (1, right[0], right.len()));
+                vec![a, b]
+            }),
+        ];
         let data: Vec<u64> = (0..12_345).map(|i| i * 7 + 1).collect();
-        let par = map_chunks(&data, 100, |i, c| i as u64 + c.iter().sum::<u64>());
-        let ser = serial_scope(|| map_chunks(&data, 100, |i, c| i as u64 + c.iter().sum::<u64>()));
-        assert_eq!(par, ser);
+        for (name, run) in inputs {
+            let par = run(&data);
+            let ser = serial_scope(|| run(&data));
+            assert!(par.len() > 1, "{name} made one call");
+            assert_eq!(par, ser, "{name} saw different calls under serial_scope");
+        }
     }
 }

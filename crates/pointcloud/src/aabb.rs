@@ -110,16 +110,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// `true` when the two boxes overlap (boundary contact counts).
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
-    }
-
     /// Grows the box to contain `p`.
     pub fn expand_to(&mut self, p: Vec3) {
         self.min = self.min.min(p);
@@ -278,16 +268,6 @@ mod tests {
         assert!(b.contains(Vec3::ZERO));
         assert!(b.contains(Vec3::ONE)); // corner
         assert!(!b.contains(Vec3::new(1.0001, 0.0, 0.0)));
-    }
-
-    #[test]
-    fn intersects_cases() {
-        let a = Aabb::cube(Vec3::ZERO, 2.0);
-        let touching = Aabb::cube(Vec3::new(2.0, 0.0, 0.0), 2.0);
-        let far = Aabb::cube(Vec3::new(5.0, 0.0, 0.0), 2.0);
-        assert!(a.intersects(&touching));
-        assert!(!a.intersects(&far));
-        assert!(a.intersects(&a));
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::aabb::Aabb;
-use crate::color::Color;
-use crate::error::{Error, Result};
 use crate::math::Vec3;
 use crate::point::Point;
 
@@ -68,17 +66,6 @@ impl PointCloud {
         &self.points
     }
 
-    /// Mutably borrows the points.
-    #[inline]
-    pub fn points_mut(&mut self) -> &mut [Point] {
-        &mut self.points
-    }
-
-    /// Consumes the cloud, returning its points.
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
-
     /// Iterates over the points.
     pub fn iter(&self) -> std::slice::Iter<'_, Point> {
         self.points.iter()
@@ -89,93 +76,9 @@ impl PointCloud {
         self.points.iter().map(|p| p.position)
     }
 
-    /// Iterates over point colors.
-    pub fn colors(&self) -> impl Iterator<Item = Color> + '_ {
-        self.points.iter().map(|p| p.color)
-    }
-
     /// The tight axis-aligned bounding box, or `None` for an empty cloud.
     pub fn aabb(&self) -> Option<Aabb> {
         Aabb::from_points(self.positions())
-    }
-
-    /// The centroid of all point positions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyCloud`] when the cloud is empty.
-    pub fn centroid(&self) -> Result<Vec3> {
-        if self.is_empty() {
-            return Err(Error::EmptyCloud);
-        }
-        Ok(self.positions().sum::<Vec3>() / self.len() as f64)
-    }
-
-    /// Appends all points of `other`.
-    pub fn merge(&mut self, other: &PointCloud) {
-        self.points.extend_from_slice(&other.points);
-    }
-
-    /// Keeps only points for which `keep` returns `true`.
-    pub fn retain<F: FnMut(&Point) -> bool>(&mut self, keep: F) {
-        self.points.retain(keep);
-    }
-
-    /// Returns a new cloud containing only points inside `aabb`
-    /// (boundary inclusive).
-    pub fn crop(&self, aabb: &Aabb) -> PointCloud {
-        PointCloud {
-            points: self
-                .points
-                .iter()
-                .copied()
-                .filter(|p| aabb.contains(p.position))
-                .collect(),
-        }
-    }
-
-    /// Returns a uniformly random subsample of at most `target` points,
-    /// preserving order, using the given RNG. Returns a clone when
-    /// `target >= len`.
-    pub fn random_downsample<R: rand::Rng>(&self, target: usize, rng: &mut R) -> PointCloud {
-        if target >= self.len() {
-            return self.clone();
-        }
-        // Reservoir-free selection: choose `target` distinct indices via
-        // partial Fisher-Yates over an index vector.
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        for i in 0..target {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
-        }
-        let mut chosen: Vec<usize> = idx[..target].to_vec();
-        chosen.sort_unstable();
-        PointCloud {
-            points: chosen.into_iter().map(|i| self.points[i]).collect(),
-        }
-    }
-
-    /// Returns every `k`-th point (`k ≥ 1`), matching Open3D's
-    /// `uniform_down_sample`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] when `k == 0`.
-    pub fn uniform_downsample(&self, k: usize) -> Result<PointCloud> {
-        if k == 0 {
-            return Err(Error::InvalidParameter(
-                "uniform_downsample stride must be >= 1".into(),
-            ));
-        }
-        Ok(PointCloud {
-            points: self.points.iter().copied().step_by(k).collect(),
-        })
-    }
-
-    /// Checks every position for NaN/infinity; returns the index of the first
-    /// non-finite point, if any.
-    pub fn first_non_finite(&self) -> Option<usize> {
-        self.points.iter().position(|p| !p.position.is_finite())
     }
 }
 
@@ -212,8 +115,6 @@ impl<'a> IntoIterator for &'a PointCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn sample_cloud() -> PointCloud {
         PointCloud::from_points(vec![
@@ -231,61 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn aabb_and_centroid() {
+    fn aabb_bounds_the_points() {
         let c = sample_cloud();
         let b = c.aabb().unwrap();
         assert_eq!(b.min(), Vec3::ZERO);
         assert_eq!(b.max(), Vec3::new(1.0, 2.0, 3.0));
-        let g = c.centroid().unwrap();
-        assert_eq!(g, Vec3::new(0.25, 0.5, 0.75));
-        assert!(PointCloud::new().centroid().is_err());
         assert!(PointCloud::new().aabb().is_none());
-    }
-
-    #[test]
-    fn merge_and_retain() {
-        let mut a = sample_cloud();
-        let b = sample_cloud();
-        a.merge(&b);
-        assert_eq!(a.len(), 8);
-        a.retain(|p| p.position.x < 0.5);
-        assert_eq!(a.len(), 6);
-    }
-
-    #[test]
-    fn crop_keeps_inside() {
-        let c = sample_cloud();
-        let cropped = c.crop(&Aabb::new(Vec3::ZERO, Vec3::splat(1.5)));
-        assert_eq!(cropped.len(), 2); // origin and (1,0,0)
-    }
-
-    #[test]
-    fn random_downsample_counts() {
-        let c = sample_cloud();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(c.random_downsample(2, &mut rng).len(), 2);
-        assert_eq!(c.random_downsample(10, &mut rng).len(), 4);
-        assert_eq!(c.random_downsample(0, &mut rng).len(), 0);
-    }
-
-    #[test]
-    fn random_downsample_has_distinct_points() {
-        let c = PointCloud::from_positions((0..100).map(|i| Vec3::splat(i as f64)));
-        let mut rng = StdRng::seed_from_u64(7);
-        let d = c.random_downsample(50, &mut rng);
-        let mut xs: Vec<i64> = d.positions().map(|p| p.x as i64).collect();
-        xs.sort_unstable();
-        xs.dedup();
-        assert_eq!(xs.len(), 50, "downsampled points must be distinct");
-    }
-
-    #[test]
-    fn uniform_downsample_stride() {
-        let c = PointCloud::from_positions((0..10).map(|i| Vec3::splat(i as f64)));
-        let d = c.uniform_downsample(3).unwrap();
-        let xs: Vec<f64> = d.positions().map(|p| p.x).collect();
-        assert_eq!(xs, vec![0.0, 3.0, 6.0, 9.0]);
-        assert!(c.uniform_downsample(0).is_err());
     }
 
     #[test]
@@ -298,13 +150,5 @@ mod tests {
         assert_eq!(d.len(), 4);
         let total: usize = (&c).into_iter().count();
         assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut c = sample_cloud();
-        assert!(c.first_non_finite().is_none());
-        c.push(Point::from_position(Vec3::new(f64::NAN, 0.0, 0.0)));
-        assert_eq!(c.first_non_finite(), Some(4));
     }
 }

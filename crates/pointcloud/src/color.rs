@@ -29,65 +29,6 @@ impl Color {
     pub const fn new(r: u8, g: u8, b: u8) -> Self {
         Color { r, g, b }
     }
-
-    /// Creates a gray color with all channels equal to `v`.
-    #[inline]
-    pub const fn gray(v: u8) -> Self {
-        Color::new(v, v, v)
-    }
-
-    /// Creates a color from floating-point channels in `[0, 1]`, clamping
-    /// out-of-range values.
-    pub fn from_unit(r: f64, g: f64, b: f64) -> Self {
-        fn q(v: f64) -> u8 {
-            (v.clamp(0.0, 1.0) * 255.0).round() as u8
-        }
-        Color::new(q(r), q(g), q(b))
-    }
-
-    /// Returns the channels as floating-point values in `[0, 1]`.
-    pub fn to_unit(self) -> [f64; 3] {
-        [
-            f64::from(self.r) / 255.0,
-            f64::from(self.g) / 255.0,
-            f64::from(self.b) / 255.0,
-        ]
-    }
-
-    /// ITU-R BT.601 luma in `[0, 255]`, the standard used by point-cloud
-    /// attribute-quality metrics (e.g. MPEG PCC).
-    pub fn luma(self) -> f64 {
-        0.299 * f64::from(self.r) + 0.587 * f64::from(self.g) + 0.114 * f64::from(self.b)
-    }
-
-    /// Linear interpolation between two colors (`t = 0` gives `self`).
-    pub fn lerp(self, rhs: Color, t: f64) -> Color {
-        let t = t.clamp(0.0, 1.0);
-        let mix = |a: u8, b: u8| -> u8 {
-            (f64::from(a) + (f64::from(b) - f64::from(a)) * t).round() as u8
-        };
-        Color::new(mix(self.r, rhs.r), mix(self.g, rhs.g), mix(self.b, rhs.b))
-    }
-
-    /// Averages an iterator of colors; returns black for an empty iterator.
-    pub fn average<I: IntoIterator<Item = Color>>(colors: I) -> Color {
-        let (mut r, mut g, mut b, mut n) = (0u64, 0u64, 0u64, 0u64);
-        for c in colors {
-            r += u64::from(c.r);
-            g += u64::from(c.g);
-            b += u64::from(c.b);
-            n += 1;
-        }
-        if n == 0 {
-            Color::BLACK
-        } else {
-            Color::new(
-                (r as f64 / n as f64).round() as u8,
-                (g as f64 / n as f64).round() as u8,
-                (b as f64 / n as f64).round() as u8,
-            )
-        }
-    }
 }
 
 impl From<[u8; 3]> for Color {
@@ -115,48 +56,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constants_and_gray() {
+    fn constants() {
         assert_eq!(Color::WHITE, Color::new(255, 255, 255));
-        assert_eq!(Color::BLACK, Color::gray(0));
-        assert_eq!(Color::gray(128).r, 128);
-    }
-
-    #[test]
-    fn unit_roundtrip() {
-        let c = Color::new(0, 128, 255);
-        let [r, g, b] = c.to_unit();
-        assert_eq!(Color::from_unit(r, g, b), c);
-    }
-
-    #[test]
-    fn from_unit_clamps() {
-        assert_eq!(Color::from_unit(-1.0, 2.0, 0.5), Color::new(0, 255, 128));
-    }
-
-    #[test]
-    fn luma_extremes() {
-        assert!((Color::BLACK.luma() - 0.0).abs() < 1e-9);
-        assert!((Color::WHITE.luma() - 255.0).abs() < 1e-6);
-        // Green dominates luma.
-        assert!(Color::new(0, 255, 0).luma() > Color::new(255, 0, 0).luma());
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Color::new(10, 20, 30);
-        let b = Color::new(210, 220, 230);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Color::new(110, 120, 130));
-        // t is clamped.
-        assert_eq!(a.lerp(b, 2.0), b);
-    }
-
-    #[test]
-    fn average_of_colors() {
-        let avg = Color::average([Color::new(0, 0, 0), Color::new(100, 200, 50)]);
-        assert_eq!(avg, Color::new(50, 100, 25));
-        assert_eq!(Color::average(std::iter::empty()), Color::BLACK);
+        assert_eq!(Color::BLACK, Color::new(0, 0, 0));
     }
 
     #[test]

@@ -144,6 +144,13 @@ const SKIN_TAN: Color = Color::new(190, 140, 110);
 /// axis, i.e. octree depth 10).
 pub const EIGHT_I_GRID_BITS: u32 = 10;
 
+/// Amplitude of the per-channel colour noise of every generated point.
+const COLOR_NOISE: f64 = 12.0;
+
+/// Radial surface jitter in meters of every generated point (simulates
+/// capture noise and cloth wrinkles).
+const SURFACE_JITTER: f64 = 0.004;
+
 /// Configuration for generating one synthetic body frame.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SynthBodyConfig {
@@ -151,21 +158,17 @@ pub struct SynthBodyConfig {
     target_points: usize,
     seed: u64,
     pose: Pose,
-    color_noise: f64,
-    surface_jitter: f64,
 }
 
 impl SynthBodyConfig {
     /// Starts a configuration for the given subject with its reference point
-    /// budget, seed 0, neutral pose and default noise levels.
+    /// budget, seed 0 and neutral pose.
     pub fn new(subject: SubjectProfile) -> Self {
         SynthBodyConfig {
             subject,
             target_points: subject.reference_point_count(),
             seed: 0,
             pose: Pose::NEUTRAL,
-            color_noise: 12.0,
-            surface_jitter: 0.004,
         }
     }
 
@@ -187,21 +190,6 @@ impl SynthBodyConfig {
     #[must_use]
     pub fn with_pose(mut self, pose: Pose) -> Self {
         self.pose = pose;
-        self
-    }
-
-    /// Sets the per-channel Gaussian-ish color noise amplitude (0 disables).
-    #[must_use]
-    pub fn with_color_noise(mut self, amplitude: f64) -> Self {
-        self.color_noise = amplitude;
-        self
-    }
-
-    /// Sets the radial surface jitter in meters (simulates capture noise and
-    /// cloth wrinkles; 0 disables).
-    #[must_use]
-    pub fn with_surface_jitter(mut self, meters: f64) -> Self {
-        self.surface_jitter = meters;
         self
     }
 
@@ -231,10 +219,8 @@ impl SynthBodyConfig {
                         sampling::ellipsoid_surface(&mut rng, center, radii)
                     }
                 };
-                if self.surface_jitter > 0.0 {
-                    p += sampling::unit_sphere(&mut rng) * rng.gen_range(0.0..self.surface_jitter);
-                }
-                let color = noisy_color(base, self.color_noise, &mut rng);
+                p += sampling::unit_sphere(&mut rng) * rng.gen_range(0.0..SURFACE_JITTER);
+                let color = noisy_color(base, &mut rng);
                 cloud.push(Point::new(p, color));
             }
         }
@@ -263,13 +249,10 @@ fn subject_salt(s: SubjectProfile) -> u64 {
     }
 }
 
-fn noisy_color<R: Rng>(base: Color, amplitude: f64, rng: &mut R) -> Color {
-    if amplitude <= 0.0 {
-        return base;
-    }
+fn noisy_color<R: Rng>(base: Color, rng: &mut R) -> Color {
     let mut jitter = |c: u8| -> u8 {
         // Sum of two uniforms ≈ triangular noise centered at 0.
-        let n = (rng.gen_range(-1.0f64..1.0) + rng.gen_range(-1.0f64..1.0)) * amplitude / 2.0;
+        let n = (rng.gen_range(-1.0f64..1.0) + rng.gen_range(-1.0f64..1.0)) * COLOR_NOISE / 2.0;
         (f64::from(c) + n).clamp(0.0, 255.0) as u8
     };
     Color::new(jitter(base.r), jitter(base.g), jitter(base.b))
@@ -523,15 +506,5 @@ mod tests {
     fn sequence_frame_out_of_range() {
         let seq = FrameSequence::new(SubjectProfile::Loot, 2);
         let _ = seq.frame(2);
-    }
-
-    #[test]
-    fn color_noise_zero_gives_exact_palette() {
-        let c = SynthBodyConfig::new(SubjectProfile::Soldier)
-            .with_target_points(500)
-            .with_color_noise(0.0)
-            .generate();
-        let camo = SubjectProfile::Soldier.palette(BodyRegion::Torso);
-        assert!(c.colors().any(|col| col == camo));
     }
 }

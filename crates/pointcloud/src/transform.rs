@@ -7,7 +7,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::aabb::Aabb;
-use crate::cloud::PointCloud;
 use crate::math::Vec3;
 
 /// A 3×3 rotation matrix stored row-major.
@@ -22,55 +21,12 @@ impl Rotation {
         rows: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     };
 
-    /// Rotation by `angle` radians about the X axis.
-    pub fn about_x(angle: f64) -> Rotation {
-        let (s, c) = angle.sin_cos();
-        Rotation {
-            rows: [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]],
-        }
-    }
-
     /// Rotation by `angle` radians about the Y axis.
     pub fn about_y(angle: f64) -> Rotation {
         let (s, c) = angle.sin_cos();
         Rotation {
             rows: [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]],
         }
-    }
-
-    /// Rotation by `angle` radians about the Z axis.
-    pub fn about_z(angle: f64) -> Rotation {
-        let (s, c) = angle.sin_cos();
-        Rotation {
-            rows: [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
-        }
-    }
-
-    /// Rotation by `angle` radians about an arbitrary unit `axis`
-    /// (Rodrigues' formula). Returns `None` when `axis` cannot be normalized.
-    pub fn about_axis(axis: Vec3, angle: f64) -> Option<Rotation> {
-        let u = axis.normalized()?;
-        let (s, c) = angle.sin_cos();
-        let t = 1.0 - c;
-        Some(Rotation {
-            rows: [
-                [
-                    c + u.x * u.x * t,
-                    u.x * u.y * t - u.z * s,
-                    u.x * u.z * t + u.y * s,
-                ],
-                [
-                    u.y * u.x * t + u.z * s,
-                    c + u.y * u.y * t,
-                    u.y * u.z * t - u.x * s,
-                ],
-                [
-                    u.z * u.x * t - u.y * s,
-                    u.z * u.y * t + u.x * s,
-                    c + u.z * u.z * t,
-                ],
-            ],
-        })
     }
 
     /// Applies the rotation to a vector.
@@ -81,29 +37,6 @@ impl Rotation {
             r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
             r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
         )
-    }
-
-    /// Composition: `self * other` applies `other` first.
-    pub fn compose(&self, other: &Rotation) -> Rotation {
-        let mut rows = [[0.0; 3]; 3];
-        for (i, row) in rows.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..3).map(|k| self.rows[i][k] * other.rows[k][j]).sum();
-            }
-        }
-        Rotation { rows }
-    }
-
-    /// The inverse rotation (transpose, since rotations are orthonormal).
-    pub fn inverse(&self) -> Rotation {
-        let r = &self.rows;
-        Rotation {
-            rows: [
-                [r[0][0], r[1][0], r[2][0]],
-                [r[0][1], r[1][1], r[2][1]],
-                [r[0][2], r[1][2], r[2][2]],
-            ],
-        }
     }
 }
 
@@ -132,51 +65,9 @@ impl Transform {
         translation: Vec3::ZERO,
     };
 
-    /// A pure translation.
-    pub fn translation(t: Vec3) -> Transform {
-        Transform {
-            translation: t,
-            ..Transform::IDENTITY
-        }
-    }
-
-    /// A pure uniform scale about the origin.
-    pub fn scaling(s: f64) -> Transform {
-        Transform {
-            scale: s,
-            ..Transform::IDENTITY
-        }
-    }
-
-    /// A pure rotation about the origin.
-    pub fn rotating(r: Rotation) -> Transform {
-        Transform {
-            rotation: r,
-            ..Transform::IDENTITY
-        }
-    }
-
     /// Applies the transform to a point.
     pub fn apply(&self, p: Vec3) -> Vec3 {
         self.rotation.apply(p) * self.scale + self.translation
-    }
-
-    /// Composition: `self.then(next)` applies `self` first, then `next`.
-    pub fn then(&self, next: &Transform) -> Transform {
-        // next(self(p)) = R2 (R1 p s1 + t1) s2 + t2
-        //               = (R2 R1) p (s1 s2) + (R2 t1 s2 + t2)
-        Transform {
-            rotation: next.rotation.compose(&self.rotation),
-            scale: self.scale * next.scale,
-            translation: next.rotation.apply(self.translation) * next.scale + next.translation,
-        }
-    }
-
-    /// Applies the transform to every point of a cloud in place.
-    pub fn apply_cloud(&self, cloud: &mut PointCloud) {
-        for p in cloud.points_mut() {
-            p.position = self.apply(p.position);
-        }
     }
 }
 
@@ -206,7 +97,6 @@ pub fn normalize_to_unit_cube(aabb: &Aabb) -> Transform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::Point;
 
     fn approx(a: Vec3, b: Vec3) -> bool {
         a.distance(b) < 1e-9
@@ -214,79 +104,15 @@ mod tests {
 
     #[test]
     fn axis_rotations_quarter_turn() {
-        let r = Rotation::about_z(std::f64::consts::FRAC_PI_2);
-        assert!(approx(r.apply(Vec3::X), Vec3::Y));
-        let r = Rotation::about_x(std::f64::consts::FRAC_PI_2);
-        assert!(approx(r.apply(Vec3::Y), Vec3::Z));
         let r = Rotation::about_y(std::f64::consts::FRAC_PI_2);
         assert!(approx(r.apply(Vec3::Z), Vec3::X));
     }
 
     #[test]
-    fn rodrigues_matches_axis_constructors() {
-        let a = Rotation::about_axis(Vec3::Z, 0.7).unwrap();
-        let b = Rotation::about_z(0.7);
-        assert!(approx(
-            a.apply(Vec3::new(1.0, 2.0, 3.0)),
-            b.apply(Vec3::new(1.0, 2.0, 3.0))
-        ));
-        assert!(Rotation::about_axis(Vec3::ZERO, 1.0).is_none());
-    }
-
-    #[test]
     fn rotation_preserves_norm() {
-        let r = Rotation::about_axis(Vec3::new(1.0, 2.0, -0.5), 1.1).unwrap();
+        let r = Rotation::about_y(1.1);
         let v = Vec3::new(-3.0, 0.2, 4.0);
         assert!((r.apply(v).norm() - v.norm()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let r = Rotation::about_axis(Vec3::new(0.3, 1.0, 0.2), 0.9).unwrap();
-        let v = Vec3::new(1.0, -2.0, 3.0);
-        assert!(approx(r.inverse().apply(r.apply(v)), v));
-    }
-
-    #[test]
-    fn compose_order() {
-        let rz = Rotation::about_z(std::f64::consts::FRAC_PI_2);
-        let rx = Rotation::about_x(std::f64::consts::FRAC_PI_2);
-        // (rx ∘ rz)(X) = rx(Y) = Z
-        assert!(approx(rx.compose(&rz).apply(Vec3::X), Vec3::Z));
-    }
-
-    #[test]
-    fn transform_apply_and_then() {
-        let t1 = Transform::scaling(2.0);
-        let t2 = Transform::translation(Vec3::X);
-        let combined = t1.then(&t2);
-        assert!(approx(combined.apply(Vec3::ONE), Vec3::new(3.0, 2.0, 2.0)));
-        // Composition must equal sequential application for random-ish input.
-        let p = Vec3::new(0.3, -1.2, 2.2);
-        assert!(approx(combined.apply(p), t2.apply(t1.apply(p))));
-    }
-
-    #[test]
-    fn then_with_rotation_matches_sequential() {
-        let t1 = Transform {
-            rotation: Rotation::about_z(0.4),
-            scale: 1.5,
-            translation: Vec3::new(1.0, 0.0, -2.0),
-        };
-        let t2 = Transform {
-            rotation: Rotation::about_x(-0.8),
-            scale: 0.5,
-            translation: Vec3::new(0.0, 3.0, 0.5),
-        };
-        let p = Vec3::new(0.7, 0.1, -0.4);
-        assert!(approx(t1.then(&t2).apply(p), t2.apply(t1.apply(p))));
-    }
-
-    #[test]
-    fn apply_cloud_moves_points() {
-        let mut c = PointCloud::from_points(vec![Point::from_position(Vec3::ONE)]);
-        Transform::translation(Vec3::X).apply_cloud(&mut c);
-        assert_eq!(c.points()[0].position, Vec3::new(2.0, 1.0, 1.0));
     }
 
     #[test]

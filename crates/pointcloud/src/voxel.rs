@@ -1,12 +1,12 @@
-//! Voxel grids and voxel down-sampling.
+//! Voxel grids.
 //!
 //! The 8i dataset is *voxelized*: point coordinates are integers in a cubic
 //! grid (1024³ for the full-body scans). [`VoxelGrid`] reproduces that
-//! representation, and [`voxel_downsample`] matches Open3D's
-//! `voxel_down_sample` (one averaged point per occupied voxel).
+//! representation, one cell of counts and sums per occupied voxel; the
+//! octree's reference oracles rebuild each level with it.
 //!
 //! Cells live in a `BTreeMap` keyed by [`VoxelKey`], so every iteration
-//! order — down-sampling, occupancy walks, tests — is deterministic by
+//! order — occupancy walks, oracles, tests — is deterministic by
 //! construction (the determinism contract's hash-order-iteration rule).
 
 use std::collections::BTreeMap;
@@ -226,51 +226,6 @@ impl VoxelGrid {
     pub fn cell(&self, key: VoxelKey) -> Option<&VoxelCell> {
         self.cells.get(&key)
     }
-
-    /// Collapses the grid to one point per occupied voxel, at the *mean*
-    /// position with the mean color (Open3D `voxel_down_sample` semantics).
-    pub fn to_cloud_mean(&self) -> PointCloud {
-        // BTreeMap iteration is key-ordered: deterministic output order
-        // with no post-sort.
-        self.cells
-            .values()
-            .map(|c| Point::new(c.mean_position(), c.mean_color()))
-            .collect()
-    }
-
-    /// Collapses the grid to one point per occupied voxel at the *voxel
-    /// center* — the representation an AR renderer draws at a given octree
-    /// depth.
-    pub fn to_cloud_centers(&self) -> PointCloud {
-        self.cells
-            .iter()
-            .map(|(k, c)| Point::new(self.voxel_center(*k), c.mean_color()))
-            .collect()
-    }
-}
-
-/// Open3D-style voxel down-sampling: partitions space into cubes of edge
-/// `voxel_size` and averages the points inside each.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyCloud`] for an empty input and
-/// [`Error::InvalidParameter`] for a non-positive `voxel_size`.
-pub fn voxel_downsample(cloud: &PointCloud, voxel_size: f64) -> Result<PointCloud> {
-    // NaN fails this comparison too, which is exactly what we want.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    let invalid = !(voxel_size > 0.0);
-    if invalid {
-        return Err(Error::InvalidParameter(format!(
-            "voxel_size must be positive, got {voxel_size}"
-        )));
-    }
-    let aabb = cloud.aabb().ok_or(Error::EmptyCloud)?;
-    let cube = aabb.bounding_cube();
-    let extent = cube.max_extent().max(voxel_size);
-    let resolution = (extent / voxel_size).ceil().max(1.0) as u32;
-    let grid = VoxelGrid::from_cloud_in_cube(cloud, &cube, resolution)?;
-    Ok(grid.to_cloud_mean())
 }
 
 #[cfg(test)]
@@ -361,53 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn to_cloud_sizes_match_occupancy() {
-        let grid = VoxelGrid::from_cloud(&corner_cloud(), 2).unwrap();
-        assert_eq!(grid.to_cloud_mean().len(), grid.occupied());
-        assert_eq!(grid.to_cloud_centers().len(), grid.occupied());
-    }
-
-    #[test]
-    fn downsample_reduces_and_preserves_extent_roughly() {
-        let cloud = PointCloud::from_positions(
-            (0..1000).map(|i| Vec3::new((i % 10) as f64, ((i / 10) % 10) as f64, (i / 100) as f64)),
-        );
-        let down = voxel_downsample(&cloud, 2.0).unwrap();
-        assert!(down.len() < cloud.len());
-        assert!(!down.is_empty());
-        let a = cloud.aabb().unwrap();
-        let b = down.aabb().unwrap();
-        assert!(b.max_extent() <= a.bounding_cube().max_extent() + 1e-9);
-    }
-
-    #[test]
-    fn downsample_rejects_bad_params() {
-        assert!(voxel_downsample(&PointCloud::new(), 0.5).is_err());
-        assert!(voxel_downsample(&corner_cloud(), 0.0).is_err());
-        assert!(voxel_downsample(&corner_cloud(), -1.0).is_err());
-    }
-
-    #[test]
-    fn downsample_with_huge_voxel_collapses_to_one_point() {
-        let down = voxel_downsample(&corner_cloud(), 100.0).unwrap();
-        assert_eq!(down.len(), 1);
-    }
-
-    #[test]
-    fn deterministic_output_order() {
-        let grid = VoxelGrid::from_cloud(&corner_cloud(), 8).unwrap();
-        let a = grid.to_cloud_centers();
-        let b = grid.to_cloud_centers();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn output_order_is_input_order_independent() {
         // Voxelizing the same points in a different order must yield the
-        // same voxels in the same (key-sorted) output order with the same
-        // counts. Per-cell float sums may differ in the last bit under
-        // permutation (accumulation order), so centers — which depend only
-        // on keys — must be bitwise identical, and means only approximately.
+        // same voxels in the same (key-sorted) order with the same counts
+        // and colour sums. Per-cell float sums may differ in the last bit
+        // under permutation (accumulation order), so mean positions match
+        // only approximately.
         let cloud = PointCloud::from_positions(
             (0..500).map(|i| Vec3::new((i % 7) as f64, ((i / 7) % 9) as f64, (i % 11) as f64)),
         );
@@ -422,9 +336,9 @@ mod tests {
         let counts_a: Vec<u64> = a.cells().values().map(|c| c.count).collect();
         let counts_b: Vec<u64> = b.cells().values().map(|c| c.count).collect();
         assert_eq!(counts_a, counts_b);
-        assert_eq!(a.to_cloud_centers(), b.to_cloud_centers());
-        for (pa, pb) in a.to_cloud_mean().iter().zip(b.to_cloud_mean().iter()) {
-            assert!((pa.position - pb.position).norm() < 1e-9);
+        for (ca, cb) in a.cells().values().zip(b.cells().values()) {
+            assert_eq!(ca.mean_color(), cb.mean_color());
+            assert!((ca.mean_position() - cb.mean_position()).norm() < 1e-9);
         }
     }
 }

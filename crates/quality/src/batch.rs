@@ -1,11 +1,10 @@
 //! Deterministic chunked reductions shared by the metric hot paths.
 //!
-//! Every metric reduces a per-query quantity (squared distance, projected
-//! error, luma delta) over all points. The reductions here accumulate each
-//! fixed-size chunk serially, in parallel across chunks, then combine the
-//! per-chunk partials serially in chunk order — so the floating-point
-//! result is bit-identical regardless of worker count, and identical to
-//! the `--no-default-features` serial build.
+//! Every metric reduces a per-query quantity (squared distance) over all
+//! points. The reductions here accumulate each fixed-size chunk serially,
+//! in parallel across chunks, then combine the per-chunk partials serially
+//! in chunk order — so the floating-point result is bit-identical
+//! regardless of worker count, one worker included.
 
 use arvis_par as par;
 
@@ -14,12 +13,11 @@ use arvis_par as par;
 pub(crate) const REDUCE_CHUNK: usize = 1 << 12;
 
 /// Sum of `f` over all items (deterministic chunked association).
-pub(crate) fn sum_by<T: Sync>(items: &[T], f: impl Fn(usize, &T) -> f64 + Sync) -> f64 {
-    par::map_chunks(items, REDUCE_CHUNK, |ci, chunk| {
-        let base = ci * REDUCE_CHUNK;
+pub(crate) fn sum_by<T: Sync>(items: &[T], f: impl Fn(&T) -> f64 + Sync) -> f64 {
+    par::map_chunks(items, REDUCE_CHUNK, |_, chunk| {
         let mut acc = 0.0f64;
-        for (j, item) in chunk.iter().enumerate() {
-            acc += f(base + j, item);
+        for item in chunk {
+            acc += f(item);
         }
         acc
     })
@@ -36,8 +34,8 @@ mod tests {
         let items: Vec<f64> = (0..(REDUCE_CHUNK * 3 + 17))
             .map(|i| i as f64 * 0.5)
             .collect();
-        let total = sum_by(&items, |_, &x| x);
-        let serial = arvis_par::serial_scope(|| sum_by(&items, |_, &x| x));
+        let total = sum_by(&items, |&x| x);
+        let serial = arvis_par::serial_scope(|| sum_by(&items, |&x| x));
         assert_eq!(total, serial);
         assert!((total - items.iter().sum::<f64>()).abs() < 1e-6 * total.abs());
     }

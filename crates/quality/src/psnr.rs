@@ -61,7 +61,7 @@ pub fn geometry_distortion(
 
     let mse = |queries: &[Vec3], to: &KdTree| -> f64 {
         let nn = to.nearest_many(queries);
-        batch::sum_by(&nn, |_, &(_, d2)| d2) / queries.len() as f64
+        batch::sum_by(&nn, |&(_, d2)| d2) / queries.len() as f64
     };
     let mse_forward = mse(&ref_pos, &tree_deg);
     let mse_backward = mse(&deg_pos, &tree_ref);
@@ -70,30 +70,6 @@ pub fn geometry_distortion(
         mse_backward,
         mse_symmetric: mse_forward.max(mse_backward),
         peak,
-    })
-}
-
-/// Measures color distortion (luma PSNR): for each reference point, compare
-/// its luma with its nearest degraded neighbor's luma.
-///
-/// Returns `None` when either cloud is empty.
-pub fn luma_psnr_db(reference: &PointCloud, degraded: &PointCloud) -> Option<f64> {
-    if reference.is_empty() || degraded.is_empty() {
-        return None;
-    }
-    let tree = KdTree::build(degraded.positions());
-    let degraded_points = degraded.points();
-    let reference_points = reference.points();
-    let ref_pos: Vec<Vec3> = reference.positions().collect();
-    let nn = tree.nearest_many(&ref_pos);
-    let mse: f64 = batch::sum_by(&nn, |i, &(idx, _)| {
-        let dy = reference_points[i].color.luma() - degraded_points[idx].color.luma();
-        dy * dy
-    }) / reference.len() as f64;
-    Some(if mse <= 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (255.0f64 * 255.0 / mse).log10()
     })
 }
 
@@ -118,7 +94,6 @@ mod tests {
         let d = geometry_distortion(&c, &c).unwrap();
         assert_eq!(d.mse_symmetric, 0.0);
         assert_eq!(d.psnr_db(), f64::INFINITY);
-        assert_eq!(luma_psnr_db(&c, &c).unwrap(), f64::INFINITY);
     }
 
     #[test]
@@ -126,7 +101,6 @@ mod tests {
         let c = body(100);
         assert!(geometry_distortion(&c, &PointCloud::new()).is_none());
         assert!(geometry_distortion(&PointCloud::new(), &c).is_none());
-        assert!(luma_psnr_db(&PointCloud::new(), &c).is_none());
     }
 
     #[test]
@@ -193,23 +167,6 @@ mod tests {
             );
             last = psnr;
         }
-    }
-
-    #[test]
-    fn luma_psnr_detects_color_corruption() {
-        let c = body(1_000);
-        let mut corrupted = c.clone();
-        for p in corrupted.points_mut() {
-            p.color = arvis_pointcloud::color::Color::new(
-                p.color.r.wrapping_add(64),
-                p.color.g,
-                p.color.b,
-            );
-        }
-        let clean = luma_psnr_db(&c, &c).unwrap();
-        let bad = luma_psnr_db(&c, &corrupted).unwrap();
-        assert!(bad < clean);
-        assert!(bad.is_finite());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::rng::{child_seed, poisson, seeded};
+use crate::rng::{poisson, seeded};
 
 /// A per-slot arrival process producing a non-negative amount of work.
 pub trait ArrivalProcess {
@@ -19,74 +19,6 @@ pub trait ArrivalProcess {
     /// The long-run mean arrival rate per slot, when known analytically.
     fn mean_rate(&self) -> Option<f64> {
         None
-    }
-}
-
-/// A constant arrival of `rate` per slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deterministic {
-    /// Work per slot.
-    pub rate: f64,
-}
-
-impl Deterministic {
-    /// Creates a deterministic process.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rate` is negative or non-finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be >= 0");
-        Deterministic { rate }
-    }
-}
-
-impl ArrivalProcess for Deterministic {
-    fn sample(&mut self, _slot: u64) -> f64 {
-        self.rate
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.rate)
-    }
-}
-
-/// Bernoulli batches: with probability `p`, a batch of `size` arrives.
-#[derive(Debug, Clone)]
-pub struct BernoulliBatches {
-    p: f64,
-    size: f64,
-    rng: StdRng,
-}
-
-impl BernoulliBatches {
-    /// Creates a Bernoulli process.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p ∉ [0, 1]` or `size < 0`.
-    pub fn new(p: f64, size: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-        assert!(size >= 0.0, "size must be >= 0");
-        BernoulliBatches {
-            p,
-            size,
-            rng: seeded(seed),
-        }
-    }
-}
-
-impl ArrivalProcess for BernoulliBatches {
-    fn sample(&mut self, _slot: u64) -> f64 {
-        if self.rng.gen_bool(self.p) {
-            self.size
-        } else {
-            0.0
-        }
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.p * self.size)
     }
 }
 
@@ -188,83 +120,12 @@ impl ArrivalProcess for Mmpp2 {
     }
 }
 
-/// Replays a recorded trace, cycling when it runs out.
-#[derive(Debug, Clone)]
-pub struct TraceArrivals {
-    trace: Vec<f64>,
-}
-
-impl TraceArrivals {
-    /// Creates a trace replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an empty trace or negative entries.
-    pub fn new(trace: Vec<f64>) -> Self {
-        assert!(!trace.is_empty(), "trace must be non-empty");
-        assert!(
-            trace.iter().all(|&v| v >= 0.0),
-            "trace entries must be >= 0"
-        );
-        TraceArrivals { trace }
-    }
-}
-
-impl ArrivalProcess for TraceArrivals {
-    fn sample(&mut self, slot: u64) -> f64 {
-        self.trace[(slot as usize) % self.trace.len()]
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.trace.iter().sum::<f64>() / self.trace.len() as f64)
-    }
-}
-
-/// Convenience: builds `n` decorrelated copies of a Poisson process for
-/// multi-device experiments.
-pub fn poisson_fleet(lambda: f64, n: usize, parent_seed: u64) -> Vec<PoissonArrivals> {
-    (0..n)
-        .map(|i| PoissonArrivals::new(lambda, child_seed(parent_seed, i as u64)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn empirical_mean<A: ArrivalProcess>(a: &mut A, slots: u64) -> f64 {
         (0..slots).map(|s| a.sample(s)).sum::<f64>() / slots as f64
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let mut d = Deterministic::new(7.5);
-        for s in 0..10 {
-            assert_eq!(d.sample(s), 7.5);
-        }
-        assert_eq!(d.mean_rate(), Some(7.5));
-    }
-
-    #[test]
-    #[should_panic(expected = ">= 0")]
-    fn deterministic_rejects_negative() {
-        let _ = Deterministic::new(-1.0);
-    }
-
-    #[test]
-    fn bernoulli_mean_matches() {
-        let mut b = BernoulliBatches::new(0.25, 100.0, 9);
-        let mean = empirical_mean(&mut b, 20_000);
-        assert!((mean - 25.0).abs() < 2.0, "mean {mean}");
-        assert_eq!(b.mean_rate(), Some(25.0));
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut never = BernoulliBatches::new(0.0, 50.0, 1);
-        assert_eq!(never.sample(0), 0.0);
-        let mut always = BernoulliBatches::new(1.0, 50.0, 1);
-        assert_eq!(always.sample(0), 50.0);
     }
 
     #[test]
@@ -308,39 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_cycles() {
-        let mut t = TraceArrivals::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(t.sample(0), 1.0);
-        assert_eq!(t.sample(4), 2.0);
-        assert_eq!(t.sample(300), 1.0);
-        assert_eq!(t.mean_rate(), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn trace_rejects_empty() {
-        let _ = TraceArrivals::new(vec![]);
-    }
-
-    #[test]
-    fn fleet_members_are_decorrelated() {
-        let mut fleet = poisson_fleet(10.0, 2, 5);
-        let a: Vec<f64> = (0..50).map(|s| fleet[0].sample(s)).collect();
-        let mut fleet2 = poisson_fleet(10.0, 2, 5);
-        let b: Vec<f64> = (0..50).map(|s| fleet2[1].sample(s)).collect();
-        assert_ne!(a, b, "different streams must produce different samples");
-        // Same stream reproduces.
-        let mut fleet3 = poisson_fleet(10.0, 2, 5);
-        let a2: Vec<f64> = (0..50).map(|s| fleet3[0].sample(s)).collect();
-        assert_eq!(a, a2);
-    }
-
-    #[test]
     fn trait_objects_work() {
         let mut procs: Vec<Box<dyn ArrivalProcess>> = vec![
-            Box::new(Deterministic::new(1.0)),
             Box::new(PoissonArrivals::new(1.0, 0)),
-            Box::new(TraceArrivals::new(vec![1.0])),
+            Box::new(Mmpp2::new(1.0, 2.0, 0.1, 0.1, 0)),
         ];
         for p in procs.iter_mut() {
             assert!(p.sample(0) >= 0.0);

@@ -93,26 +93,11 @@ impl<T> EventQueue<T> {
             .push(Reverse(HeapEntry(Scheduled { time, seq, payload })));
     }
 
-    /// Schedules `payload` after a delay from the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delay` is negative or NaN.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) {
-        assert!(delay >= 0.0, "delay must be >= 0, got {delay}");
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         let Reverse(HeapEntry(ev)) = self.heap.pop()?;
         self.now = ev.time;
         Some((ev.time, ev.payload))
-    }
-
-    /// Peeks at the earliest event time without popping.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(HeapEntry(e))| e.time)
     }
 }
 
@@ -148,16 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10.0, "first");
-        q.pop();
-        q.schedule_in(2.5, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 12.5);
-    }
-
-    #[test]
     fn clock_advances_monotonically() {
         let mut q = EventQueue::new();
         for i in 0..10 {
@@ -187,14 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
-        assert!(q.peek_time().is_none());
         q.schedule(7.0, ());
-        assert_eq!(q.peek_time(), Some(7.0));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.now(), 0.0, "peek must not advance the clock");
+        assert_eq!(q.now(), 0.0, "scheduling must not advance the clock");
     }
 
     #[test]

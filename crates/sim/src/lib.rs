@@ -5,14 +5,14 @@
 //! enters the visualization queue `Q(τ)`, and the device renders (serves) up
 //! to its capacity. This crate provides the machinery:
 //!
-//! - [`arrivals`]: stochastic arrival processes (deterministic, Bernoulli,
-//!   Poisson, Markov-modulated, trace-driven) for exogenous traffic;
-//! - [`service`]: renderer service models (constant, jittered, duty-cycled,
-//!   trace-driven);
+//! - [`arrivals`]: stochastic arrival processes (Poisson and
+//!   Markov-modulated) for exogenous traffic;
+//! - [`service`]: renderer service models (constant, jittered,
+//!   duty-cycled);
 //! - [`queue`]: the work queue with Lindley dynamics, optional finite
 //!   capacity, and conservation accounting;
 //! - [`stats`]: time-series recording, summary statistics, stability
-//!   detection, and CSV export;
+//!   detection, and CSV file output;
 //! - [`event`]: a small discrete-event engine for latency-accurate frame
 //!   pipelines;
 //! - [`rng`]: seeded RNG helpers so every experiment is reproducible.

@@ -138,35 +138,6 @@ impl ServiceProcess for DutyCycledRate {
     }
 }
 
-/// Replays a recorded capacity trace, cycling when it runs out.
-#[derive(Debug, Clone)]
-pub struct TraceService {
-    trace: Vec<f64>,
-}
-
-impl TraceService {
-    /// Creates a trace-driven server.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an empty trace or negative entries.
-    pub fn new(trace: Vec<f64>) -> Self {
-        assert!(!trace.is_empty(), "trace must be non-empty");
-        assert!(trace.iter().all(|&v| v >= 0.0), "entries must be >= 0");
-        TraceService { trace }
-    }
-}
-
-impl ServiceProcess for TraceService {
-    fn capacity(&mut self, slot: u64) -> f64 {
-        self.trace[(slot as usize) % self.trace.len()]
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.trace.iter().sum::<f64>() / self.trace.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,15 +179,6 @@ mod tests {
             vec![10.0, 10.0, 10.0, 2.0, 2.0, 10.0, 10.0, 10.0, 2.0, 2.0]
         );
         assert!((s.mean_rate().unwrap() - (30.0 + 4.0) / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_service_cycles() {
-        let mut s = TraceService::new(vec![5.0, 0.0]);
-        assert_eq!(s.capacity(0), 5.0);
-        assert_eq!(s.capacity(1), 0.0);
-        assert_eq!(s.capacity(2), 5.0);
-        assert_eq!(s.mean_rate(), Some(2.5));
     }
 
     #[test]

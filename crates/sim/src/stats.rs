@@ -1,5 +1,5 @@
 //! Time-series recording, summary statistics, stability detection and CSV
-//! export.
+//! file output.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,25 +65,6 @@ impl TimeSeries {
             return None;
         }
         Some(tail.iter().sum::<f64>() / tail.len() as f64)
-    }
-
-    /// Centered moving average with the given window (window ≥ 1); endpoints
-    /// use truncated windows. Returns a new series.
-    pub fn moving_average(&self, window: usize) -> TimeSeries {
-        assert!(window >= 1, "window must be >= 1");
-        let half = window / 2;
-        let n = self.values.len();
-        let values = (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-            })
-            .collect();
-        TimeSeries {
-            name: format!("{}_ma{window}", self.name),
-            values,
-        }
     }
 
     /// Least-squares slope of the series versus slot index over its final
@@ -329,35 +310,6 @@ impl P2Quantile {
     }
 }
 
-/// Writes aligned time series as CSV: first column `slot`, one column per
-/// series. Shorter series pad with empty cells.
-///
-/// This is the dependency-free primitive (no escaping — series names are
-/// assumed plain). `arvis-core`'s `telemetry::series_csv` produces the same
-/// layout through the escaping-aware shared CSV helper and is the variant
-/// the experiment outputs go through; an equality test over there keeps
-/// the two in lock-step.
-pub fn series_to_csv(series: &[&TimeSeries]) -> String {
-    let mut out = String::from("slot");
-    for s in series {
-        out.push(',');
-        out.push_str(s.name());
-    }
-    out.push('\n');
-    let rows = series.iter().map(|s| s.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        out.push_str(&i.to_string());
-        for s in series {
-            out.push(',');
-            if let Some(v) = s.values().get(i) {
-                out.push_str(&format!("{v}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Writes a CSV string to a file, creating parent directories as needed.
 pub fn write_csv_file(path: impl AsRef<std::path::Path>, csv: &str) -> std::io::Result<()> {
     let path = path.as_ref();
@@ -416,16 +368,6 @@ mod tests {
         assert!((s.mean_from(1).unwrap() - 2.0).abs() < 1e-12);
         assert!(s.mean_from(4).is_none());
         assert!(s.mean_from(9).is_none());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let s = TimeSeries::from_values("x", vec![0.0, 10.0, 0.0, 10.0, 0.0]);
-        let ma = s.moving_average(3);
-        assert_eq!(ma.len(), 5);
-        // Interior points average their neighborhood.
-        assert!((ma.values()[2] - 20.0 / 3.0).abs() < 1e-12);
-        assert!(ma.name().contains("ma3"));
     }
 
     #[test]
@@ -535,28 +477,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_layout() {
-        let a = TimeSeries::from_values("a", vec![1.0, 2.0]);
-        let b = TimeSeries::from_values("b", vec![10.0]);
-        let csv = series_to_csv(&[&a, &b]);
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines[0], "slot,a,b");
-        assert_eq!(lines[1], "0,1,10");
-        assert_eq!(lines[2], "1,2,");
-    }
-
-    #[test]
     fn csv_file_roundtrip() {
         let dir = std::env::temp_dir().join("arvis_sim_stats_test");
         let path = dir.join("nested/out.csv");
         write_csv_file(&path, "a,b\n1,2\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn moving_average_rejects_zero_window() {
-        let _ = TimeSeries::new("x").moving_average(0);
     }
 }

@@ -20,9 +20,8 @@
 //! 6. **Degenerate fleets** — zero sessions and zero slots survive faults
 //!    with sane all-zero summaries (satellite of the robustness PR).
 //!
-//! This suite runs under both default and `--no-default-features` builds
-//! (see CI's serial pass): fault determinism must not depend on the
-//! parallel fan-out.
+//! This suite also runs on one worker (CI's `taskset -c 0` pass): fault
+//! determinism must not depend on the parallel fan-out.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

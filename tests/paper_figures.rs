@@ -45,7 +45,7 @@ fn fig1_resolution_table_shape() {
 
 #[test]
 fn fig2a_queue_dynamics_shape() {
-    let cfg = fig2_config(paper_profile(TEST_POINTS, 1));
+    let cfg = fig2_config(paper_profile(TEST_POINTS, 1).unwrap());
     let exp = Experiment::new(cfg.clone());
     let proposed = exp.run(&mut ProposedDpp::new(cfg.controller_v));
     let max_run = exp.run(&mut MaxDepth);
@@ -56,7 +56,7 @@ fn fig2a_queue_dynamics_shape() {
 
     // Max-depth diverges linearly: final backlog ≈ slots × (a_max − b).
     let final_max = *max_run.backlog.values().last().unwrap();
-    let profile = paper_profile(TEST_POINTS, 1);
+    let profile = paper_profile(TEST_POINTS, 1).unwrap();
     let drift = profile.arrival(10) - fig2_service_rate(&profile);
     // Exact recursion: Q(t) = t·(a−b) + a (slot 0 serves an empty queue).
     let expected = (cfg.slots - 1) as f64 * drift + profile.arrival(10);
@@ -77,7 +77,7 @@ fn fig2a_queue_dynamics_shape() {
 
 #[test]
 fn fig2b_control_action_shape() {
-    let cfg = fig2_config(paper_profile(TEST_POINTS, 1));
+    let cfg = fig2_config(paper_profile(TEST_POINTS, 1).unwrap());
     let exp = Experiment::new(cfg.clone());
     let proposed = exp.run(&mut ProposedDpp::new(cfg.controller_v));
     let max_run = exp.run(&mut MaxDepth);
@@ -107,7 +107,7 @@ fn fig2b_control_action_shape() {
 #[test]
 fn extension_v_sweep_tradeoff_shape() {
     // E1: quality rises toward 1 and backlog grows as V increases.
-    let mut cfg = fig2_config(paper_profile(TEST_POINTS, 1));
+    let mut cfg = fig2_config(paper_profile(TEST_POINTS, 1).unwrap());
     cfg.slots = 1_600;
     cfg.warmup = 800;
     let vs = log_grid(cfg.controller_v / 30.0, cfg.controller_v * 3.0, 5);
@@ -123,7 +123,7 @@ fn extension_v_sweep_tradeoff_shape() {
 fn extension_rate_sweep_shape() {
     // E3: more rendering capacity, more quality; all runs stable when the
     // horizon accommodates the plateau.
-    let profile = paper_profile(TEST_POINTS, 1);
+    let profile = paper_profile(TEST_POINTS, 1).unwrap();
     let mut cfg = fig2_config(profile.clone());
     cfg.slots = 4_000;
     cfg.warmup = 2_000;
@@ -143,7 +143,7 @@ fn extension_rate_sweep_shape() {
 #[test]
 fn extension_distributed_fleet_shape() {
     // E2: every device of a heterogeneous fleet independently stable.
-    let mut cfg = fig2_config(paper_profile(TEST_POINTS, 1));
+    let mut cfg = fig2_config(paper_profile(TEST_POINTS, 1).unwrap());
     cfg.slots = 3_200;
     cfg.warmup = 1_600;
     let results = run_full_traces(&Scenario::fleet(&cfg, FleetSpec::heterogeneous(6, 0.6)));

@@ -17,9 +17,9 @@
 //!    inputs under random chunkings (the NIST FIPS 180-4 vectors are
 //!    pinned in `arvis_core::hash`'s unit tests).
 //!
-//! This suite runs under both default and `--no-default-features` builds
-//! (see CI's serial pass): replay is bit-identical either way, so one
-//! committed ledger serves both.
+//! This suite also runs on one worker (CI's `taskset -c 0` pass): replay
+//! is bit-identical at every worker count, so one committed ledger serves
+//! every machine.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -20,8 +20,8 @@
 //!    byte-level mutations of a valid file, every mutant's outcome pinned
 //!    by digest).
 //!
-//! This suite runs under default, release and `--no-default-features`
-//! builds (see CI's release and serial passes): the codec path is
+//! This suite runs in debug and release builds and on one worker (see
+//! CI's release and `taskset -c 0` passes): the codec path is
 //! allocation-only and must not depend on the parallel fan-out.
 
 use proptest::prelude::*;

@@ -26,9 +26,8 @@
 //!    fleets: exact scenario-file round-trips, replay determinism, and the
 //!    compaction differential on every draw.
 //!
-//! This suite runs under both default and `--no-default-features` builds
-//! (see CI's serial pass): churn determinism must not depend on the
-//! parallel fan-out.
+//! This suite also runs on one worker (CI's `taskset -c 0` pass): churn
+//! determinism must not depend on the parallel fan-out.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

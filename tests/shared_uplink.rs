@@ -375,8 +375,8 @@ proptest! {
     }
 
     /// Invariant 3: forced-serial execution matches the parallel fan-out
-    /// bit for bit (the `--no-default-features` CI pass re-runs this whole
-    /// file with threading compiled out).
+    /// bit for bit (CI's one-worker pass re-runs this whole file under
+    /// `taskset -c 0`).
     #[test]
     fn contended_runs_match_under_forced_serial(
         seeds in prop::collection::vec(0u64..10_000, 2..5),

@@ -10,8 +10,8 @@
 //! 2. **Determinism**: the adaptation is per-session state driven by
 //!    per-session signals, so contended runs with adapters stay
 //!    bit-identical under session reversal, chunk-size changes and forced
-//!    serial execution (the `--no-default-features` CI pass re-runs this
-//!    file with threading compiled out).
+//!    serial execution (CI's one-worker pass re-runs this file under
+//!    `taskset -c 0`, where no fan-out spawns a thread).
 //! 3. **Scoping**: adaptation never engages outside the contention plane —
 //!    an uncoupled `SessionBatch::run` with the knob set matches one
 //!    without it bit-for-bit.
