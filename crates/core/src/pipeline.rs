@@ -11,8 +11,8 @@
 
 use std::ops::RangeInclusive;
 
-use arvis_octree::attr::{frames_equivalent, EncodedFrame};
-use arvis_octree::{LodMode, Octree, OctreeBuilder, OctreeConfig, OctreeError};
+use arvis_octree::attr::{EncodedFrame, FrameCheck};
+use arvis_octree::{Octree, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
 use arvis_quality::profile::log_quality;
@@ -137,7 +137,7 @@ pub struct PipelineReport {
 /// Runs the encoded pipeline for `slots` slots against a device that drains
 /// `bytes_per_slot`. Every `verify_every`-th slot the encoded frame is
 /// decoded and compared against the LoD extraction (0 disables
-/// verification).
+/// verification), in one [`FrameCheck`]'s buffers for the whole run.
 pub fn run_encoded_pipeline(
     sequence: &PreparedSequence,
     controller: &mut dyn DepthController,
@@ -151,6 +151,7 @@ pub fn run_encoded_pipeline(
     let mut bytes_encoded = 0u64;
     let mut frames_verified = 0usize;
     let mut all_lossless = true;
+    let mut check = FrameCheck::default();
 
     for slot in 0..slots {
         let profile = sequence.byte_profile(slot);
@@ -166,13 +167,9 @@ pub fn run_encoded_pipeline(
         depth_series.push(f64::from(d));
 
         if verify_every > 0 && slot % verify_every == 0 {
-            let decoded = frame
-                .decode(tree.cube())
+            all_lossless &= check
+                .lossless(&frame, tree, d)
                 .expect("self-encoded frame decodes");
-            let lod = tree.extract_lod(d, LodMode::VoxelCenters);
-            if !frames_equivalent(&decoded, &lod.cloud) {
-                all_lossless = false;
-            }
             frames_verified += 1;
         }
     }

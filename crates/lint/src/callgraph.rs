@@ -71,8 +71,6 @@ pub struct CallGraph {
     pub fns: Vec<(usize, usize)>,
     /// Outgoing resolved edges per global fn index.
     pub edges: Vec<Vec<Edge>>,
-    /// Incoming edges: callee fn index → `(caller fn index, edge index)`.
-    pub callers: Vec<Vec<(usize, usize)>>,
 }
 
 impl CallGraph {
@@ -107,25 +105,7 @@ impl CallGraph {
                 .collect();
             edges.push(resolved);
         }
-        let mut callers = vec![Vec::new(); fns.len()];
-        for (caller, out) in edges.iter().enumerate() {
-            for (ei, e) in out.iter().enumerate() {
-                match &e.targets {
-                    Targets::Unique(t) => callers[*t].push((caller, ei)),
-                    Targets::Multiple(ts) => {
-                        for t in ts {
-                            callers[*t].push((caller, ei));
-                        }
-                    }
-                    Targets::External => {}
-                }
-            }
-        }
-        CallGraph {
-            fns,
-            edges,
-            callers,
-        }
+        CallGraph { fns, edges }
     }
 }
 

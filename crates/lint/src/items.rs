@@ -145,8 +145,6 @@ pub struct FnItem {
     pub span: (u32, u32),
     /// Token index range (exclusive end) of the body, braces included.
     pub body: (usize, usize),
-    /// Token index range of the signature (after `fn`, before the body).
-    pub sig: (usize, usize),
     /// True when the parameter list declares `self` (an inherent/trait
     /// method rather than a free function).
     pub has_self: bool,
@@ -659,7 +657,6 @@ impl<'a> Parser<'a> {
             header_line,
             span: (header_line, end_line),
             body: (b, close),
-            sig: (i + 1, b),
             has_self,
             in_test: test,
         });

@@ -12,7 +12,7 @@ use arvis_pointcloud::color::Color;
 use arvis_pointcloud::point::Point;
 use bytes::Bytes;
 
-use crate::occupancy::{decode_stream, DecodeError};
+use crate::occupancy::{decode_stream, CellWalk, DecodeError};
 use crate::tree::Octree;
 
 /// Serializes the mean colors of all depth-`depth` voxels, breadth-first.
@@ -103,18 +103,66 @@ impl EncodedFrame {
     /// [`crate::occupancy::decode_occupancy`]); [`DecodeError::Truncated`]
     /// when the two streams disagree on the voxel count or depth.
     pub fn decode(&self, cube: &arvis_pointcloud::Aabb) -> Result<PointCloud, DecodeError> {
+        let mut points = Vec::new();
+        self.decode_into(cube, &mut CellWalk::default(), &mut points)?;
+        Ok(PointCloud::from_points(points))
+    }
+
+    /// Writes the points of [`EncodedFrame::decode`] into `out`, walking
+    /// with `walk`'s buffers; on an error `out` holds no meaning.
+    fn decode_into(
+        &self,
+        cube: &arvis_pointcloud::Aabb,
+        walk: &mut CellWalk,
+        out: &mut Vec<Point>,
+    ) -> Result<(), DecodeError> {
         // Attribute errors are reported after the occupancy stream's own.
         let attributes = split_attributes(&self.attributes);
         let rgb = attributes.as_ref().map_or(&[][..], |&(_, rgb)| rgb);
         let mut colors = rgb.chunks_exact(3);
-        let cloud = decode_stream(&self.occupancy, cube, || {
-            colors.next().map_or(Color::BLACK, rgb_color)
-        })?;
+        let color = || colors.next().map_or(Color::BLACK, rgb_color);
+        decode_stream(&self.occupancy, cube, color, walk, out)?;
         let (depth, rgb) = attributes?;
-        if depth != self.depth || cloud.len() != rgb.len() / 3 {
+        if depth != self.depth || out.len() != rgb.len() / 3 {
             return Err(DecodeError::Truncated);
         }
-        Ok(cloud)
+        Ok(())
+    }
+}
+
+/// The pipeline's lossless check, with buffers kept from one check to the
+/// next: the occupancy walk's cells and both clouds it compares. It
+/// allocates on its first checks and then only when a frame outgrows the
+/// ones before it, so the slots of a long run reuse one set of buffers.
+#[derive(Debug, Default)]
+pub struct FrameCheck {
+    walk: CellWalk,
+    decoded: Vec<Point>,
+    lod: Vec<Point>,
+}
+
+impl FrameCheck {
+    /// Whether `frame` decodes over `tree.cube()` to the depth-`depth` LoD
+    /// of `tree`: the answer of
+    /// `frames_equivalent(&frame.decode(tree.cube())?, &tree.extract_lod(depth, LodMode::VoxelCenters).cloud)`,
+    /// with no allocation once the buffers are large enough.
+    ///
+    /// # Errors
+    ///
+    /// The error of [`EncodedFrame::decode`], when `frame` does not decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `depth` exceeds the tree's max depth.
+    pub fn lossless(
+        &mut self,
+        frame: &EncodedFrame,
+        tree: &Octree,
+        depth: u8,
+    ) -> Result<bool, DecodeError> {
+        frame.decode_into(tree.cube(), &mut self.walk, &mut self.decoded)?;
+        tree.lod_points(depth, &mut self.walk, &mut self.lod);
+        Ok(points_equivalent(&self.decoded, &self.lod))
     }
 }
 
@@ -134,12 +182,18 @@ impl Octree {
 /// multiset of (position, color) pairs once every coordinate is quantized to
 /// `round(x·1e6)`.
 ///
-/// `core::pipeline` runs it on every verified slot, comparing
-/// [`EncodedFrame::decode`] with [`Octree::extract_lod`]. Those two share an
-/// order, so the check first compares the clouds element by element, in
-/// O(n); only when that fails does it sort both quantized clouds and compare
-/// them, in O(n log n). The answer does not depend on which path gives it.
+/// `core::pipeline` runs it on every verified slot, through
+/// [`FrameCheck`], comparing [`EncodedFrame::decode`] with
+/// [`Octree::extract_lod`]. Those two share an order, so the check first
+/// compares the clouds element by element, in O(n); only when that fails
+/// does it sort both quantized clouds and compare them, in O(n log n). The
+/// answer does not depend on which path gives it.
 pub fn frames_equivalent(a: &PointCloud, b: &PointCloud) -> bool {
+    points_equivalent(a.points(), b.points())
+}
+
+/// [`frames_equivalent`] over the clouds' points.
+fn points_equivalent(a: &[Point], b: &[Point]) -> bool {
     a.len() == b.len() && (same_in_order(a, b) || same_when_sorted(a, b))
 }
 
@@ -157,7 +211,7 @@ fn quantize(p: &Point) -> Quantized {
 
 /// The linear path of [`frames_equivalent`]: equal clouds of equal length,
 /// point by point (bitwise-equal points quantize equally).
-pub(crate) fn same_in_order(a: &PointCloud, b: &PointCloud) -> bool {
+pub(crate) fn same_in_order(a: &[Point], b: &[Point]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b.iter())
@@ -165,8 +219,8 @@ pub(crate) fn same_in_order(a: &PointCloud, b: &PointCloud) -> bool {
 }
 
 /// The sorting path of [`frames_equivalent`].
-pub(crate) fn same_when_sorted(a: &PointCloud, b: &PointCloud) -> bool {
-    let sorted = |c: &PointCloud| -> Vec<Quantized> {
+pub(crate) fn same_when_sorted(a: &[Point], b: &[Point]) -> bool {
+    let sorted = |c: &[Point]| -> Vec<Quantized> {
         let mut v: Vec<Quantized> = c.iter().map(quantize).collect();
         v.sort_unstable();
         v

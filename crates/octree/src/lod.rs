@@ -11,7 +11,7 @@ use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
 use crate::attr::rgb_color;
-use crate::occupancy::{walk_cells, VoxelCentres};
+use crate::occupancy::{CellWalk, VoxelCentres};
 use crate::tree::Octree;
 
 /// Where the representative point of each voxel is placed.
@@ -55,27 +55,37 @@ impl Octree {
     ///
     /// Panics when `depth > max_depth`.
     pub fn extract_lod(&self, depth: u8, mode: LodMode) -> LodCloud {
+        let LodMode::VoxelCenters = mode;
+        let mut points = Vec::new();
+        self.lod_points(depth, &mut CellWalk::default(), &mut points);
+        LodCloud {
+            cloud: PointCloud::from_points(points),
+            depth,
+            voxel_size: self.voxel_size_at_depth(depth),
+        }
+    }
+
+    /// Writes the points of [`Octree::extract_lod`] into `out`, walking
+    /// with `walk`'s buffers.
+    pub(crate) fn lod_points(&self, depth: u8, walk: &mut CellWalk, out: &mut Vec<Point>) {
         assert!(
             depth <= self.max_depth(),
             "depth {depth} exceeds max depth {}",
             self.max_depth()
         );
-        let LodMode::VoxelCenters = mode;
         let occupancy = self.occupancy_above(depth);
-        let Ok((_, leaves)) = walk_cells(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]));
+        let Ok(_) = walk.walk(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]));
+        let leaves = walk.cells();
         let colors = self.colors_at(depth).chunks_exact(3);
         assert_eq!(colors.len(), leaves.len(), "one colour per voxel");
         let centres = VoxelCentres::new(self.cube(), depth, leaves.len());
-        let cloud = leaves
-            .iter()
-            .zip(colors)
-            .map(|(&cell, rgb)| Point::new(centres.at(cell), rgb_color(rgb)))
-            .collect();
-        LodCloud {
-            cloud,
-            depth,
-            voxel_size: self.voxel_size_at_depth(depth),
-        }
+        out.clear();
+        out.extend(
+            leaves
+                .iter()
+                .zip(colors)
+                .map(|(&cell, rgb)| Point::new(centres.at(cell), rgb_color(rgb))),
+        );
     }
 
     /// The occupied-voxel count at every depth `0..=max_depth`.

@@ -92,37 +92,52 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 /// first zero node byte, and [`DecodeError::Truncated`] when the stream
 /// ends before the declared depth or carries bytes after it.
 pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
-    decode_stream(&stream, cube, || Color::BLACK)
+    let mut points = Vec::new();
+    decode_stream(
+        &stream,
+        cube,
+        || Color::BLACK,
+        &mut CellWalk::default(),
+        &mut points,
+    )?;
+    Ok(PointCloud::from_points(points))
 }
 
-/// Decodes a whole occupancy stream over `cube` into the voxel centres of
-/// the declared depth, in stream order, each coloured by the next call of
-/// `color`. The errors are those of [`decode_occupancy`].
+/// Decodes a whole occupancy stream over `cube` into `out`: the voxel
+/// centres of the declared depth, in stream order, each coloured by the
+/// next call of `color`. The errors are those of [`decode_occupancy`]; on
+/// an error `out` holds no meaning.
 ///
-/// The stream is walked by [`walk_cells`], the walk [`Octree::extract_lod`]
-/// runs over the tree's own column; the cloud is collected in one pass over
-/// the leaf cells, and it and the [`VoxelCentres`] tables are sized by the
-/// voxel count the walk has read and checked, never by a length the stream
-/// declares.
+/// The stream is walked by [`CellWalk::walk`], the walk
+/// [`Octree::extract_lod`] runs over the tree's own column; the points are
+/// written in one pass over the leaf cells, and they and the
+/// [`VoxelCentres`] tables are sized by the voxel count the walk has read
+/// and checked, never by a length the stream declares.
 pub(crate) fn decode_stream(
     stream: &[u8],
     cube: &Aabb,
     mut color: impl FnMut() -> Color,
-) -> Result<PointCloud, DecodeError> {
+    walk: &mut CellWalk,
+    out: &mut Vec<Point>,
+) -> Result<(), DecodeError> {
     let (&depth, nodes) = stream.split_first().ok_or(DecodeError::BadHeader)?;
     if depth == 0 || depth > MAX_SUPPORTED_DEPTH {
         return Err(DecodeError::BadHeader);
     }
-    let (read, leaves) = walk_cells(depth, |range| level_bytes(nodes, range))?;
+    let read = walk.walk(depth, |range| level_bytes(nodes, range))?;
     if read != nodes.len() {
         // Bytes after the declared depth.
         return Err(DecodeError::Truncated);
     }
+    let leaves = walk.cells();
     let centres = VoxelCentres::new(&cube.bounding_cube(), depth, leaves.len());
-    Ok(leaves
-        .iter()
-        .map(|&cell| Point::new(centres.at(cell), color()))
-        .collect())
+    out.clear();
+    out.extend(
+        leaves
+            .iter()
+            .map(|&cell| Point::new(centres.at(cell), color())),
+    );
+    Ok(())
 }
 
 /// The node bytes `range` of a stream, or the error of the first one
@@ -150,7 +165,7 @@ fn level_bytes(nodes: &[u8], range: Range<usize>) -> Result<&[u8], DecodeError> 
 const LANE: u32 = 21;
 
 /// The axis indices of a packed cell, `x | y << 21 | z << 42` (see
-/// [`walk_cells`]).
+/// [`CellWalk`]).
 #[inline]
 fn lanes(cell: u64) -> [usize; 3] {
     let mask = (1 << LANE) - 1;
@@ -193,34 +208,51 @@ static CHILDREN: [[u64; 8]; 256] = {
 };
 
 /// The breadth-first occupancy walk shared by the decoder and
-/// [`Octree::extract_lod`]: expands the root through `levels` levels, where
-/// `level_bytes(range)` is the occupancy bytes `range` in stream order (the
-/// bytes of nodes `range` of a tree), one level at a time.
+/// [`Octree::extract_lod`], with its two cell buffers, which a caller that
+/// walks many streams keeps from one walk to the next.
 ///
 /// A cell is carried packed, its axis indices at that level as
 /// `x | y << 21 | z << 42`, so a child is its parent shifted up one bit in
 /// every lane, with the octant's bits in the low bit of each; at most
 /// [`MAX_SUPPORTED_DEPTH`] levels keep every lane within its 21 bits.
-/// Returns the number of bytes read and the depth-`levels` cells in stream
-/// order (the order of the attribute stream and of a tree's nodes), or the
-/// first error `level_bytes` returns. Each level is sized by the popcounts
-/// of the bytes already read and checked, never by a length the input
-/// declares.
-pub(crate) fn walk_cells<'a, E>(
-    levels: u8,
-    mut level_bytes: impl FnMut(Range<usize>) -> Result<&'a [u8], E>,
-) -> Result<(usize, Vec<u64>), E> {
-    debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a lane holds 21 levels");
-    let mut read = 0usize;
-    let mut cells = vec![0u64];
-    let mut next = Vec::new();
-    for _ in 0..levels {
-        let bytes = level_bytes(read..read + cells.len())?;
-        read += cells.len();
-        expand(&cells, bytes, &mut next);
-        std::mem::swap(&mut cells, &mut next);
+#[derive(Debug, Default)]
+pub(crate) struct CellWalk {
+    cells: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl CellWalk {
+    /// Expands the root through `levels` levels, where `level_bytes(range)`
+    /// is the occupancy bytes `range` in stream order (the bytes of nodes
+    /// `range` of a tree), one level at a time.
+    ///
+    /// Returns the number of bytes read, with the depth-`levels` cells in
+    /// stream order (the order of the attribute stream and of a tree's
+    /// nodes) in [`CellWalk::cells`], or the first error `level_bytes`
+    /// returns. Each level is sized by the popcounts of the bytes already
+    /// read and checked, never by a length the input declares.
+    pub(crate) fn walk<'a, E>(
+        &mut self,
+        levels: u8,
+        mut level_bytes: impl FnMut(Range<usize>) -> Result<&'a [u8], E>,
+    ) -> Result<usize, E> {
+        debug_assert!(levels <= MAX_SUPPORTED_DEPTH, "a lane holds 21 levels");
+        let mut read = 0usize;
+        self.cells.clear();
+        self.cells.push(0);
+        for _ in 0..levels {
+            let bytes = level_bytes(read..read + self.cells.len())?;
+            read += self.cells.len();
+            expand(&self.cells, bytes, &mut self.next);
+            std::mem::swap(&mut self.cells, &mut self.next);
+        }
+        Ok(read)
     }
-    Ok((read, cells))
+
+    /// The cells the last successful [`CellWalk::walk`] reached.
+    pub(crate) fn cells(&self) -> &[u64] {
+        &self.cells
+    }
 }
 
 /// Writes into `next` the occupied children of `cells`, whose occupancy
@@ -250,7 +282,7 @@ fn expand(cells: &[u64], bytes: &[u8], next: &mut Vec<u64>) {
 }
 
 /// The centres of one level's voxels in a cube's subdivision, by packed
-/// cell (see [`walk_cells`]), bit for bit as [`Aabb::octants`] subdivides:
+/// cell (see [`CellWalk`]), bit for bit as [`Aabb::octants`] subdivides:
 /// a cell splits at `(min + max) * 0.5` on each axis, and its centre is
 /// that midpoint.
 ///
@@ -561,8 +593,9 @@ mod tests {
         // Walks a stream as the decoder does, returning its error or the
         // voxel count it sizes the cloud and the tables by.
         let leaves_of = |stream: &[u8]| {
-            walk_cells(stream[0], |range| level_bytes(&stream[1..], range))
-                .map(|(_, leaves)| leaves.len())
+            let mut walk = CellWalk::default();
+            walk.walk(stream[0], |range| level_bytes(&stream[1..], range))
+                .map(|_| walk.cells().len())
         };
 
         // A zero first node byte followed by 512 KiB: the error comes

@@ -310,7 +310,10 @@ fn decode_then_verify_takes_the_linear_path() {
                 .unwrap();
             let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
             assert_eq!(in_order(&decoded), in_order(&lod), "depth {depth}");
-            assert!(same_in_order(&decoded, &lod), "depth {depth}");
+            assert!(
+                same_in_order(decoded.points(), lod.points()),
+                "depth {depth}"
+            );
         }
     }
 }
@@ -395,7 +398,10 @@ fn verify_paths_agree() {
                 (PointCloud::from_points(nudged), true, true),
             ];
             for (i, (other, equivalent, ordered)) in cases.iter().enumerate() {
-                let (fast, sorted) = (same_in_order(&lod, other), same_when_sorted(&lod, other));
+                let (fast, sorted) = (
+                    same_in_order(lod.points(), other.points()),
+                    same_when_sorted(lod.points(), other.points()),
+                );
                 assert_eq!(sorted, *equivalent, "case {i} at depth {depth}");
                 assert_eq!(fast, *equivalent && *ordered, "case {i} at depth {depth}");
                 assert_eq!(frames_equivalent(&lod, other), sorted, "case {i}");

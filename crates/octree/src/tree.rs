@@ -1,12 +1,13 @@
 //! Octree construction, and the octree as its codec columns.
 //!
-//! Construction is a flat Morton pipeline (see [`OctreeBuilder`]): points
-//! are Morton-coded into flat scratch buffers (a packed `code | index`
-//! word per point — no `(u64, &Point)` pointer tuples), radix-sorted by
-//! code, and the whole level hierarchy is then derived from prefix
-//! boundaries of the sorted codes — one O(n) aggregation pass over the
-//! points for the leaf level and one O(nodes) pass per internal level,
-//! instead of re-scanning the point range of every node at every depth.
+//! Construction is one scan of sorted Morton codes (see [`OctreeBuilder`]):
+//! each point is coded into one flat word with its colour, the words are
+//! radix-sorted by code, and every node of every level follows from the
+//! octant digits adjacent codes share (Karras, "Maximizing Parallelism in
+//! the Construction of BVHs, Octrees, and k-d Trees", HPG 2012). One pass
+//! over the sorted words counts each level's nodes, and one more writes
+//! every node's occupancy byte and mean colour, in O(n) for the points and
+//! O(1) per node.
 //!
 //! An [`Octree`] keeps only what the codec and the LoD read: each node's
 //! occupancy byte and its mean colour, 4 bytes per node. Nodes are numbered
@@ -14,12 +15,10 @@
 //! the occupancy and attribute streams, so each column is the body of its
 //! stream: encoding copies a slice, and the LoD walk reads one byte per
 //! node above its depth. The point counts and colour sums the means are
-//! rounded from stay in the builder as scratch for the next frame.
+//! rounded from exist only while their node is open in the scan.
 
-use arvis_par as par;
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
-use arvis_pointcloud::math::Vec3;
 use arvis_pointcloud::morton;
 use arvis_pointcloud::point::Point;
 
@@ -207,55 +206,49 @@ impl Octree {
     }
 }
 
-/// Chunk size for the point- and node-parallel phases, and the node
-/// threshold under which the split-recursive aggregation stops forking.
-/// Fixed constants (never derived from the worker count), so every phase
-/// splits its work the same way in serial and parallel builds.
-const POINT_CHUNK: usize = 1 << 13;
-const NODE_CHUNK: usize = 1 << 9;
-const NODE_SPLIT_THRESHOLD: usize = 1 << 11;
-
-/// One sorted-pipeline element: a Morton code bundled with the index of the
-/// point it came from. Two representations exist so the common shallow
-/// trees (`3·depth ≤ 30` bits, i.e. the paper's whole `R = 5..=10` range)
-/// ride in one packed word — half the sort and scan traffic — while deep
-/// trees fall back to a two-word pair.
-trait CodeIdx: morton::SortItem + PartialEq {
+/// One sort word: a point's Morton code at the tree's max depth beside its
+/// colour `r | g << 8 | b << 16`. Codes of up to 40 bits (depth ≤ 13, the
+/// paper's whole `R = 5..=10` range included) share one packed word with
+/// the colour, so the sort and the scans move 8 bytes per point; deeper
+/// codes ride in a `(code, rgb)` pair. A word carries no point index: the
+/// build reads nothing of a point but its position and colour, and a
+/// node's colour sums do not depend on the order of its points.
+trait CodeRgb: morton::SortItem {
     /// Bit offset of the code within [`morton::SortItem::key`].
     const CODE_SHIFT: u32;
 
-    fn pack(code: u64, idx: u32) -> Self;
+    fn pack(code: u64, rgb: u32) -> Self;
     fn code(self) -> u64;
-    fn idx(self) -> u32;
+    fn rgb(self) -> u32;
 }
 
-/// Packed `code << 32 | index` (codes up to 30 bits).
-impl CodeIdx for u64 {
-    const CODE_SHIFT: u32 = 32;
+/// Packed `code << 24 | rgb` (codes up to 40 bits).
+impl CodeRgb for u64 {
+    const CODE_SHIFT: u32 = 24;
 
     #[inline]
-    fn pack(code: u64, idx: u32) -> u64 {
-        (code << 32) | u64::from(idx)
+    fn pack(code: u64, rgb: u32) -> u64 {
+        (code << 24) | u64::from(rgb)
     }
 
     #[inline]
     fn code(self) -> u64 {
-        self >> 32
+        self >> 24
     }
 
     #[inline]
-    fn idx(self) -> u32 {
-        self as u32
+    fn rgb(self) -> u32 {
+        self as u32 & 0xff_ffff
     }
 }
 
-/// Wide `(code, index)` pair (codes up to 63 bits).
-impl CodeIdx for (u64, u32) {
+/// Wide `(code, rgb)` pair (codes up to 63 bits).
+impl CodeRgb for (u64, u32) {
     const CODE_SHIFT: u32 = 0;
 
     #[inline]
-    fn pack(code: u64, idx: u32) -> (u64, u32) {
-        (code, idx)
+    fn pack(code: u64, rgb: u32) -> (u64, u32) {
+        (code, rgb)
     }
 
     #[inline]
@@ -264,13 +257,15 @@ impl CodeIdx for (u64, u32) {
     }
 
     #[inline]
-    fn idx(self) -> u32 {
+    fn rgb(self) -> u32 {
         self.1
     }
 }
 
-/// A node's point count and colour channel sums: build scratch, of which
-/// the tree keeps only the rounded mean.
+/// A point count and colour channel sums. The build keeps them running
+/// over the sorted words; a node's sums are the running sums where it
+/// closes less those where it opened, and the tree keeps only its rounded
+/// mean.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeSums {
     count: u64,
@@ -278,65 +273,78 @@ struct NodeSums {
 }
 
 impl NodeSums {
+    /// Adds one point of colour `r | g << 8 | b << 16`.
+    #[inline]
+    fn add(&mut self, rgb: u32) {
+        self.count += 1;
+        self.color[0] += u64::from(rgb & 0xff);
+        self.color[1] += u64::from((rgb >> 8) & 0xff);
+        self.color[2] += u64::from(rgb >> 16);
+    }
+
+    /// The sums added since the running sums were `then`.
+    #[inline]
+    fn since(self, then: NodeSums) -> NodeSums {
+        NodeSums {
+            count: self.count - then.count,
+            color: std::array::from_fn(|c| self.color[c] - then.color[c]),
+        }
+    }
+
     /// The mean colour, each channel rounded half up: `⌊(2s + n) / 2n⌋` for
-    /// channel sum `s` over `n` points, in integers. This is exactly
-    /// `(s as f64 / n as f64).round()`: the float quotient is within
-    /// 2⁻⁴⁵ of `s/n`, and `s/n` is either a half-integer (which the quotient
-    /// represents exactly) or at least `1/2n` from one, so both round to the
-    /// same side whenever `n < 2⁴⁴` (a tree holds at most 2³² points).
+    /// channel sum `s` over `n` points, in integers; for one point that is
+    /// its own colour. This is exactly `(s as f64 / n as f64).round()`: the float
+    /// quotient is within 2⁻⁴⁵ of `s/n`, and `s/n` is either a half-integer
+    /// (which the quotient represents exactly) or at least `1/2n` from one,
+    /// so both round to the same side whenever `n < 2⁴⁴` (a tree holds at
+    /// most 2³² points).
     fn mean_color(&self) -> [u8; 3] {
         let n = self.count;
         self.color.map(|s| ((2 * s + n) / (2 * n)) as u8)
     }
 }
 
-/// Reusable octree construction pipeline.
+/// Levels a tree can have: depths `0..=MAX_SUPPORTED_DEPTH`.
+const LEVELS: usize = MAX_SUPPORTED_DEPTH as usize + 1;
+
+/// Reusable octree construction.
 ///
-/// Holds the flat scratch buffers (packed/wide code-index words, radix
-/// ping-pong buffers, per-level boundary and octant lists, per-node sums)
-/// so a streaming pipeline that builds one octree per frame pays the
-/// allocations once, not per slot. [`Octree::build`] is a convenience
+/// Holds the sort words and the radix sort's ping-pong buffer, so a
+/// streaming pipeline that builds one octree per frame pays those
+/// allocations once, not per frame. [`Octree::build`] is a convenience
 /// wrapper creating a fresh builder per call.
 ///
 /// # Pipeline
 ///
-/// 1. **Morton coding** (parallel): each point's voxel index at `max_depth`
-///    is interleaved and packed with its input index.
-/// 2. **Radix sort by code** (parallel histograms, stable scatter): after
-///    this, every node of every level is a contiguous range of points, and
-///    the nodes of level `d` are exactly the distinct `3d`-bit prefixes.
-/// 3. **Boundary derivation**: leaf-range starts are the positions where
-///    the sorted code changes; each shallower level's starts are the subset
-///    where the shorter prefix changes — O(total nodes) overall. Each
-///    node's octant bits are extracted here, so aggregation never revisits
-///    the code array.
-/// 4. **Aggregation** (parallel over nodes): each leaf counts its point
-///    range and sums its colours, reading every input point exactly once
-///    through its sorted code-index word; every internal node then adds up
-///    its children's sums and sets their octants in its occupancy byte —
-///    O(n + total nodes) work instead of the seed algorithm's O(n·depth)
-///    re-scan. Last, every node's mean colour is rounded into the tree; the
-///    sums stay behind in the builder.
+/// The build runs serially, in four passes; after the sort every node of
+/// every level is a run of adjacent words, so one scan finds them all.
+///
+/// 1. **Morton coding**: each point's voxel index at `max_depth` is
+///    interleaved into a code, packed with the point's colour.
+/// 2. **Radix sort by code** (stable, with reused buffers).
+/// 3. **Counting**: two adjacent sorted codes that share their first `k`
+///    octant digits, `k` read off the leading zeros of their XOR, are in
+///    one node down to depth `k` and in different nodes below it. A
+///    histogram of `k` over the pairs gives every level's node count, and
+///    from them the level starts.
+/// 4. **Fill**: one scan keeps the current node of every level, numbered
+///    in the order nodes open, which is Morton order within each level,
+///    and keeps the point count and colour sums running over the words. A
+///    point opens a node at every depth below the digits it shares with
+///    the previous point and sets its octant bit in the parent's occupancy
+///    byte. A new node below the digits the next point shares holds this
+///    point alone and takes its colour at once; any other stays open until
+///    a point shares fewer digits than its depth, and then rounds its mean
+///    colour from the running sums less those where it opened.
+///
+/// That is O(n) work for the points and O(1) per node, with no per-node
+/// scratch: only the current nodes' numbers and starting sums are kept.
 #[derive(Debug, Default)]
 pub struct OctreeBuilder {
     packed: Vec<u64>,
     packed_scratch: Vec<u64>,
     wide: Vec<(u64, u32)>,
     wide_scratch: Vec<(u64, u32)>,
-    levels: Levels,
-}
-
-/// The builder's scratch that does not depend on the code representation.
-#[derive(Debug, Default)]
-struct Levels {
-    /// `bounds[d]` = start index (into the sorted order) of every depth-`d`
-    /// node, ascending. Entry 0 is always 0.
-    bounds: Vec<Vec<u32>>,
-    /// `octants[d][i]` = octant of node `i` within its parent.
-    octants: Vec<Vec<u8>>,
-    first_child: Vec<u32>,
-    /// Per node, in node order.
-    sums: Vec<NodeSums>,
 }
 
 impl OctreeBuilder {
@@ -376,18 +384,7 @@ impl OctreeBuilder {
         let cube = match config.cube {
             Some(c) => {
                 let c = c.bounding_cube();
-                // Parallel containment check; the reported index is the
-                // global minimum, matching the serial scan.
-                let bad = par::map_chunks(points, POINT_CHUNK, |ci, chunk| {
-                    chunk
-                        .iter()
-                        .position(|p| !c.contains(p.position))
-                        .map(|j| ci * POINT_CHUNK + j)
-                })
-                .into_iter()
-                .flatten()
-                .next();
-                if let Some(index) = bad {
+                if let Some(index) = points.iter().position(|p| !c.contains(p.position)) {
                     return Err(OctreeError::PointOutsideCube { index });
                 }
                 c
@@ -397,279 +394,123 @@ impl OctreeBuilder {
                 .expect("non-empty cloud has an aabb")
                 .bounding_cube(),
         };
-        Ok(if 3 * u32::from(config.max_depth) <= 30 {
-            build_pipeline(
+        let depth = config.max_depth;
+        Ok(if 3 * u32::from(depth) + 24 <= 64 {
+            build_scan(
                 &mut self.packed,
                 &mut self.packed_scratch,
-                &mut self.levels,
                 points,
                 cube,
-                config.max_depth,
+                depth,
             )
         } else {
-            build_pipeline(
-                &mut self.wide,
-                &mut self.wide_scratch,
-                &mut self.levels,
-                points,
-                cube,
-                config.max_depth,
-            )
+            build_scan(&mut self.wide, &mut self.wide_scratch, points, cube, depth)
         })
     }
 }
 
-/// Phases 1–4 of the build (see [`OctreeBuilder`]), generic over the
-/// code-index representation.
-fn build_pipeline<E: CodeIdx>(
-    items: &mut Vec<E>,
+/// Passes 1–4 of the build (see [`OctreeBuilder`]), generic over the sort
+/// word.
+fn build_scan<E: CodeRgb>(
+    words: &mut Vec<E>,
     sort_scratch: &mut Vec<E>,
-    levels: &mut Levels,
     points: &[Point],
     cube: Aabb,
     max_depth: u8,
 ) -> Octree {
-    let n = points.len();
-    let Levels {
-        bounds,
-        octants,
-        first_child,
-        sums,
-    } = levels;
-
-    // Phase 1: Morton-code every point at max depth (parallel), with the
-    // quantizer of `VoxelGrid::key_of`, so octree voxel assignment is
-    // bit-identical to the brute-force voxelizer over the same cube.
+    // Pass 1: Morton-code every point at max depth with the quantizer of
+    // `VoxelGrid::key_of`, so octree voxel assignment is bit-identical to
+    // the brute-force voxelizer over the same cube.
     let cells = 1u64 << max_depth; // cells per axis
     let min = cube.min();
     let scale = morton::grid_scale(cube.max_extent(), cells);
-    let code_of = |p: Vec3| -> u64 {
-        morton::encode(
-            morton::grid_cell(p.x, min.x, scale, cells),
-            morton::grid_cell(p.y, min.y, scale, cells),
-            morton::grid_cell(p.z, min.z, scale, cells),
-        )
-    };
-    items.clear();
-    items.resize(n, E::default());
-    par::for_each_chunk_mut(items, POINT_CHUNK, |ci, out| {
-        let base = ci * POINT_CHUNK;
-        for (j, slot) in out.iter_mut().enumerate() {
-            let i = base + j;
-            *slot = E::pack(code_of(points[i].position), i as u32);
-        }
-    });
+    words.clear();
+    words.extend(points.iter().map(|p| {
+        let (q, c) = (p.position, p.color);
+        let code = morton::encode(
+            morton::grid_cell(q.x, min.x, scale, cells),
+            morton::grid_cell(q.y, min.y, scale, cells),
+            morton::grid_cell(q.z, min.z, scale, cells),
+        );
+        E::pack(code, u32::from_le_bytes([c.r, c.g, c.b, 0]))
+    }));
 
-    // Phase 2: stable radix sort by code.
-    morton::radix_sort(items, sort_scratch, E::CODE_SHIFT, 3 * u32::from(max_depth));
-    let items = &items[..];
+    // Pass 2: sort by code.
+    morton::radix_sort(words, sort_scratch, E::CODE_SHIFT, 3 * u32::from(max_depth));
+    let words = &words[..];
 
-    // Phase 3: node boundaries and octants per level, deepest first. A
-    // depth-d node starts wherever the 3d-bit prefix of the sorted codes
-    // changes, so level d's starts are a subset of level d+1's.
+    // The octant digits two codes share: the leading zeros of their XOR,
+    // less the 64 - 3·max_depth above every code, in whole digits (and
+    // `max_depth` for equal codes, whose XOR has 64).
     let d_max = usize::from(max_depth);
-    bounds.resize_with(d_max + 1, Vec::new);
-    octants.resize_with(d_max + 1, Vec::new);
-    for b in bounds.iter_mut() {
-        b.clear();
-    }
-    for o in octants.iter_mut() {
-        o.clear();
-    }
-    {
-        let leaf_parts: Vec<(Vec<u32>, Vec<u8>)> =
-            par::map_chunks(items, POINT_CHUNK, |ci, chunk| {
-                let base = ci * POINT_CHUNK;
-                let mut starts = Vec::new();
-                let mut octs = Vec::new();
-                for (j, item) in chunk.iter().enumerate() {
-                    let i = base + j;
-                    let code = item.code();
-                    if i == 0 || items[i - 1].code() != code {
-                        starts.push(i as u32);
-                        octs.push((code & 7) as u8);
-                    }
-                }
-                (starts, octs)
-            });
-        for (mut s, mut o) in leaf_parts {
-            bounds[d_max].append(&mut s);
-            octants[d_max].append(&mut o);
-        }
-    }
-    for d in (0..d_max).rev() {
-        let shift = 3 * (d_max - d) as u32;
-        let (shallow, deep) = bounds.split_at_mut(d + 1);
-        let (dst, src) = (&mut shallow[d], &deep[0]);
-        let dst_octs = &mut octants[d];
-        let mut prev_prefix = u64::MAX;
-        for &start in src.iter() {
-            let prefix = items[start as usize].code() >> shift;
-            if prefix != prev_prefix {
-                dst.push(start);
-                dst_octs.push((prefix & 7) as u8);
-                prev_prefix = prefix;
-            }
-        }
-    }
+    let shared = |a: E, b: E| ((a.code() ^ b.code()).leading_zeros() as usize + 3 * d_max - 64) / 3;
 
-    // Phase 4: number the nodes level by level, then aggregate bottom-up.
+    // Pass 3: level `d` has one node more than the adjacent pairs that
+    // share fewer than `d` digits.
+    let mut pairs_sharing = [0usize; LEVELS];
+    for pair in words.windows(2) {
+        pairs_sharing[shared(pair[0], pair[1])] += 1;
+    }
     let mut level_starts = Vec::with_capacity(d_max + 2);
-    let mut total = 0usize;
-    for b in bounds.iter() {
+    let (mut start, mut width) = (0usize, 1usize);
+    for shared_digits in &pairs_sharing[..=d_max] {
         // Nodes are numbered with u32, so the node total must fit u32 even
         // though the count accumulates in usize.
-        level_starts.push(u32::try_from(total).expect("node count exceeds u32 limit"));
-        total += b.len();
+        level_starts.push(u32::try_from(start).expect("node count exceeds u32 limit"));
+        start += width;
+        width += shared_digits;
     }
-    level_starts.push(u32::try_from(total).expect("node count exceeds u32 limit"));
-    sums.clear();
-    sums.resize(total, NodeSums::default());
+    level_starts.push(u32::try_from(start).expect("node count exceeds u32 limit"));
 
-    // Leaf level: one pass over the sorted order, reading each input point
-    // exactly once through its code-index word (parallel over fixed node
-    // chunks).
-    {
-        let leaf_bounds = &bounds[d_max];
-        let leaf_base = level_starts[d_max] as usize;
-        par::for_each_chunk_mut(&mut sums[leaf_base..], NODE_CHUNK, |ci, chunk| {
-            let base = ci * NODE_CHUNK;
-            for (k, node) in chunk.iter_mut().enumerate() {
-                let ni = base + k;
-                let lo = leaf_bounds[ni] as usize;
-                let hi = leaf_bounds.get(ni + 1).map_or(n, |&b| b as usize);
-                let mut color = [0u64; 3];
-                for item in &items[lo..hi] {
-                    let c = points[item.idx() as usize].color;
-                    color[0] += u64::from(c.r);
-                    color[1] += u64::from(c.g);
-                    color[2] += u64::from(c.b);
-                }
-                *node = NodeSums {
-                    count: (hi - lo) as u64,
-                    color,
-                };
-            }
-        });
-    }
-
-    // Internal levels: each parent adds up its children's sums, which come
-    // from the level below, and sets their octants, recorded during
-    // boundary derivation, in its occupancy byte.
+    // Pass 4: the fill, with the current node's number at every level.
+    // Below the root it starts one before the level's first node, which the
+    // first point opens.
     let mut occupancy = vec![0u8; level_starts[d_max] as usize];
-    for d in (0..d_max).rev() {
-        let parent_bounds = &bounds[d];
-        let child_bounds = &bounds[d + 1];
-        // first_child[i] = index (into child_bounds) of parent i's first
-        // child. Parents' starts are a subset of children's, so one merged
-        // scan suffices.
-        first_child.clear();
-        first_child.reserve(parent_bounds.len() + 1);
-        let mut j = 0u32;
-        for &pstart in parent_bounds {
-            while child_bounds[j as usize] != pstart {
-                j += 1;
-            }
-            first_child.push(j);
-            j += 1;
-        }
-        first_child.push(child_bounds.len() as u32);
-
-        let parent_base = level_starts[d] as usize;
-        let child_base = level_starts[d + 1] as usize;
-        // Split the sums at the child level: parents write theirs, the
-        // children's are read-only.
-        let (parent_sums, child_sums) = sums.split_at_mut(child_base);
-        aggregate_level(
-            &mut parent_sums[parent_base..],
-            &mut occupancy[parent_base..child_base],
-            0,
-            &child_sums[..child_bounds.len()],
-            &octants[d + 1],
-            first_child,
-            par::workers(),
-        );
+    let mut colors = vec![[0u8; 3]; start];
+    let mut node = [0usize; LEVELS];
+    for (number, &first) in node.iter_mut().zip(&level_starts[..=d_max]).skip(1) {
+        *number = first as usize - 1;
     }
-
-    let sums = &sums[..];
-    let mut colors = vec![0u8; 3 * total];
-    par::for_each_chunk_mut(&mut colors, 3 * NODE_CHUNK, |ci, chunk| {
-        for (rgb, node) in chunk.chunks_exact_mut(3).zip(&sums[ci * NODE_CHUNK..]) {
-            rgb.copy_from_slice(&node.mean_color());
+    let mut opened_at = [NodeSums::default(); LEVELS];
+    let mut running = NodeSums::default();
+    let octant_bit = |code: u64, depth: usize| 1u8 << ((code >> (3 * (d_max - depth))) & 7);
+    // The digits the previous point shares with the one before it, and this
+    // point with the previous one; none past either end.
+    let (mut before, mut k) = (0, 0);
+    for (i, &word) in words.iter().enumerate() {
+        let after = words.get(i + 1).map_or(0, |&next| shared(word, next));
+        // Close the nodes that held the last two points but not this one.
+        for depth in k + 1..=before {
+            colors[node[depth]] = running.since(opened_at[depth]).mean_color();
         }
-    });
+        // Open a node at every depth below k, marked in its parent's byte.
+        // Down to the depth the next point shares, it stays open; below
+        // that it holds this point alone and takes its colour now.
+        let (code, rgb) = (word.code(), word.rgb());
+        for depth in k + 1..=d_max {
+            node[depth] += 1;
+            occupancy[node[depth - 1]] |= octant_bit(code, depth);
+            if depth <= after {
+                opened_at[depth] = running;
+            } else {
+                let [r, g, b, _] = rgb.to_le_bytes();
+                colors[node[depth]] = [r, g, b];
+            }
+        }
+        running.add(rgb);
+        (before, k) = (k, after);
+    }
+    // Nothing follows the last point: close what is open, the root included.
+    for depth in 0..=before {
+        colors[node[depth]] = running.since(opened_at[depth]).mean_color();
+    }
 
     Octree {
         cube,
         level_starts,
         occupancy,
-        colors,
-        point_count: n as u64,
-    }
-}
-
-/// Aggregates one internal level: every parent adds up its children's
-/// sums and sets their octants in its occupancy byte. Split-recursive so
-/// the sum and occupancy columns advance in lockstep without interior
-/// mutability; the midpoint decomposition is data-sized, so results are
-/// identical for any worker count. `forks` bounds the live-thread fan-out
-/// at ~`workers()` (halved per split) without affecting the decomposition.
-fn aggregate_level(
-    sums: &mut [NodeSums],
-    occupancy: &mut [u8],
-    node_base: usize,
-    child_sums: &[NodeSums],
-    child_octants: &[u8],
-    first_child: &[u32],
-    forks: usize,
-) {
-    let len = sums.len();
-    if len > NODE_SPLIT_THRESHOLD && forks > 1 {
-        let mid = len / 2;
-        let (s_l, s_r) = sums.split_at_mut(mid);
-        let (o_l, o_r) = occupancy.split_at_mut(mid);
-        par::join(
-            || {
-                let forks = forks / 2;
-                aggregate_level(
-                    s_l,
-                    o_l,
-                    node_base,
-                    child_sums,
-                    child_octants,
-                    first_child,
-                    forks,
-                )
-            },
-            || {
-                let (base, forks) = (node_base + mid, forks - forks / 2);
-                aggregate_level(
-                    s_r,
-                    o_r,
-                    base,
-                    child_sums,
-                    child_octants,
-                    first_child,
-                    forks,
-                )
-            },
-        );
-        return;
-    }
-    for (k, (node, byte)) in sums.iter_mut().zip(occupancy).enumerate() {
-        let pi = node_base + k;
-        let mut agg = NodeSums::default();
-        let mut bits = 0u8;
-        for c in first_child[pi] as usize..first_child[pi + 1] as usize {
-            let child = &child_sums[c];
-            bits |= 1 << child_octants[c];
-            agg.count += child.count;
-            agg.color[0] += child.color[0];
-            agg.color[1] += child.color[1];
-            agg.color[2] += child.color[2];
-        }
-        *node = agg;
-        *byte = bits;
+        colors: colors.into_flattened(),
+        point_count: words.len() as u64,
     }
 }
 
@@ -677,7 +518,9 @@ fn aggregate_level(
 mod tests {
     use super::*;
     use crate::lod::LodMode;
+    use arvis_par as par;
     use arvis_pointcloud::color::Color;
+    use arvis_pointcloud::math::Vec3;
 
     fn unit_cloud() -> PointCloud {
         // Points at the eight corners (inset) of the unit cube, plus center.
@@ -890,14 +733,12 @@ mod tests {
         .with_target_points(30_000)
         .with_seed(9)
         .generate();
-        // Deep enough that aggregation splits its levels across workers.
-        let cfg = OctreeConfig::with_max_depth(12);
-        for tree in [
-            Octree::build(&cloud, &cfg).unwrap(),
-            par::serial_scope(|| Octree::build(&cloud, &cfg).unwrap()),
-        ] {
-            let grids = crate::reference::occupancy_from_grids(&cloud, tree.cube(), 12);
-            assert_eq!(tree.occupancy_above(12), grids);
+        // Depth 12 packs each 36-bit code beside its colour in one word;
+        // depth 14 sorts `(code, rgb)` pairs.
+        for depth in [12, 14] {
+            let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(depth)).unwrap();
+            let grids = crate::reference::occupancy_from_grids(&cloud, tree.cube(), depth);
+            assert_eq!(tree.occupancy_above(depth), grids, "depth {depth}");
         }
     }
 

@@ -9,11 +9,14 @@
 //!    the same `(index, chunk)` pairs whether the pool has 1 or 64 workers,
 //!    so floating-point accumulations performed per-chunk are bit-identical
 //!    across worker counts, one worker included. This is what lets the
-//!    octree and quality crates promise "serial and parallel builds produce
-//!    bit-identical results".
+//!    session batch and the quality crate promise "serial and parallel runs
+//!    produce bit-identical results".
 //! 2. **No pool, no dependencies.** Workers are `std::thread::scope` threads
 //!    spawned per call, ~10 µs per thread, which only work of a millisecond
-//!    or more amortizes (octree builds, batch runs, quality metrics). A call
+//!    or more amortizes (batch runs, kd-tree queries, quality metrics). An
+//!    octree build of a 20k-point frame takes about a millisecond and does
+//!    not fan out: with its eight fan-outs it was slower than serial on two
+//!    cores, and its one scan of sorted codes is serial by nature. A call
 //!    whose data fits in one chunk runs inline and spawns nothing. The
 //!    worker count itself is read once per process. Short per-slot fan-outs
 //!    (a ~200 µs slot of the shared uplink) pay the spawns in full; a

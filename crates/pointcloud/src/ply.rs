@@ -114,15 +114,13 @@ impl VertexLayout {
 
 /// Parsed PLY header for a vertex cloud.
 #[derive(Debug, Clone)]
-pub struct Header {
+struct Header {
     /// Body encoding.
-    pub encoding: Encoding,
+    encoding: Encoding,
     /// Number of vertices declared.
-    pub vertex_count: usize,
+    vertex_count: usize,
     /// `true` when `red`/`green`/`blue` properties are present.
-    pub has_color: bool,
-    /// Comment lines found in the header (without the `comment ` prefix).
-    pub comments: Vec<String>,
+    has_color: bool,
     layout: VertexLayout,
 }
 
@@ -134,7 +132,6 @@ fn parse_header<R: BufRead>(reader: &mut R) -> Result<Header> {
     }
 
     let mut encoding = None;
-    let mut comments = Vec::new();
     let mut layout: Option<VertexLayout> = None;
     let mut in_vertex = false;
     let mut seen_other_element_after_vertex = false;
@@ -162,15 +159,7 @@ fn parse_header<R: BufRead>(reader: &mut R) -> Result<Header> {
                     }
                 });
             }
-            Some("comment") | Some("obj_info") => {
-                comments.push(
-                    trimmed
-                        .split_once(' ')
-                        .map(|x| x.1)
-                        .unwrap_or("")
-                        .to_string(),
-                );
-            }
+            Some("comment") | Some("obj_info") => {}
             Some("element") => {
                 let name = tokens
                     .next()
@@ -243,7 +232,6 @@ fn parse_header<R: BufRead>(reader: &mut R) -> Result<Header> {
         encoding,
         vertex_count: layout.count,
         has_color,
-        comments,
         layout,
     })
 }
@@ -438,10 +426,14 @@ mod tests {
 
     #[test]
     fn reads_8i_style_header() {
-        // Layout used by the 8i Voxelized Full Bodies distribution.
-        let text = "ply\nformat ascii 1.0\ncomment Version 2, Copyright 2017\n\
-                    element vertex 2\nproperty float x\nproperty float y\nproperty float z\n\
-                    property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n\
+        // Layout used by the 8i Voxelized Full Bodies distribution, with
+        // `comment` and `obj_info` lines, bare or not, anywhere in the
+        // header.
+        let text = "ply\ncomment before the format\nformat ascii 1.0\n\
+                    comment Version 2, Copyright 2017\nobj_info num_cols 1024\n\
+                    element vertex 2\nproperty float x\ncomment\nproperty float y\n\
+                    obj_info\nproperty float z\nproperty uchar red\nproperty uchar green\n\
+                    property uchar blue\nobj_info last line, end_header\nend_header\n\
                     100 200 300 10 20 30\n1 2 3 40 50 60\n";
         let cloud = read_ply(text.as_bytes()).unwrap();
         assert_eq!(cloud.len(), 2);

@@ -2,8 +2,8 @@
 //! (voxel grid, octree, occupancy codec, PLY round-trip) must agree.
 
 use arvis::core::pipeline::PreparedSequence;
-use arvis::octree::attr::{frames_equivalent, EncodedFrame};
-use arvis::octree::occupancy::{decode_occupancy, encode_occupancy};
+use arvis::octree::attr::{frames_equivalent, EncodedFrame, FrameCheck};
+use arvis::octree::occupancy::{decode_occupancy, encode_occupancy, DecodeError};
 use arvis::octree::{LodMode, Octree, OctreeConfig};
 use arvis::pointcloud::ply::{read_ply, write_ply, Encoding};
 use arvis::pointcloud::synth::{voxelize_to_grid, FrameSequence, SubjectProfile, SynthBodyConfig};
@@ -97,6 +97,58 @@ fn encoded_frame_decodes_to_the_lod_in_order_bitwise() {
                 }
             }
             assert!(frames_equivalent(&decoded, &lod), "tree {t}, depth {depth}");
+        }
+    }
+}
+
+#[test]
+fn frame_check_in_reused_buffers_answers_as_fresh_clouds_do() {
+    // The slot's lossless check keeps its walk buffers and both clouds
+    // from one frame to the next. Each answer must be the one a fresh
+    // decode, LoD extraction and comparison give.
+    let fresh = |frame: &EncodedFrame, tree: &Octree, depth: u8| -> Result<bool, DecodeError> {
+        let decoded = frame.decode(tree.cube())?;
+        let lod = tree.extract_lod(depth, LodMode::VoxelCenters).cloud;
+        Ok(frames_equivalent(&decoded, &lod))
+    };
+    let frames: Vec<PointCloud> = FrameSequence::new(SubjectProfile::Loot, 3)
+        .with_target_points(5_000)
+        .with_seed(17)
+        .iter_frames()
+        .collect();
+    let sequence = PreparedSequence::prepare(&frames, 1..=10).unwrap();
+    let mut check = FrameCheck::default();
+    for slot in 0..sequence.len() as u64 {
+        let tree = sequence.tree(slot);
+        // Every depth, in an order that shrinks the frames as often as it
+        // grows them: a depth-10 frame followed by a depth-5 one leaves a
+        // stale tail in every buffer.
+        for depth in [10, 5, 9, 1, 6, 2, 8, 3, 7, 4] {
+            let what = format!("frame {slot}, depth {depth}");
+            let frame = EncodedFrame::encode(tree, depth);
+            assert_eq!(check.lossless(&frame, tree, depth), Ok(true), "{what}");
+            assert_eq!(fresh(&frame, tree, depth), Ok(true), "{what}");
+
+            // One flipped attribute byte.
+            let mut attributes = frame.attributes.to_vec();
+            let middle = 1 + (attributes.len() - 1) / 2;
+            attributes[middle] ^= 0x5a;
+            let flipped = EncodedFrame {
+                attributes: attributes.into(),
+                ..frame.clone()
+            };
+            assert_eq!(check.lossless(&flipped, tree, depth), Ok(false), "{what}");
+            assert_eq!(fresh(&flipped, tree, depth), Ok(false), "{what}");
+
+            // A truncated occupancy stream, then the frame again.
+            let cut = EncodedFrame {
+                occupancy: frame.occupancy.slice(0..frame.occupancy.len() - 1),
+                ..frame.clone()
+            };
+            let error = cut.decode(tree.cube()).unwrap_err();
+            assert_eq!(error, DecodeError::Truncated, "{what}");
+            assert_eq!(check.lossless(&cut, tree, depth), Err(error), "{what}");
+            assert_eq!(check.lossless(&frame, tree, depth), Ok(true), "{what}");
         }
     }
 }
