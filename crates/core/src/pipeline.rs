@@ -8,10 +8,22 @@
 //! the octree. It demonstrates (a) the scheduler is unit-agnostic — bytes
 //! work as well as points — and (b) the codec path is lossless at every
 //! depth the controller selects.
+//!
+//! A run takes two passes. The control pass is the serial loop of the
+//! paper: decide, encode, queue. The queue needs only a frame's byte size,
+//! and no decision waits for a check, so the pass only notes which depth
+//! each verified slot took. The verify pass then re-encodes those frames
+//! and checks them in fixed blocks of slots, fanned out over the
+//! `arvis_par` workers once per run. The blocks never depend on the worker
+//! count, and their answers are combined in slot order on the calling
+//! thread, so a run reports the same, and panics with the same message,
+//! on any number of workers.
 
 use std::ops::RangeInclusive;
+use std::sync::Mutex;
 
 use arvis_octree::attr::{EncodedFrame, FrameCheck};
+use arvis_octree::occupancy::DecodeError;
 use arvis_octree::{Octree, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
@@ -134,10 +146,27 @@ pub struct PipelineReport {
     pub stable: bool,
 }
 
+/// Verified slots per block of the verify pass: a fixed count, so every
+/// worker count checks the same blocks, and a small one, so the workers'
+/// shares of a run differ by at most a block.
+const VERIFY_BLOCK: usize = 4;
+
 /// Runs the encoded pipeline for `slots` slots against a device that drains
 /// `bytes_per_slot`. Every `verify_every`-th slot the encoded frame is
 /// decoded and compared against the LoD extraction (0 disables
-/// verification), in one [`FrameCheck`]'s buffers for the whole run.
+/// verification).
+///
+/// The control pass steps every slot first: decide, encode, queue, series.
+/// The verify pass then re-encodes each verified slot's frame, which is two
+/// slice copies, rather than hold every frame of the run. It checks them in
+/// fixed blocks of slots, each in one [`FrameCheck`], with the blocks
+/// fanned out by [`arvis_par::map_chunks`] and their answers combined in
+/// slot order, so the report is the same on any number of workers.
+///
+/// # Panics
+///
+/// Panics when a verified frame does not decode, with the error of the
+/// first such slot.
 pub fn run_encoded_pipeline(
     sequence: &PreparedSequence,
     controller: &mut dyn DepthController,
@@ -149,29 +178,36 @@ pub fn run_encoded_pipeline(
     let mut backlog_bytes = TimeSeries::new("backlog_bytes");
     let mut depth_series = TimeSeries::new("depth");
     let mut bytes_encoded = 0u64;
-    let mut frames_verified = 0usize;
-    let mut all_lossless = true;
-    let mut check = FrameCheck::default();
+    let mut to_verify = Vec::new();
 
     for slot in 0..slots {
         let profile = sequence.byte_profile(slot);
         let d = controller.select_depth(slot, queue.backlog(), profile);
-        let tree = sequence.tree(slot);
         // Encoding is two slice copies of the tree's columns, so each slot
         // encodes its frame afresh.
-        let frame = EncodedFrame::encode(tree, d);
-        let size = frame.byte_size() as f64;
-        bytes_encoded += frame.byte_size() as u64;
-        queue.step(size, bytes_per_slot);
+        let size = EncodedFrame::encode(sequence.tree(slot), d).byte_size();
+        bytes_encoded += size as u64;
+        queue.step(size as f64, bytes_per_slot);
         backlog_bytes.push(queue.backlog());
         depth_series.push(f64::from(d));
-
         if verify_every > 0 && slot % verify_every == 0 {
-            all_lossless &= check
-                .lossless(&frame, tree, d)
-                .expect("self-encoded frame decodes");
-            frames_verified += 1;
+            to_verify.push((slot, d));
         }
+    }
+
+    // Blocks borrow their `FrameCheck` from `spare` and put it back, so a
+    // run makes one per worker rather than one per block: a fresh check
+    // faults its buffers in on first use, at about half a check's cost.
+    let spare = Mutex::new(Vec::new());
+    let blocks = arvis_par::map_chunks(&to_verify, VERIFY_BLOCK, |_, block| {
+        let mut check = spare.lock().expect(UNPOISONED).pop().unwrap_or_default();
+        let answer = verify_block(sequence, block, &mut check);
+        spare.lock().expect(UNPOISONED).push(check);
+        answer
+    });
+    let mut all_lossless = true;
+    for block in blocks {
+        all_lossless &= block.expect("self-encoded frame decodes");
     }
 
     let stable = backlog_bytes.is_stable((slots / 2).max(2) as usize, 1e-3);
@@ -179,10 +215,29 @@ pub fn run_encoded_pipeline(
         backlog_bytes,
         depth: depth_series,
         bytes_encoded,
-        frames_verified,
+        frames_verified: to_verify.len(),
         all_decodes_lossless: all_lossless,
         stable,
     }
+}
+
+/// Why locking the spare checks cannot fail: the lock is held only for a
+/// `pop` or a `push`, so no block panics while holding it.
+const UNPOISONED: &str = "the spare checks are locked only to pop or push";
+
+/// Re-encodes and checks the frames of `block`'s `(slot, depth)` pairs in
+/// `check`: the first [`DecodeError`], or whether every frame was
+/// lossless. A frame that is not lossless does not stop the block.
+fn verify_block(
+    sequence: &PreparedSequence,
+    block: &[(u64, u8)],
+    check: &mut FrameCheck,
+) -> Result<bool, DecodeError> {
+    block.iter().try_fold(true, |all, &(slot, depth)| {
+        let tree = sequence.tree(slot);
+        let lossless = check.lossless(&EncodedFrame::encode(tree, depth), tree, depth)?;
+        Ok(all && lossless)
+    })
 }
 
 #[cfg(test)]

@@ -103,49 +103,48 @@ impl EncodedFrame {
     /// [`crate::occupancy::decode_occupancy`]); [`DecodeError::Truncated`]
     /// when the two streams disagree on the voxel count or depth.
     pub fn decode(&self, cube: &arvis_pointcloud::Aabb) -> Result<PointCloud, DecodeError> {
-        let mut points = Vec::new();
-        self.decode_into(cube, &mut CellWalk::default(), &mut points)?;
-        Ok(PointCloud::from_points(points))
+        Ok(self.points(cube, &mut CellWalk::default())?.collect())
     }
 
-    /// Writes the points of [`EncodedFrame::decode`] into `out`, walking
-    /// with `walk`'s buffers; on an error `out` holds no meaning.
-    fn decode_into(
-        &self,
+    /// The points of [`EncodedFrame::decode`], yielded one at a time from
+    /// a walk with `walk`'s buffers once both streams have been checked.
+    fn points<'a>(
+        &'a self,
         cube: &arvis_pointcloud::Aabb,
-        walk: &mut CellWalk,
-        out: &mut Vec<Point>,
-    ) -> Result<(), DecodeError> {
+        walk: &'a mut CellWalk,
+    ) -> Result<impl ExactSizeIterator<Item = Point> + 'a, DecodeError> {
         // Attribute errors are reported after the occupancy stream's own.
-        let attributes = split_attributes(&self.attributes);
-        let rgb = attributes.as_ref().map_or(&[][..], |&(_, rgb)| rgb);
-        let mut colors = rgb.chunks_exact(3);
-        let color = || colors.next().map_or(Color::BLACK, rgb_color);
-        decode_stream(&self.occupancy, cube, color, walk, out)?;
-        let (depth, rgb) = attributes?;
-        if depth != self.depth || out.len() != rgb.len() / 3 {
+        let centres = decode_stream(&self.occupancy, cube, walk)?;
+        let (depth, rgb) = split_attributes(&self.attributes)?;
+        if depth != self.depth || centres.len() != rgb.len() / 3 {
             return Err(DecodeError::Truncated);
         }
-        Ok(())
+        Ok(centres
+            .zip(rgb.chunks_exact(3))
+            .map(|(centre, rgb)| Point::new(centre, rgb_color(rgb))))
     }
 }
 
-/// The pipeline's lossless check, with buffers kept from one check to the
-/// next: the occupancy walk's cells and both clouds it compares. It
-/// allocates on its first checks and then only when a frame outgrows the
-/// ones before it, so the slots of a long run reuse one set of buffers.
+/// The pipeline's lossless check, with the buffers of two occupancy walks
+/// kept from one check to the next: one walks the frame's stream, the other
+/// the tree's column. It holds no cloud. The decoded points and the LoD's
+/// are compared pair by pair as the two walks' cells map to them, and only
+/// a frame whose points differ from the LoD's in order has the rest of both
+/// clouds collected and compared sorted. The walks' cell buffers grow on
+/// the first checks and then only when a frame outgrows the ones before
+/// it, so the slots of a long run reuse one pair of walks.
 #[derive(Debug, Default)]
 pub struct FrameCheck {
-    walk: CellWalk,
-    decoded: Vec<Point>,
-    lod: Vec<Point>,
+    decoded: CellWalk,
+    lod: CellWalk,
 }
 
 impl FrameCheck {
     /// Whether `frame` decodes over `tree.cube()` to the depth-`depth` LoD
     /// of `tree`: the answer of
     /// `frames_equivalent(&frame.decode(tree.cube())?, &tree.extract_lod(depth, LodMode::VoxelCenters).cloud)`,
-    /// with no allocation once the buffers are large enough.
+    /// without building either cloud. The frame is decoded and checked
+    /// before the LoD is walked, so its errors come first.
     ///
     /// # Errors
     ///
@@ -160,9 +159,9 @@ impl FrameCheck {
         tree: &Octree,
         depth: u8,
     ) -> Result<bool, DecodeError> {
-        frame.decode_into(tree.cube(), &mut self.walk, &mut self.decoded)?;
-        tree.lod_points(depth, &mut self.walk, &mut self.lod);
-        Ok(points_equivalent(&self.decoded, &self.lod))
+        let decoded = frame.points(tree.cube(), &mut self.decoded)?;
+        let lod = tree.lod_points(depth, &mut self.lod);
+        Ok(equivalent(decoded, lod))
     }
 }
 
@@ -185,16 +184,33 @@ impl Octree {
 /// `core::pipeline` runs it on every verified slot, through
 /// [`FrameCheck`], comparing [`EncodedFrame::decode`] with
 /// [`Octree::extract_lod`]. Those two share an order, so the check first
-/// compares the clouds element by element, in O(n); only when that fails
-/// does it sort both quantized clouds and compare them, in O(n log n). The
-/// answer does not depend on which path gives it.
+/// compares the clouds element by element, in O(n); only when a pair
+/// differs does it sort that pair and the rest of both quantized clouds
+/// and compare them, in O(n log n). The answer does not depend on which
+/// path gives it.
 pub fn frames_equivalent(a: &PointCloud, b: &PointCloud) -> bool {
-    points_equivalent(a.points(), b.points())
+    equivalent(a.iter().copied(), b.iter().copied())
 }
 
-/// [`frames_equivalent`] over the clouds' points.
-fn points_equivalent(a: &[Point], b: &[Point]) -> bool {
-    a.len() == b.len() && (same_in_order(a, b) || same_when_sorted(a, b))
+/// [`frames_equivalent`] over two point sequences as they are yielded.
+///
+/// The pairs before the first that differs quantize equally, so the two
+/// multisets are equal exactly when the rest of each sequence, from that
+/// pair on, quantize to equal multisets: only the rest is collected and
+/// sorted.
+fn equivalent(
+    a: impl ExactSizeIterator<Item = Point>,
+    b: impl ExactSizeIterator<Item = Point>,
+) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut pairs = a.zip(b);
+    let Some(first) = pairs.find(|(p, q)| !same_point(p, q)) else {
+        return true;
+    };
+    let (a, b): (Vec<Point>, Vec<Point>) = std::iter::once(first).chain(pairs).unzip();
+    same_when_sorted(&a, &b)
 }
 
 /// A point's position quantized to 1e-6, with its color.
@@ -209,13 +225,16 @@ fn quantize(p: &Point) -> Quantized {
     )
 }
 
+/// Whether two points quantize equally (bitwise-equal points do).
+fn same_point(p: &Point, q: &Point) -> bool {
+    p == q || quantize(p) == quantize(q)
+}
+
 /// The linear path of [`frames_equivalent`]: equal clouds of equal length,
-/// point by point (bitwise-equal points quantize equally).
+/// point by point.
+#[cfg(test)]
 pub(crate) fn same_in_order(a: &[Point], b: &[Point]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(p, q)| p == q || quantize(p) == quantize(q))
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| same_point(p, q))
 }
 
 /// The sorting path of [`frames_equivalent`].

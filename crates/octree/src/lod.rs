@@ -11,7 +11,7 @@ use arvis_pointcloud::cloud::PointCloud;
 use arvis_pointcloud::point::Point;
 
 use crate::attr::rgb_color;
-use crate::occupancy::{CellWalk, VoxelCentres};
+use crate::occupancy::CellWalk;
 use crate::tree::Octree;
 
 /// Where the representative point of each voxel is placed.
@@ -56,18 +56,20 @@ impl Octree {
     /// Panics when `depth > max_depth`.
     pub fn extract_lod(&self, depth: u8, mode: LodMode) -> LodCloud {
         let LodMode::VoxelCenters = mode;
-        let mut points = Vec::new();
-        self.lod_points(depth, &mut CellWalk::default(), &mut points);
         LodCloud {
-            cloud: PointCloud::from_points(points),
+            cloud: self.lod_points(depth, &mut CellWalk::default()).collect(),
             depth,
             voxel_size: self.voxel_size_at_depth(depth),
         }
     }
 
-    /// Writes the points of [`Octree::extract_lod`] into `out`, walking
-    /// with `walk`'s buffers.
-    pub(crate) fn lod_points(&self, depth: u8, walk: &mut CellWalk, out: &mut Vec<Point>) {
+    /// The points of [`Octree::extract_lod`], yielded one at a time from a
+    /// walk with `walk`'s buffers.
+    pub(crate) fn lod_points<'w>(
+        &'w self,
+        depth: u8,
+        walk: &'w mut CellWalk,
+    ) -> impl ExactSizeIterator<Item = Point> + 'w {
         assert!(
             depth <= self.max_depth(),
             "depth {depth} exceeds max depth {}",
@@ -75,17 +77,12 @@ impl Octree {
         );
         let occupancy = self.occupancy_above(depth);
         let Ok(_) = walk.walk(depth, |rows| Ok::<_, Infallible>(&occupancy[rows]));
-        let leaves = walk.cells();
+        let centres = walk.centres(self.cube(), depth);
         let colors = self.colors_at(depth).chunks_exact(3);
-        assert_eq!(colors.len(), leaves.len(), "one colour per voxel");
-        let centres = VoxelCentres::new(self.cube(), depth, leaves.len());
-        out.clear();
-        out.extend(
-            leaves
-                .iter()
-                .zip(colors)
-                .map(|(&cell, rgb)| Point::new(centres.at(cell), rgb_color(rgb))),
-        );
+        assert_eq!(colors.len(), centres.len(), "one colour per voxel");
+        centres
+            .zip(colors)
+            .map(|(centre, rgb)| Point::new(centre, rgb_color(rgb)))
     }
 
     /// The occupied-voxel count at every depth `0..=max_depth`.

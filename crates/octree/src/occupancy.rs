@@ -92,34 +92,25 @@ pub fn encode_occupancy(tree: &Octree, depth: u8) -> Bytes {
 /// first zero node byte, and [`DecodeError::Truncated`] when the stream
 /// ends before the declared depth or carries bytes after it.
 pub fn decode_occupancy(stream: Bytes, cube: &Aabb) -> Result<PointCloud, DecodeError> {
-    let mut points = Vec::new();
-    decode_stream(
-        &stream,
-        cube,
-        || Color::BLACK,
-        &mut CellWalk::default(),
-        &mut points,
-    )?;
-    Ok(PointCloud::from_points(points))
+    Ok(decode_stream(&stream, cube, &mut CellWalk::default())?
+        .map(|centre| Point::new(centre, Color::BLACK))
+        .collect())
 }
 
-/// Decodes a whole occupancy stream over `cube` into `out`: the voxel
-/// centres of the declared depth, in stream order, each coloured by the
-/// next call of `color`. The errors are those of [`decode_occupancy`]; on
-/// an error `out` holds no meaning.
+/// Decodes a whole occupancy stream over `cube`: the voxel centres of the
+/// declared depth, in stream order, yielded one at a time. The errors are
+/// those of [`decode_occupancy`].
 ///
 /// The stream is walked by [`CellWalk::walk`], the walk
-/// [`Octree::extract_lod`] runs over the tree's own column; the points are
-/// written in one pass over the leaf cells, and they and the
-/// [`VoxelCentres`] tables are sized by the voxel count the walk has read
-/// and checked, never by a length the stream declares.
-pub(crate) fn decode_stream(
+/// [`Octree::extract_lod`] runs over the tree's own column, and the centres
+/// come from [`CellWalk::centres`], so they and the [`VoxelCentres`] tables
+/// are sized by the voxel count the walk has read and checked, never by a
+/// length the stream declares.
+pub(crate) fn decode_stream<'w>(
     stream: &[u8],
     cube: &Aabb,
-    mut color: impl FnMut() -> Color,
-    walk: &mut CellWalk,
-    out: &mut Vec<Point>,
-) -> Result<(), DecodeError> {
+    walk: &'w mut CellWalk,
+) -> Result<impl ExactSizeIterator<Item = Vec3> + 'w, DecodeError> {
     let (&depth, nodes) = stream.split_first().ok_or(DecodeError::BadHeader)?;
     if depth == 0 || depth > MAX_SUPPORTED_DEPTH {
         return Err(DecodeError::BadHeader);
@@ -129,15 +120,7 @@ pub(crate) fn decode_stream(
         // Bytes after the declared depth.
         return Err(DecodeError::Truncated);
     }
-    let leaves = walk.cells();
-    let centres = VoxelCentres::new(&cube.bounding_cube(), depth, leaves.len());
-    out.clear();
-    out.extend(
-        leaves
-            .iter()
-            .map(|&cell| Point::new(centres.at(cell), color())),
-    );
-    Ok(())
+    Ok(walk.centres(&cube.bounding_cube(), depth))
 }
 
 /// The node bytes `range` of a stream, or the error of the first one
@@ -219,6 +202,10 @@ static CHILDREN: [[u64; 8]; 256] = {
 pub(crate) struct CellWalk {
     cells: Vec<u64>,
     next: Vec<u64>,
+    /// The tables of the last [`CellWalk::centres`], held here for the
+    /// centres it yields to borrow: a walk over tables moved into the
+    /// iterator ran 2–3% slower.
+    tables: VoxelCentres,
 }
 
 impl CellWalk {
@@ -249,9 +236,17 @@ impl CellWalk {
         Ok(read)
     }
 
-    /// The cells the last successful [`CellWalk::walk`] reached.
-    pub(crate) fn cells(&self) -> &[u64] {
-        &self.cells
+    /// The centres, in `cube`'s subdivision at `depth`, of the cells the
+    /// last successful [`CellWalk::walk`] reached, in their order. The
+    /// [`VoxelCentres`] tables are sized by the cell count.
+    pub(crate) fn centres(
+        &mut self,
+        cube: &Aabb,
+        depth: u8,
+    ) -> impl ExactSizeIterator<Item = Vec3> + '_ {
+        self.tables = VoxelCentres::new(cube, depth, self.cells.len());
+        let tables = &self.tables;
+        self.cells.iter().map(move |&cell| tables.at(cell))
     }
 }
 
@@ -295,7 +290,7 @@ fn expand(cells: &[u64], bytes: &[u8], next: &mut Vec<u64>) {
 /// table interval along the bits of its axis index below `h`, then once
 /// more for the midpoint: the same arithmetic, in the same order, so
 /// `cells` sets the cost and never a centre.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct VoxelCentres {
     /// Per axis, the level-`h` cell boundaries.
     bounds: [Vec<f64>; 3],
@@ -595,7 +590,7 @@ mod tests {
         let leaves_of = |stream: &[u8]| {
             let mut walk = CellWalk::default();
             walk.walk(stream[0], |range| level_bytes(&stream[1..], range))
-                .map(|_| walk.cells().len())
+                .map(|_| walk.centres(&cube, stream[0]).len())
         };
 
         // A zero first node byte followed by 512 KiB: the error comes

@@ -13,7 +13,11 @@
 //!    produce bit-identical results".
 //! 2. **No pool, no dependencies.** Workers are `std::thread::scope` threads
 //!    spawned per call, ~10 µs per thread, which only work of a millisecond
-//!    or more amortizes (batch runs, kd-tree queries, quality metrics). An
+//!    or more amortizes (batch runs, kd-tree queries, quality metrics). The
+//!    encoded pipeline's verify pass is one such call per run: no control
+//!    decision waits for a frame's lossless check, so a 120-slot run checks
+//!    all its frames (~70 ms of work) in one fan-out and pays one spawn per
+//!    worker, where a fan-out per slot would pay one every ~600 µs. An
 //!    octree build of a 20k-point frame takes about a millisecond and does
 //!    not fan out: with its eight fan-outs it was slower than serial on two
 //!    cores, and its one scan of sorted codes is serial by nature. A call

@@ -1,14 +1,16 @@
 //! Cross-crate consistency: the same frame measured through different paths
 //! (voxel grid, octree, occupancy codec, PLY round-trip) must agree.
 
-use arvis::core::pipeline::PreparedSequence;
+use arvis::core::controller::ProposedDpp;
+use arvis::core::experiment::v_for_knee;
+use arvis::core::pipeline::{run_encoded_pipeline, PreparedSequence};
 use arvis::octree::attr::{frames_equivalent, EncodedFrame, FrameCheck};
 use arvis::octree::occupancy::{decode_occupancy, encode_occupancy, DecodeError};
 use arvis::octree::{LodMode, Octree, OctreeConfig};
 use arvis::pointcloud::ply::{read_ply, write_ply, Encoding};
 use arvis::pointcloud::synth::{voxelize_to_grid, FrameSequence, SubjectProfile, SynthBodyConfig};
 use arvis::pointcloud::voxel::VoxelGrid;
-use arvis::pointcloud::PointCloud;
+use arvis::pointcloud::{Aabb, Point, PointCloud, Vec3};
 use arvis::quality::profile::DepthProfile;
 
 fn frame() -> arvis::pointcloud::PointCloud {
@@ -149,6 +151,86 @@ fn frame_check_in_reused_buffers_answers_as_fresh_clouds_do() {
             assert_eq!(error, DecodeError::Truncated, "{what}");
             assert_eq!(check.lossless(&cut, tree, depth), Err(error), "{what}");
             assert_eq!(check.lossless(&frame, tree, depth), Ok(true), "{what}");
+        }
+    }
+}
+
+#[test]
+fn frame_check_compares_sorted_when_only_the_order_differs() {
+    // Two voxels in a cube of side 1e-9, whose centres both quantize to the
+    // origin, with their colours swapped in the attribute stream: the
+    // decoded points differ from the LoD's in order only, so the in-order
+    // comparison fails and the sorted one must answer.
+    let cube = Aabb::new(Vec3::ZERO, Vec3::splat(1e-9));
+    let cloud: PointCloud = [
+        Point::xyz_rgb(0.25e-9, 0.25e-9, 0.25e-9, 10, 20, 30),
+        Point::xyz_rgb(0.75e-9, 0.75e-9, 0.75e-9, 200, 100, 50),
+    ]
+    .into_iter()
+    .collect();
+    let tree = Octree::build(&cloud, &OctreeConfig::with_max_depth(1).in_cube(cube)).unwrap();
+    let frame = EncodedFrame::encode(&tree, 1);
+    assert_eq!(frame.attributes.to_vec(), [1, 10, 20, 30, 200, 100, 50]);
+    let fresh = |frame: &EncodedFrame| -> Result<bool, DecodeError> {
+        let lod = tree.extract_lod(1, LodMode::VoxelCenters).cloud;
+        Ok(frames_equivalent(&frame.decode(tree.cube())?, &lod))
+    };
+    let with_attributes = |rgb: [u8; 6]| EncodedFrame {
+        attributes: [&[1][..], &rgb].concat().into(),
+        ..frame.clone()
+    };
+
+    let swapped = with_attributes([200, 100, 50, 10, 20, 30]);
+    let decoded = swapped.decode(tree.cube()).unwrap();
+    let lod = tree.extract_lod(1, LodMode::VoxelCenters).cloud;
+    assert_ne!(decoded.points()[0], lod.points()[0], "the order differs");
+    let mut check = FrameCheck::default();
+    assert_eq!(check.lossless(&swapped, &tree, 1), Ok(true));
+    assert_eq!(fresh(&swapped), Ok(true));
+
+    // A colour that is in neither point: not lossless on either path.
+    let recoloured = with_attributes([200, 100, 50, 10, 20, 31]);
+    assert_eq!(check.lossless(&recoloured, &tree, 1), Ok(false));
+    assert_eq!(fresh(&recoloured), Ok(false));
+    assert_eq!(check.lossless(&frame, &tree, 1), Ok(true));
+}
+
+#[test]
+fn encoded_pipeline_reports_the_same_on_one_worker_and_on_all() {
+    // The verify pass checks fixed blocks of slots on the workers; the
+    // report must be the serial loop's, on slot counts that are not
+    // multiples of a block and with every kind of verification stride.
+    let frames: Vec<PointCloud> = FrameSequence::new(SubjectProfile::Longdress, 4)
+        .with_target_points(2_000)
+        .with_seed(3)
+        .iter_frames()
+        .collect();
+    let sequence = PreparedSequence::prepare(&frames, 2..=7).unwrap();
+    let profile = sequence.byte_profile(0);
+    let rate = (profile.arrival(6) * profile.arrival(7)).sqrt();
+    let v = v_for_knee(profile, rate, 20.0).unwrap();
+    let run = |slots: u64, verify_every: u64| {
+        run_encoded_pipeline(
+            &sequence,
+            &mut ProposedDpp::new(v),
+            rate,
+            slots,
+            verify_every,
+        )
+    };
+    for slots in [1u64, 7, 61, 121] {
+        for verify_every in [0u64, 1, 4] {
+            let what = format!("{slots} slots, verifying every {verify_every}");
+            let all = run(slots, verify_every);
+            let one = arvis_par::serial_scope(|| run(slots, verify_every));
+            assert_eq!(format!("{all:?}"), format!("{one:?}"), "{what}");
+            let verified = if verify_every == 0 {
+                0
+            } else {
+                slots.div_ceil(verify_every)
+            };
+            assert_eq!(all.frames_verified as u64, verified, "{what}");
+            assert!(all.all_decodes_lossless, "{what}");
         }
     }
 }
