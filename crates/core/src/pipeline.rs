@@ -3,27 +3,31 @@
 //! [`crate::experiment`] drives the scheduler against a *profile* (the
 //! per-depth table), which is all Algorithm 1 needs. This module closes the
 //! loop with actual data structures: each slot the chosen depth's LoD frame
-//! is **encoded** (occupancy + attribute streams, `arvis_octree::attr`), its
-//! true byte size enters the queue, and decoded frames are verified against
-//! the octree. It demonstrates (a) the scheduler is unit-agnostic — bytes
-//! work as well as points — and (b) the codec path is lossless at every
-//! depth the controller selects.
+//! has its **encoded** size (occupancy + attribute streams,
+//! `arvis_octree::attr`) enter the queue, and encoded frames are decoded and
+//! verified against the octree. It demonstrates (a) the scheduler is
+//! unit-agnostic — bytes work as well as points — and (b) the codec path is
+//! lossless at every depth the controller selects.
+//!
+//! [`PreparedSequence::prepare`] builds every frame's octree before a run:
+//! the frames' bounding boxes, then their builds and byte profiles, each
+//! fanned out over the `arvis_par` workers and assembled in frame order.
 //!
 //! A run takes two passes. The control pass is the serial loop of the
-//! paper: decide, encode, queue. The queue needs only a frame's byte size,
-//! and no decision waits for a check, so the pass only notes which depth
-//! each verified slot took. The verify pass then re-encodes those frames
-//! and checks them in fixed blocks of slots, fanned out over the
-//! `arvis_par` workers once per run. The blocks never depend on the worker
-//! count, and their answers are combined in slot order on the calling
-//! thread, so a run reports the same, and panics with the same message,
-//! on any number of workers.
+//! paper: decide, size, queue. The queue needs only a frame's byte size,
+//! which the tree gives without encoding, and no decision waits for a
+//! check, so the pass only notes the depth and size of each verified slot.
+//! The verify pass then encodes those frames, checks each against the size
+//! queued and its decode against the octree, in fixed blocks of slots,
+//! fanned out over the workers once per run. The blocks never depend on the
+//! worker count, and their answers are combined in slot order on the
+//! calling thread, so a run reports the same, and panics with the same
+//! message, on any number of workers.
 
 use std::ops::RangeInclusive;
 use std::sync::Mutex;
 
 use arvis_octree::attr::{EncodedFrame, FrameCheck};
-use arvis_octree::occupancy::DecodeError;
 use arvis_octree::{Octree, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis_pointcloud::aabb::Aabb;
 use arvis_pointcloud::cloud::PointCloud;
@@ -48,10 +52,18 @@ impl PreparedSequence {
     /// Builds octrees for every frame over the union bounding cube and
     /// derives byte-unit profiles.
     ///
+    /// Both passes fan out over the frames with [`arvis_par::map_chunks`]:
+    /// first each frame's bounding box, which the calling thread then
+    /// unions in frame order, so the shared cube is the serial fold's; then
+    /// each frame's octree and byte profile, in fixed blocks of
+    /// `PREPARE_BLOCK` frames, each worker building in one
+    /// [`OctreeBuilder`] of its own. Trees and profiles are assembled in
+    /// frame order, so the sequence is the same on any number of workers.
+    ///
     /// # Errors
     ///
     /// Propagates octree construction failures (empty frames, excessive
-    /// depth).
+    /// depth): the first in frame order, on any number of workers.
     ///
     /// # Panics
     ///
@@ -67,29 +79,39 @@ impl PreparedSequence {
             "need 1 <= min_depth < max_depth"
         );
         // Shared cube: union of all frame boxes, so voxel grids align
-        // across the sequence.
-        let cube = frames
-            .iter()
-            .filter_map(|f| f.aabb())
+        // across the sequence. The workers find one frame's box per chunk;
+        // the calling thread unions them in frame order.
+        let cube = arvis_par::map_chunks(frames, 1, |_, frame| frame[0].aabb())
+            .into_iter()
+            .flatten()
             .reduce(|a, b| a.union(&b))
             .map(|b| b.bounding_cube())
             .ok_or(OctreeError::EmptyCloud)?;
-        let max_depth = *depths.end();
+        let config = OctreeConfig::with_max_depth(*depths.end()).in_cube(cube);
+        // One builder per worker: a block borrows one from the spares, so
+        // its sort buffers are allocated for a worker's first frame and
+        // reused for every other.
+        let blocks = map_blocks(
+            frames,
+            PREPARE_BLOCK,
+            |block, builder: &mut OctreeBuilder| {
+                block
+                    .iter()
+                    .map(|frame| {
+                        let tree = builder.build(frame, &config)?;
+                        let profile = byte_profile(&tree, depths.clone());
+                        Ok((tree, profile))
+                    })
+                    .collect::<Result<Vec<_>, OctreeError>>()
+            },
+        );
         let mut trees = Vec::with_capacity(frames.len());
         let mut byte_profiles = Vec::with_capacity(frames.len());
-        // One builder for the whole sequence: Morton/SoA scratch buffers
-        // are allocated for the first frame and reused for every other.
-        let mut builder = OctreeBuilder::new();
-        for f in frames {
-            let tree = builder.build(f, &OctreeConfig::with_max_depth(max_depth).in_cube(cube))?;
-            let arrivals: Vec<f64> = depths
-                .clone()
-                .map(|d| tree.encoded_frame_size(d) as f64)
-                .collect();
-            let quality = log_quality(&arrivals)
-                .expect("each level adds an occupancy byte, so frames grow with depth");
-            byte_profiles.push(DepthProfile::from_parts(*depths.start(), arrivals, quality));
-            trees.push(tree);
+        for block in blocks {
+            for (tree, profile) in block? {
+                trees.push(tree);
+                byte_profiles.push(profile);
+            }
         }
         Ok(PreparedSequence {
             trees,
@@ -129,6 +151,16 @@ impl PreparedSequence {
     }
 }
 
+/// `tree`'s byte-unit profile over `depths`: each depth's arrival is the
+/// size of its encoded frame.
+fn byte_profile(tree: &Octree, depths: RangeInclusive<u8>) -> DepthProfile {
+    let min_depth = *depths.start();
+    let arrivals: Vec<f64> = depths.map(|d| tree.encoded_frame_size(d) as f64).collect();
+    let quality = log_quality(&arrivals)
+        .expect("each level adds an occupancy byte, so frames grow with depth");
+    DepthProfile::from_parts(min_depth, arrivals, quality)
+}
+
 /// Outcome of an encoded-pipeline run.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
@@ -136,7 +168,8 @@ pub struct PipelineReport {
     pub backlog_bytes: TimeSeries,
     /// Chosen depth per slot.
     pub depth: TimeSeries,
-    /// Total bytes encoded (= admitted work).
+    /// Total bytes queued (= admitted work): each slot's encoded frame
+    /// size, which its tree gives without encoding.
     pub bytes_encoded: u64,
     /// Frames whose decode was verified against the LoD extraction.
     pub frames_verified: usize,
@@ -145,6 +178,12 @@ pub struct PipelineReport {
     /// Stability verdict of the byte backlog.
     pub stable: bool,
 }
+
+/// Frames per block of `prepare`'s build pass: a fixed count, so every
+/// worker count builds the same blocks. A build takes about a millisecond,
+/// far more than a block costs, so one frame per block evens the workers'
+/// shares best.
+const PREPARE_BLOCK: usize = 1;
 
 /// Verified slots per block of the verify pass: a fixed count, so every
 /// worker count checks the same blocks, and a small one, so the workers'
@@ -156,17 +195,19 @@ const VERIFY_BLOCK: usize = 4;
 /// decoded and compared against the LoD extraction (0 disables
 /// verification).
 ///
-/// The control pass steps every slot first: decide, encode, queue, series.
-/// The verify pass then re-encodes each verified slot's frame, which is two
-/// slice copies, rather than hold every frame of the run. It checks them in
-/// fixed blocks of slots, each in one [`FrameCheck`], with the blocks
-/// fanned out by [`arvis_par::map_chunks`] and their answers combined in
-/// slot order, so the report is the same on any number of workers.
+/// The control pass steps every slot first: decide, size, queue, series.
+/// A frame's encoded size comes from its tree, without encoding it. The
+/// verify pass then encodes each verified slot's frame, which is two slice
+/// copies, rather than hold every frame of the run, and checks that it is
+/// as large as the size queued. It checks them in fixed blocks of slots,
+/// each in one [`FrameCheck`], with the blocks fanned out by
+/// [`arvis_par::map_chunks`] and their answers combined in slot order, so
+/// the report is the same on any number of workers.
 ///
 /// # Panics
 ///
-/// Panics when a verified frame does not decode, with the error of the
-/// first such slot.
+/// Panics when a verified frame does not decode, or encodes to another
+/// size than the one queued, with the fault of the first such slot.
 pub fn run_encoded_pipeline(
     sequence: &PreparedSequence,
     controller: &mut dyn DepthController,
@@ -183,31 +224,22 @@ pub fn run_encoded_pipeline(
     for slot in 0..slots {
         let profile = sequence.byte_profile(slot);
         let d = controller.select_depth(slot, queue.backlog(), profile);
-        // Encoding is two slice copies of the tree's columns, so each slot
-        // encodes its frame afresh.
-        let size = EncodedFrame::encode(sequence.tree(slot), d).byte_size();
+        let size = sequence.tree(slot).encoded_frame_size(d);
         bytes_encoded += size as u64;
         queue.step(size as f64, bytes_per_slot);
         backlog_bytes.push(queue.backlog());
         depth_series.push(f64::from(d));
         if verify_every > 0 && slot % verify_every == 0 {
-            to_verify.push((slot, d));
+            to_verify.push((slot, d, size));
         }
     }
 
-    // Blocks borrow their `FrameCheck` from `spare` and put it back, so a
-    // run makes one per worker rather than one per block: a fresh check
-    // faults its buffers in on first use, at about half a check's cost.
-    let spare = Mutex::new(Vec::new());
-    let blocks = arvis_par::map_chunks(&to_verify, VERIFY_BLOCK, |_, block| {
-        let mut check = spare.lock().expect(UNPOISONED).pop().unwrap_or_default();
-        let answer = verify_block(sequence, block, &mut check);
-        spare.lock().expect(UNPOISONED).push(check);
-        answer
+    let blocks = map_blocks(&to_verify, VERIFY_BLOCK, |block, check| {
+        verify_block(sequence, block, check)
     });
     let mut all_lossless = true;
     for block in blocks {
-        all_lossless &= block.expect("self-encoded frame decodes");
+        all_lossless &= block.unwrap_or_else(|fault| panic!("{fault}"));
     }
 
     let stable = backlog_bytes.is_stable((slots / 2).max(2) as usize, 1e-3);
@@ -221,21 +253,52 @@ pub fn run_encoded_pipeline(
     }
 }
 
-/// Why locking the spare checks cannot fail: the lock is held only for a
-/// `pop` or a `push`, so no block panics while holding it.
-const UNPOISONED: &str = "the spare checks are locked only to pop or push";
+/// Maps every `block`-sized piece of `data` through `f` with
+/// [`arvis_par::map_chunks`], lending each piece an `S` to work in.
+///
+/// Pieces borrow their `S` from a list of spares and put it back, so a call
+/// makes one per worker rather than one per piece: a fresh builder or check
+/// faults its buffers in on first use, at about half a use's cost.
+fn map_blocks<T: Sync, S: Default + Send, U: Send>(
+    data: &[T],
+    block: usize,
+    f: impl Fn(&[T], &mut S) -> U + Sync,
+) -> Vec<U> {
+    let spare = Mutex::new(Vec::new());
+    arvis_par::map_chunks(data, block, |_, piece| {
+        let mut scratch = spare.lock().expect(UNPOISONED).pop().unwrap_or_default();
+        let answer = f(piece, &mut scratch);
+        spare.lock().expect(UNPOISONED).push(scratch);
+        answer
+    })
+}
 
-/// Re-encodes and checks the frames of `block`'s `(slot, depth)` pairs in
-/// `check`: the first [`DecodeError`], or whether every frame was
-/// lossless. A frame that is not lossless does not stop the block.
+/// Why locking the spares cannot fail: the lock is held only for a `pop`
+/// or a `push`, so no piece panics while holding it.
+const UNPOISONED: &str = "the spares are locked only to pop or push";
+
+/// Encodes and checks the frames of `block`'s `(slot, depth, queued size)`
+/// triples in `check`: whether every frame was lossless, or the fault of
+/// the first slot whose frame encodes to another size than the one queued
+/// or does not decode. A frame that is not lossless does not stop the
+/// block.
 fn verify_block(
     sequence: &PreparedSequence,
-    block: &[(u64, u8)],
+    block: &[(u64, u8, usize)],
     check: &mut FrameCheck,
-) -> Result<bool, DecodeError> {
-    block.iter().try_fold(true, |all, &(slot, depth)| {
+) -> Result<bool, String> {
+    block.iter().try_fold(true, |all, &(slot, depth, size)| {
         let tree = sequence.tree(slot);
-        let lossless = check.lossless(&EncodedFrame::encode(tree, depth), tree, depth)?;
+        let frame = EncodedFrame::encode(tree, depth);
+        if frame.byte_size() != size {
+            return Err(format!(
+                "slot {slot} queued {size} bytes at depth {depth}, but its frame encodes to {}",
+                frame.byte_size()
+            ));
+        }
+        let lossless = check
+            .lossless(&frame, tree, depth)
+            .map_err(|e| format!("self-encoded frame decodes: {e:?}"))?;
         Ok(all && lossless)
     })
 }
@@ -307,6 +370,22 @@ mod tests {
         let report = run_encoded_pipeline(&s, &mut MaxDepth, rate, 1_000, 0);
         assert!(!report.stable);
         assert_eq!(report.frames_verified, 0, "verification disabled");
+    }
+
+    #[test]
+    fn verify_block_reports_a_size_the_frame_does_not_encode_to() {
+        let s = sequence();
+        let size = s.tree(1).encoded_frame_size(4);
+        let queued = |size| [(0, 3, s.tree(0).encoded_frame_size(3)), (1, 4, size)];
+        let mut check = FrameCheck::default();
+        assert_eq!(verify_block(&s, &queued(size), &mut check), Ok(true));
+        assert_eq!(
+            verify_block(&s, &queued(size + 1), &mut check),
+            Err(format!(
+                "slot 1 queued {} bytes at depth 4, but its frame encodes to {size}",
+                size + 1
+            ))
+        );
     }
 
     #[test]

@@ -311,8 +311,11 @@ const LEVELS: usize = MAX_SUPPORTED_DEPTH as usize + 1;
 ///
 /// Holds the sort words and the radix sort's ping-pong buffer, so a
 /// streaming pipeline that builds one octree per frame pays those
-/// allocations once, not per frame. [`Octree::build`] is a convenience
-/// wrapper creating a fresh builder per call.
+/// allocations once, not per frame. A pipeline that builds frames on
+/// several workers keeps one builder per worker (`core::pipeline`'s
+/// `PreparedSequence::prepare` lends them out from a list of spares), so
+/// each worker pays them once. [`Octree::build`] is a convenience wrapper
+/// creating a fresh builder per call.
 ///
 /// # Pipeline
 ///

@@ -13,19 +13,32 @@
 //!    produce bit-identical results".
 //! 2. **No pool, no dependencies.** Workers are `std::thread::scope` threads
 //!    spawned per call, ~10 µs per thread, which only work of a millisecond
-//!    or more amortizes (batch runs, kd-tree queries, quality metrics). The
+//!    or more amortizes (batch runs, kd-tree queries, quality metrics). A
+//!    fan-out on `w` workers cuts its chunks into at most `w` contiguous
+//!    blocks, runs the first on the calling thread, as [`join`] runs `a`,
+//!    and spawns a thread for each other block: `w - 1` at most. The
 //!    encoded pipeline's verify pass is one such call per run: no control
 //!    decision waits for a frame's lossless check, so a 120-slot run checks
 //!    all its frames (~70 ms of work) in one fan-out and pays one spawn per
-//!    worker, where a fan-out per slot would pay one every ~600 µs. An
-//!    octree build of a 20k-point frame takes about a millisecond and does
-//!    not fan out: with its eight fan-outs it was slower than serial on two
-//!    cores, and its one scan of sorted codes is serial by nature. A call
-//!    whose data fits in one chunk runs inline and spawns nothing. The
-//!    worker count itself is read once per process. Short per-slot fan-outs
-//!    (a ~200 µs slot of the shared uplink) pay the spawns in full; a
-//!    persistent pool would remove that cost, at the price of more than the
-//!    ~200 lines of safe code the whole workspace can audit today.
+//!    extra worker, where a fan-out per slot would pay one every ~600 µs.
+//!    An octree build of a 20k-point frame takes about a millisecond and
+//!    stays serial: with its eight fan-outs it was slower than serial on
+//!    two cores, and its one scan of sorted codes is serial by nature.
+//!    `PreparedSequence::prepare` fans out over frames instead, one build
+//!    per frame on each worker. The calling thread's block also keeps
+//!    memory flat. With every block on a spawned thread, all of `prepare`'s
+//!    trees came from glibc's per-thread arenas, and on two vCPUs
+//!    `encoded_pipeline`'s peak RSS read 35.0–38.0 MB in 14 of 40 short
+//!    runs (a warm-up and three repetitions), against 32.9–33.4 MB in all
+//!    40 with serial builds. With `MALLOC_ARENA_MAX=1` none of 40 rose above
+//!    33.2 MB, so the rise is the arenas', not the builders' ~320 KB of
+//!    scratch. With the caller building its share on the main heap, 1 of 40
+//!    rose above 35 MB. A call whose data fits in one chunk runs inline and
+//!    spawns nothing. The worker count itself is read once per process.
+//!    Short per-slot fan-outs (a ~200 µs slot of the shared uplink) pay the
+//!    spawns in full; a persistent pool would remove that cost, at the
+//!    price of more than the ~200 lines of safe code the whole workspace
+//!    can audit today.
 //!
 //! [`workers`] is the one serial switch. With one worker (one available
 //! core, as under `taskset -c 0`, or inside a [`serial_scope`]) every
@@ -100,6 +113,22 @@ fn chunk_count(len: usize, chunk: usize) -> usize {
     len.div_ceil(chunk)
 }
 
+/// Runs `run` on every block: the first on the calling thread, as [`join`]
+/// runs `a`, and each other on a scoped thread of its own, so `w` blocks
+/// spawn `w - 1` threads. Returns when every block has run.
+fn fan_out<B: Send>(mut blocks: impl Iterator<Item = B>, run: impl Fn(B) + Sync) {
+    let Some(first) = blocks.next() else {
+        return;
+    };
+    std::thread::scope(|s| {
+        for block in blocks {
+            let run = &run;
+            s.spawn(move || run(block));
+        }
+        run(first);
+    });
+}
+
 /// Calls `f(chunk_index, chunk)` for every `chunk`-sized piece of `data`
 /// (the final piece may be shorter), fanning pieces out over the workers.
 ///
@@ -118,18 +147,15 @@ pub fn for_each_chunk<T: Sync>(data: &[T], chunk: usize, f: impl Fn(usize, &[T])
         }
         return;
     }
-    let nchunks = chunk_count(data.len(), chunk);
-    let per_worker = nchunks.div_ceil(w);
-    std::thread::scope(|s| {
-        for (wi, block) in data.chunks(per_worker * chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, c) in block.chunks(chunk).enumerate() {
-                    f(wi * per_worker + i, c);
-                }
-            });
-        }
-    });
+    let per_worker = chunk_count(data.len(), chunk).div_ceil(w);
+    fan_out(
+        data.chunks(per_worker * chunk).enumerate(),
+        |(wi, block): (usize, &[T])| {
+            for (i, c) in block.chunks(chunk).enumerate() {
+                f(wi * per_worker + i, c);
+            }
+        },
+    );
 }
 
 /// Mutable variant of [`for_each_chunk`]: `f(chunk_index, chunk)` over
@@ -151,18 +177,15 @@ pub fn for_each_chunk_mut<T: Send>(
         }
         return;
     }
-    let nchunks = chunk_count(data.len(), chunk);
-    let per_worker = nchunks.div_ceil(w);
-    std::thread::scope(|s| {
-        for (wi, block) in data.chunks_mut(per_worker * chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, c) in block.chunks_mut(chunk).enumerate() {
-                    f(wi * per_worker + i, c);
-                }
-            });
-        }
-    });
+    let per_worker = chunk_count(data.len(), chunk).div_ceil(w);
+    fan_out(
+        data.chunks_mut(per_worker * chunk).enumerate(),
+        |(wi, block): (usize, &mut [T])| {
+            for (i, c) in block.chunks_mut(chunk).enumerate() {
+                f(wi * per_worker + i, c);
+            }
+        },
+    );
 }
 
 /// Runs `f(task_index, task)` for every task, fanning contiguous blocks of
@@ -192,14 +215,9 @@ pub fn for_each_task<T: Send>(tasks: Vec<T>, f: impl Fn(usize, T) + Sync) {
         start += take;
         rest = tail;
     }
-    std::thread::scope(|s| {
-        for (first, block) in blocks {
-            let f = &f;
-            s.spawn(move || {
-                for (i, t) in block.into_iter().enumerate() {
-                    f(first + i, t);
-                }
-            });
+    fan_out(blocks.into_iter(), |(first, block): (usize, Vec<T>)| {
+        for (i, t) in block.into_iter().enumerate() {
+            f(first + i, t);
         }
     });
 }
@@ -230,22 +248,16 @@ pub fn map_chunks<T: Sync, U: Send>(
             }
         } else {
             let per_worker = n.div_ceil(w);
-            std::thread::scope(|s| {
-                for (wi, (block, out_block)) in data
-                    .chunks(per_worker * chunk)
+            fan_out(
+                data.chunks(per_worker * chunk)
                     .zip(slots.chunks_mut(per_worker))
-                    .enumerate()
-                {
-                    let f = &f;
-                    s.spawn(move || {
-                        for ((i, c), slot) in
-                            block.chunks(chunk).enumerate().zip(out_block.iter_mut())
-                        {
-                            *slot = Some(f(wi * per_worker + i, c));
-                        }
-                    });
-                }
-            });
+                    .enumerate(),
+                |(wi, (block, out_block)): (usize, (&[T], &mut [Option<U>]))| {
+                    for ((i, c), slot) in block.chunks(chunk).enumerate().zip(out_block) {
+                        *slot = Some(f(wi * per_worker + i, c));
+                    }
+                },
+            );
         }
     }
     out.into_iter()
@@ -256,6 +268,8 @@ pub fn map_chunks<T: Sync, U: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn join_returns_both() {
@@ -344,56 +358,83 @@ mod tests {
 
     /// Every primitive hands its callbacks the same `(index, first item,
     /// length)` triples by default as under `serial_scope`, which is what
-    /// makes a one-worker run a serial build.
+    /// makes a one-worker run a serial build. The calling thread runs
+    /// chunk 0 (and every chunk under `serial_scope`), and the calls run on
+    /// at most `workers()` threads.
     #[test]
     fn serial_and_parallel_results_match() {
-        type Calls = Vec<(usize, u64, usize)>;
-        type Run = fn(&[u64]) -> Calls;
-        fn recorded(run: impl FnOnce(&std::sync::Mutex<Calls>)) -> Calls {
-            let seen = std::sync::Mutex::new(Vec::new());
+        type Call = ((usize, u64, usize), ThreadId);
+        type Run = fn(&[u64]) -> Vec<Call>;
+        fn call(i: usize, c: &[u64]) -> Call {
+            ((i, c[0], c.len()), std::thread::current().id())
+        }
+        fn recorded(run: impl FnOnce(&Mutex<Vec<Call>>)) -> Vec<Call> {
+            let seen = Mutex::new(Vec::new());
             run(&seen);
             let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
+            seen.sort_unstable_by_key(|&(triple, _)| triple);
             seen
         }
         let inputs: [(&str, Run); 5] = [
-            ("map_chunks", |data| {
-                map_chunks(data, 100, |i, c| (i, c[0], c.len()))
-            }),
+            ("map_chunks", |data| map_chunks(data, 100, call)),
             ("for_each_chunk", |data| {
                 recorded(|seen| {
-                    for_each_chunk(data, 100, |i, c| {
-                        seen.lock().unwrap().push((i, c[0], c.len()))
-                    })
+                    for_each_chunk(data, 100, |i, c| seen.lock().unwrap().push(call(i, c)))
                 })
             }),
             ("for_each_chunk_mut", |data| {
                 let mut data = data.to_vec();
                 recorded(|seen| {
-                    for_each_chunk_mut(&mut data, 100, |i, c| {
-                        seen.lock().unwrap().push((i, c[0], c.len()))
-                    })
+                    for_each_chunk_mut(&mut data, 100, |i, c| seen.lock().unwrap().push(call(i, c)))
                 })
             }),
             ("for_each_task", |data| {
                 recorded(|seen| {
                     for_each_task(data.chunks(100).collect(), |i, t| {
-                        seen.lock().unwrap().push((i, t[0], t.len()))
+                        seen.lock().unwrap().push(call(i, t))
                     })
                 })
             }),
             ("join", |data| {
                 let (left, right) = data.split_at(data.len() / 2);
-                let (a, b) = join(|| (0, left[0], left.len()), || (1, right[0], right.len()));
+                let (a, b) = join(|| call(0, left), || call(1, right));
                 vec![a, b]
             }),
         ];
+        let triples = |calls: &[Call]| -> Vec<(usize, u64, usize)> {
+            calls.iter().map(|&(triple, _)| triple).collect()
+        };
+        let caller = std::thread::current().id();
         let data: Vec<u64> = (0..12_345).map(|i| i * 7 + 1).collect();
         for (name, run) in inputs {
             let par = run(&data);
             let ser = serial_scope(|| run(&data));
             assert!(par.len() > 1, "{name} made one call");
-            assert_eq!(par, ser, "{name} saw different calls under serial_scope");
+            assert_eq!(
+                triples(&par),
+                triples(&ser),
+                "{name} saw different calls under serial_scope"
+            );
+            assert_eq!(
+                par[0].1, caller,
+                "{name} ran chunk 0 off the calling thread"
+            );
+            assert!(
+                ser.iter().all(|&(_, id)| id == caller),
+                "{name} left the calling thread under serial_scope"
+            );
+            let mut threads = Vec::new();
+            for &(_, id) in &par {
+                if !threads.contains(&id) {
+                    threads.push(id);
+                }
+            }
+            assert!(
+                threads.len() <= workers(),
+                "{name} ran on {} threads for {} workers",
+                threads.len(),
+                workers()
+            );
         }
     }
 }

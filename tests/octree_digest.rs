@@ -8,8 +8,16 @@
 //! rounded mean colour changes the digest. The digests were computed with
 //! the earlier level-by-level build, so the one-scan build reproduces it
 //! bit for bit over these inputs.
+//!
+//! A third digest pins `PreparedSequence::prepare` over the benchmark's
+//! first frames: every tree's encoded frames and every byte profile, built
+//! on all workers and under `arvis_par::serial_scope`. It was computed with
+//! the serial `prepare` that built one frame after another.
+
+use std::ops::RangeInclusive;
 
 use arvis::core::hash::{to_hex, Sha256};
+use arvis::core::pipeline::PreparedSequence;
 use arvis::octree::attr::EncodedFrame;
 use arvis::octree::{Octree, OctreeBuilder, OctreeConfig, OctreeError};
 use arvis::pointcloud::aabb::Aabb;
@@ -44,8 +52,13 @@ impl SplitMix64 {
 /// Hashes every encoded frame of `tree`, depths 1 to its max depth, each
 /// stream prefixed with its length.
 fn absorb(hash: &mut Sha256, tree: &Octree) {
+    absorb_depths(hash, tree, 1..=tree.max_depth());
+}
+
+/// [`absorb`] over the encoded frames at `depths` only.
+fn absorb_depths(hash: &mut Sha256, tree: &Octree, depths: RangeInclusive<u8>) {
     hash.update(&tree.point_count().to_le_bytes());
-    for depth in 1..=tree.max_depth() {
+    for depth in depths {
         let frame = EncodedFrame::encode(tree, depth);
         for stream in [&frame.occupancy[..], &frame.attributes[..]] {
             hash.update(&(stream.len() as u64).to_le_bytes());
@@ -54,17 +67,23 @@ fn absorb(hash: &mut Sha256, tree: &Octree) {
     }
 }
 
-#[test]
-fn benchmark_frames_encode_to_the_pinned_digest() {
-    // `perfbench::gen::frames` for seed 5: the first ten of its 30 frames
-    // in the cube all 30 share, as `PreparedSequence::prepare` builds them,
-    // and the first three also in their own cubes.
+/// `perfbench::gen::frames` for seed 5: the 30 frames of the
+/// `encoded_pipeline` benchmark.
+fn benchmark_frames() -> Vec<PointCloud> {
     let seed = SplitMix64(5 ^ 0xF4A3_E000).next_u64();
-    let frames: Vec<PointCloud> = FrameSequence::new(SubjectProfile::Longdress, 30)
+    FrameSequence::new(SubjectProfile::Longdress, 30)
         .with_target_points(20_000)
         .with_seed(seed)
         .iter_frames()
-        .collect();
+        .collect()
+}
+
+#[test]
+fn benchmark_frames_encode_to_the_pinned_digest() {
+    // The first ten of the benchmark's 30 frames in the cube all 30 share,
+    // as `PreparedSequence::prepare` builds them, and the first three also
+    // in their own cubes.
+    let frames = benchmark_frames();
     let cube = frames
         .iter()
         .filter_map(PointCloud::aabb)
@@ -89,6 +108,56 @@ fn benchmark_frames_encode_to_the_pinned_digest() {
         to_hex(&hash.finalize()),
         "2df1d86ef242345e030d81e2deb2dca420b6a115f53e60048c3ff1f87f90283a"
     );
+}
+
+/// Frames of the benchmark's content that `prepare_is_pinned_on_any_worker_count`
+/// prepares: enough that each of a few workers builds several of them.
+const PREPARED_FRAMES: usize = 12;
+
+/// Hashes the bits of `seq`'s shared cube, then every tree's encoded
+/// frames at `seq.depths()` and the bits of its byte profile at those
+/// depths.
+fn prepared_digest(seq: &PreparedSequence) -> String {
+    let mut hash = Sha256::new();
+    for corner in [seq.cube().min(), seq.cube().max()] {
+        for coordinate in [corner.x, corner.y, corner.z] {
+            hash.update(&coordinate.to_bits().to_le_bytes());
+        }
+    }
+    for i in 0..seq.len() as u64 {
+        absorb_depths(&mut hash, seq.tree(i), seq.depths());
+        let profile = seq.byte_profile(i);
+        for depth in seq.depths() {
+            hash.update(&profile.arrival(depth).to_bits().to_le_bytes());
+            hash.update(&profile.quality(depth).to_bits().to_le_bytes());
+        }
+    }
+    to_hex(&hash.finalize())
+}
+
+#[test]
+fn prepare_is_pinned_on_any_worker_count() {
+    // `PreparedSequence::prepare` over the first frames of the benchmark's
+    // content at its depths: the shared cube, every tree and every byte
+    // profile are the same by default and under `serial_scope`, and equal
+    // the serial build's bit for bit (the digest was computed with a
+    // `prepare` that built the frames one after another).
+    let frames = &benchmark_frames()[..PREPARED_FRAMES];
+    let prepare = || PreparedSequence::prepare(frames, 5..=10).unwrap();
+    let pinned = "ea3454ac14ba5d44f8d78b3f0504df0c00ecbb65d499a7f7488c72b00231b7b7";
+    assert_eq!(prepared_digest(&prepare()), pinned);
+    assert_eq!(
+        arvis_par::serial_scope(|| prepared_digest(&prepare())),
+        pinned
+    );
+
+    // One empty frame in a late block fails the sequence on both paths,
+    // although every frame before it builds.
+    let mut frames = frames.to_vec();
+    frames[PREPARED_FRAMES - 2] = PointCloud::new();
+    let prepare = || PreparedSequence::prepare(&frames, 5..=10).unwrap_err();
+    assert_eq!(prepare(), OctreeError::EmptyCloud);
+    assert_eq!(arvis_par::serial_scope(prepare), OctreeError::EmptyCloud);
 }
 
 /// A seeded sparse cloud: clusters of points around a few centres, some

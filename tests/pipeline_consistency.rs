@@ -199,7 +199,8 @@ fn frame_check_compares_sorted_when_only_the_order_differs() {
 fn encoded_pipeline_reports_the_same_on_one_worker_and_on_all() {
     // The verify pass checks fixed blocks of slots on the workers; the
     // report must be the serial loop's, on slot counts that are not
-    // multiples of a block and with every kind of verification stride.
+    // multiples of a block and with every kind of verification stride, and
+    // the bytes it queued those of the frames it chose, verified or not.
     let frames: Vec<PointCloud> = FrameSequence::new(SubjectProfile::Longdress, 4)
         .with_target_points(2_000)
         .with_seed(3)
@@ -231,6 +232,15 @@ fn encoded_pipeline_reports_the_same_on_one_worker_and_on_all() {
             };
             assert_eq!(all.frames_verified as u64, verified, "{what}");
             assert!(all.all_decodes_lossless, "{what}");
+            // The control pass queues each frame's size without encoding
+            // it; the sizes are those of the frames the slots would send.
+            let encoded: usize = (0..slots)
+                .zip(all.depth.values())
+                .map(|(slot, &depth)| {
+                    EncodedFrame::encode(sequence.tree(slot), depth as u8).byte_size()
+                })
+                .sum();
+            assert_eq!(all.bytes_encoded, encoded as u64, "{what}");
         }
     }
 }
